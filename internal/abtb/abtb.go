@@ -157,19 +157,30 @@ func New(cfg Config) *ABTB {
 	return a
 }
 
+// vaBits is the width of a user virtual address (x86-64, §5.3).
+// asidBits is the width of the address-space tag: with ASIDs
+// configured, SwitchContext panics on a wider ASID, as hardware has
+// no room to store it.
+const (
+	vaBits   = 48
+	asidBits = 16
+)
+
 // key derives the table key from a trampoline address.  PLT slots are
 // 16-byte aligned, so the low four bits carry no entropy; rotating
 // them to the top (an injective transform, so distinct addresses never
 // produce a false tag match) makes consecutive PLT slots index
 // consecutive sets, as a hardware ABTB would index above the slot
-// alignment.  With ASID support configured, the ASID is folded into
-// the (otherwise unused) top bits so address spaces never alias.
-func (a *ABTB) key(tramp uint64) uint64 {
-	k := bits.RotateLeft64(tramp, 60)
+// alignment.  With ASID support configured, the ASID fills bits 44–59
+// of the key, which the rotation leaves zero for every vaBits-wide
+// address, so distinct (address, ASID) pairs never share a key; ok is
+// false for a wider address, which therefore never maps.
+func (a *ABTB) key(tramp uint64) (k uint64, ok bool) {
+	k = bits.RotateLeft64(tramp, 60)
 	if !a.cfg.ASIDs {
-		return k
+		return k, true
 	}
-	return k ^ (a.asid << 48) ^ (a.asid * 0x9e3779b97f4a7c15 & 0xffff000000000000)
+	return k | a.asid<<(vaBits-4), tramp>>vaBits == 0
 }
 
 // Lookup consults the ABTB at branch resolution: if the resolved
@@ -177,7 +188,11 @@ func (a *ABTB) key(tramp uint64) uint64 {
 // mapped library function address.  This is the redirect that makes
 // the front end skip the trampoline.
 func (a *ABTB) Lookup(callTarget uint64) (funcAddr uint64, ok bool) {
-	m, ok := a.table.Lookup(a.key(callTarget))
+	k, ok := a.key(callTarget)
+	if !ok {
+		return 0, false
+	}
+	m, ok := a.table.Lookup(k)
 	if ok {
 		a.redirects++
 		return m.target, true
@@ -208,7 +223,11 @@ func (a *ABTB) OnRetireIndirectBranch(branchPC, branchTarget, memAddr uint64) {
 	if !a.pendingCallValid || a.expectPC != branchPC || memAddr == 0 {
 		return
 	}
-	a.table.Insert(a.key(a.pendingCall), mapping{target: branchTarget})
+	k, ok := a.key(a.pendingCall)
+	if !ok {
+		return
+	}
+	a.table.Insert(k, mapping{target: branchTarget})
 	a.inserts++
 	if a.bloom != nil {
 		a.bloom.Add(memAddr)
@@ -270,8 +289,11 @@ func (a *ABTB) Invalidate() { a.flushAll() }
 
 // SwitchContext informs the ABTB of a context switch to the given
 // address-space ID.  Without ASID support the table is flushed, like
-// an untagged TLB (§3.3).
+// an untagged TLB (§3.3); with it, the ASID must fit in 16 bits.
 func (a *ABTB) SwitchContext(asid uint64) {
+	if a.cfg.ASIDs && asid>>asidBits != 0 {
+		panic(fmt.Sprintf("abtb: ASID %#x exceeds the %d-bit address-space tag", asid, asidBits))
+	}
 	a.switches++
 	if a.cfg.ASIDs {
 		a.asid = asid

@@ -242,6 +242,73 @@ func TestContextSwitchWithoutASIDsFlushes(t *testing.T) {
 	}
 }
 
+// TestASIDsNeverAlias pins the ASID fold as injective: a mapping
+// installed under one ASID never redirects a call made under another.
+// An earlier multiplicative fold gave each of these pairs the same key
+// for every trampoline.
+func TestASIDsNeverAlias(t *testing.T) {
+	for _, p := range [][2]uint64{{241, 330}, {2, 1099}, {6, 1103}} {
+		a := New(Config{Entries: 16, Ways: 4, BloomBits: 256, BloomK: 3, ASIDs: true})
+		a.SwitchContext(p[0])
+		populate(a, 0x401020, 0x7f0000001000, 0x601018)
+		a.SwitchContext(p[1])
+		if fn, ok := a.Lookup(0x401020); ok {
+			t.Errorf("ASID %d call redirected to %#x by ASID %d's mapping", p[1], fn, p[0])
+		}
+	}
+}
+
+// TestASIDKeyInjective checks the fold over random pairs drawn from
+// the ranges it relies on (48-bit addresses, asidBits-bit ASIDs),
+// including pairs that differ in one coordinate only.
+func TestASIDKeyInjective(t *testing.T) {
+	a := New(Config{Entries: 16, Ways: 4, BloomBits: 256, BloomK: 3, ASIDs: true})
+	rng := rand.New(rand.NewPCG(1, 2))
+	keyOf := func(tramp, asid uint64) uint64 {
+		a.SwitchContext(asid)
+		k, ok := a.key(tramp)
+		if !ok {
+			t.Fatalf("key(%#x) refused a 48-bit address", tramp)
+		}
+		return k
+	}
+	for i := 0; i < 100000; i++ {
+		t1, a1 := rng.Uint64()>>16, rng.Uint64()>>(64-asidBits)
+		t2, a2 := rng.Uint64()>>16, rng.Uint64()>>(64-asidBits)
+		switch i % 3 {
+		case 0:
+			t2 = t1
+		case 1:
+			a2 = a1
+		}
+		if (t1 != t2 || a1 != a2) && keyOf(t1, a1) == keyOf(t2, a2) {
+			t.Fatalf("(%#x, %d) and (%#x, %d) share a key", t1, a1, t2, a2)
+		}
+	}
+}
+
+// TestASIDRanges checks the ranges the fold relies on: an address
+// wider than 48 bits never maps under ASIDs, and an ASID wider than
+// asidBits is refused.
+func TestASIDRanges(t *testing.T) {
+	a := New(Config{Entries: 16, Ways: 4, BloomBits: 256, BloomK: 3, ASIDs: true})
+	a.SwitchContext(3)
+	wide := uint64(1)<<48 | 0x401020
+	populate(a, wide, 0x7f0000001000, 0x601018)
+	if a.Len() != 0 || a.Inserts() != 0 {
+		t.Errorf("wide address mapped: len %d, inserts %d", a.Len(), a.Inserts())
+	}
+	if _, ok := a.Lookup(wide); ok {
+		t.Error("wide address hit")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Errorf("SwitchContext(1<<%d) did not panic", asidBits)
+		}
+	}()
+	a.SwitchContext(1 << asidBits)
+}
+
 func TestContextSwitchWithASIDs(t *testing.T) {
 	a := New(Config{Entries: 16, Ways: 4, BloomBits: 256, BloomK: 3, ASIDs: true})
 	a.SwitchContext(1)

@@ -79,20 +79,23 @@ func (c *Cache) Line(addr uint64) uint64 { return addr >> c.lineShift }
 // total latency in cycles, filling this level (and recursively the
 // ones below) on a miss.
 func (c *Cache) Access(addr uint64) int {
-	return c.access(c.Line(addr), addr)
+	return c.access(c.Line(addr), addr, 1)
 }
 
-// access is Access with the line number already computed, so the range
-// fast path does not compute it twice.
-func (c *Cache) access(line, addr uint64) int {
-	if _, hit := c.tags.Lookup(line); hit {
-		return c.cfg.HitLatency
+// access performs n consecutive accesses to line, of which only the
+// first can miss; addr is the byte address the first access passes to
+// the next level.  One tag probe serves all n: the tag table fills the
+// line before the next level is consulted, which is safe because the
+// levels share no state.
+func (c *Cache) access(line, addr uint64, n int) int {
+	lat := n * c.cfg.HitLatency
+	if c.tags.AccessRun(line, n, struct{}{}) {
+		return lat
 	}
-	lat := c.cfg.HitLatency + c.cfg.MissPenalty
+	lat += c.cfg.MissPenalty
 	if c.next != nil {
 		lat += c.next.Access(addr)
 	}
-	c.tags.Insert(line, struct{}{})
 	return lat
 }
 
@@ -106,11 +109,11 @@ func (c *Cache) AccessRange(addr, size uint64) int {
 	}
 	first, last := c.Line(addr), c.Line(addr+size-1)
 	if first == last {
-		return c.access(first, addr)
+		return c.access(first, addr, 1)
 	}
 	lat := 0
 	for line := first; line <= last; line++ {
-		lat += c.access(line, line<<c.lineShift)
+		lat += c.access(line, line<<c.lineShift, 1)
 	}
 	return lat
 }
@@ -118,22 +121,15 @@ func (c *Cache) AccessRange(addr, size uint64) int {
 // AccessRepeat performs n consecutive accesses for the byte at addr,
 // all falling in one line, and returns the summed latency.  The first
 // access is an ordinary Access (it may miss and fill); the remaining
-// n-1 are guaranteed hits — nothing can evict the line in between —
-// so they are applied in bulk via the tag table's BumpHits, with
-// counter and LRU effects bit-identical to n sequential Access calls.
-// The compiled-trace replay loop uses it for runs of straight-line
-// instruction fetches sharing a line.
+// n-1 are guaranteed hits — nothing can evict the line in between.
+// Counter and LRU effects are bit-identical to n sequential Access
+// calls, at the cost of one tag probe.  The compiled-trace replay loop
+// uses it for runs of straight-line instruction fetches sharing a line.
 func (c *Cache) AccessRepeat(addr uint64, n int) int {
 	if n <= 0 {
 		return 0
 	}
-	line := c.Line(addr)
-	lat := c.access(line, addr)
-	if n > 1 {
-		c.tags.BumpHits(line, n-1)
-		lat += (n - 1) * c.cfg.HitLatency
-	}
-	return lat
+	return c.access(c.Line(addr), addr, n)
 }
 
 // Contains reports whether addr's line is resident, without updating

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -188,4 +189,47 @@ func TestNewPanicsOnInvalid(t *testing.T) {
 		}
 	}()
 	New(Config{Name: "bad", SizeBytes: 100, LineBytes: 64, Ways: 1}, nil)
+}
+
+// TestAccessRepeatMatchesSingleAccesses drives two identical
+// two-level hierarchies with one seeded stream: one applies each run
+// with AccessRepeat(addr, n), the other with n single Accesses to
+// bytes of addr's line (the first at addr).  Latencies, both levels'
+// counters and every line's residency must agree after every run.
+func TestAccessRepeatMatchesSingleAccesses(t *testing.T) {
+	build := func() (*Cache, *Cache) {
+		l2 := New(Config{Name: "l2", SizeBytes: 2048, LineBytes: 128, Ways: 4, HitLatency: 4, MissPenalty: 50}, nil)
+		return smallCache(l2), l2
+	}
+	runL1, runL2 := build()
+	oneL1, oneL2 := build()
+	rng := rand.New(rand.NewPCG(7, 11))
+	const region = 8 << 10
+	for op := 0; op < 20000; op++ {
+		addr := rng.Uint64N(region)
+		if op%997 == 996 {
+			runL1.Flush()
+			oneL1.Flush()
+		}
+		n := 1 + rng.IntN(6)
+		got := runL1.AccessRepeat(addr, n)
+		want := oneL1.Access(addr)
+		for i := 1; i < n; i++ {
+			want += oneL1.Access(addr&^63 | rng.Uint64N(64))
+		}
+		if got != want {
+			t.Fatalf("op %d: AccessRepeat(%#x, %d) = %d cycles, single accesses %d", op, addr, n, got, want)
+		}
+		for _, lv := range [][2]*Cache{{runL1, oneL1}, {runL2, oneL2}} {
+			if lv[0].Accesses() != lv[1].Accesses() || lv[0].Misses() != lv[1].Misses() {
+				t.Fatalf("op %d: %s accesses/misses %d/%d, single accesses %d/%d", op, lv[0].Config().Name,
+					lv[0].Accesses(), lv[0].Misses(), lv[1].Accesses(), lv[1].Misses())
+			}
+		}
+		for a := uint64(0); a < region; a += 64 {
+			if runL1.Contains(a) != oneL1.Contains(a) || runL2.Contains(a) != oneL2.Contains(a) {
+				t.Fatalf("op %d: residency of %#x differs", op, a)
+			}
+		}
+	}
 }

@@ -20,22 +20,36 @@
 //   - PLT/trampoline classification is annotated at compile time: a
 //     direct call's TrampolineIndex is resolved once, and each
 //     superblock segment carries its retired-in-PLT instruction count.
+//   - Every Load, Store and JmpCond gets a dense execution-counter
+//     slot, so the count its effective address or branch outcome
+//     depends on is one indexed increment (see SetProgram for how the
+//     counts move between the two kernel paths).
+//
+// The host-side layout is dense and pointer-free: superblocks, their
+// segments and their fetch runs live in three flat slices in code
+// order, addressed by int32 indices, so replaying a block walks
+// contiguous memory and the garbage collector never scans a Program.
 //
 // The compiled path is bit-identical to the interpreter — same
 // counters, same cycle account, same sample and budget boundaries,
-// same errors.  Two properties make that exact:
+// same errors.  Three properties make that exact:
 //
-//   - Superblocks segment at memory operations, so a bulk I-fetch run
-//     never reorders across a D-side access into the shared L2, and a
-//     block is only dispatched when it fits entirely under the loop's
-//     current limit (budget or sample boundary); otherwise replay
-//     falls back to single-instruction steps, reproducing the
-//     interpreter's step granularity exactly.
+//   - Superblocks segment at memory operations, so a bulk fetch run
+//     that may miss never reorders across a D-side access into the
+//     shared L2, and a block is only dispatched when it fits entirely
+//     under the loop's current limit (budget or sample boundary);
+//     otherwise replay falls back to single-instruction steps,
+//     reproducing the interpreter's step granularity exactly.
 //   - The bulk cache/TLB operations replay the interpreter's exact
 //     access sequence: only the first access of a same-line (same-page)
 //     run can miss, so recording that access's address preserves
 //     next-level addresses, and the remaining accesses are applied as
 //     guaranteed hits with identical counter and LRU effects.
+//   - A segment's first fetch run is folded into the block's previous
+//     run of the same structure when both name the same page or line.
+//     The folded accesses are guaranteed hits, and hits never reach
+//     the L2, so moving them ahead of the D-side access between the
+//     two changes no state (see addRun).
 //
 // A Program is built from the image's shared instruction index, which
 // forks share with their master, so one compiled Program serves every
@@ -58,8 +72,9 @@ import (
 const blockCap = 32
 
 // cinstr is one compiled instruction: the decoded instruction by
-// value (no pointer chase), its PC, and pre-resolved successor
-// indices into the program's code array.
+// value, its PC, and pre-resolved indices.  It holds no pointer, so
+// the code array is one dense block the garbage collector never scans,
+// and it is 64 bytes, one host cache line.
 type cinstr struct {
 	in isa.Instr
 	pc uint64
@@ -67,10 +82,7 @@ type cinstr struct {
 	next     int32 // index of the fall-through (pc+Size), -1 if unmapped
 	tgt      int32 // index of in.Target for Call/Jmp/JmpCond, else -1
 	trampIdx int32 // TrampolineIndex(in.Target) for direct calls, else -1
-
-	// blk, when non-nil, is the superblock starting at this
-	// instruction.
-	blk *block
+	cnt      int32 // execution-counter slot of a Load/Store/JmpCond, else -1
 }
 
 // crun is one run-length-encoded fetch access: n consecutive accesses
@@ -83,25 +95,27 @@ type crun struct {
 
 // seg is a superblock segment: a run of simple instructions whose
 // fetch traffic is applied in bulk, optionally ending with one memory
-// operation.  Segments never continue past a memory op, so bulk
-// I-fetches never cross a D-side access into the shared L2.
+// operation.  Its fetch runs are runs[run : run+nITLB] (I-TLB pages)
+// followed by nL1I L1I line runs.
 type seg struct {
 	firstIdx int32 // code index of the segment's first instruction
 	n        int32 // instructions in the segment (incl. trailing mem op)
-	nPLT     uint64
+	nPLT     int32
 	memIdx   int32 // code index of the trailing Load/Store/Push, or -1
-	itlb     []crun
-	l1i      []crun
+	run      int32
+	nITLB    int32
+	nL1I     int32
 }
 
 // block is a superblock: up to blockCap straight-line simple
-// instructions with pre-computed fetch runs, entered only at its first
-// instruction.
+// instructions, entered only at its first instruction, whose segments
+// are segs[seg : seg+nSegs].
 type block struct {
-	nInstr uint64
-	endIdx int32  // code index of the instruction after the block
-	endPC  uint64 // its PC (for the unmapped-fall-through error)
-	segs   []seg
+	endPC  uint64 // PC of the instruction after the block (for the unmapped-fall-through error)
+	endIdx int32  // its code index
+	nInstr int32
+	seg    int32
+	nSegs  int32
 }
 
 // idxMemoEntry memoises one compiled-index page for the replay loop's
@@ -116,12 +130,21 @@ type idxMemoEntry struct {
 type idxPage [mem.PageSize]int32
 
 // Program is a compiled trace: the image's instructions as a dense
-// branch-threaded array plus the PC→index pages used for dynamic
-// targets.  A Program is immutable after Compile and safe for
+// branch-threaded array, its superblocks, their segments and fetch runs
+// as three flat slices in code order, plus the PC→index pages used for
+// dynamic targets.  A Program is immutable after Compile and safe for
 // concurrent use by any number of CPUs running forks of the image it
 // was compiled from.
 type Program struct {
-	code      []cinstr
+	code []cinstr
+	// blockAt[i] is the index in blocks of the superblock starting at
+	// code[i], or -1.  Kept apart from code so that dispatching a
+	// block reads 4 bytes per instruction, not a cinstr.
+	blockAt   []int32
+	blocks    []block
+	segs      []seg
+	runs      []crun
+	counters  int // execution-counter slots (see cinstr.cnt)
 	pages     map[uint64]*idxPage
 	lineBytes int    // L1I line size the fetch runs were compiled for
 	gen       uint64 // image generation the trace was compiled against
@@ -166,8 +189,11 @@ type BlockInfo struct {
 
 // Stats walks the program once and returns its summary.
 func (p *Program) Stats() ProgramStats {
-	var st ProgramStats
-	st.Instructions = len(p.code)
+	st := ProgramStats{
+		Instructions: len(p.code),
+		Blocks:       len(p.blocks),
+		Segments:     len(p.segs),
+	}
 	for i := range p.code {
 		ci := &p.code[i]
 		if ci.next >= 0 {
@@ -182,17 +208,14 @@ func (p *Program) Stats() ProgramStats {
 				st.PLTCalls++
 			}
 		}
-		if b := ci.blk; b != nil {
-			st.Blocks++
-			st.BlockInstrs += b.nInstr
-			st.Segments += len(b.segs)
-			for si := range b.segs {
-				s := &b.segs[si]
-				st.L1IRuns += len(s.l1i)
-				st.ITLBRuns += len(s.itlb)
-				st.PLTInstrs += s.nPLT
-			}
-		}
+	}
+	for _, b := range p.blocks {
+		st.BlockInstrs += uint64(b.nInstr)
+	}
+	for _, s := range p.segs {
+		st.L1IRuns += int(s.nL1I)
+		st.ITLBRuns += int(s.nITLB)
+		st.PLTInstrs += uint64(s.nPLT)
 	}
 	return st
 }
@@ -201,14 +224,15 @@ func (p *Program) Stats() ProgramStats {
 func (p *Program) Blocks() []BlockInfo {
 	var out []BlockInfo
 	for i := range p.code {
-		ci := &p.code[i]
-		if b := ci.blk; b != nil {
-			var plt uint64
-			for si := range b.segs {
-				plt += b.segs[si].nPLT
-			}
-			out = append(out, BlockInfo{StartPC: ci.pc, Instrs: b.nInstr, Segs: len(b.segs), PLT: plt})
+		if p.blockAt[i] < 0 {
+			continue
 		}
+		b := &p.blocks[p.blockAt[i]]
+		var plt uint64
+		for _, s := range p.segs[b.seg : b.seg+b.nSegs] {
+			plt += uint64(s.nPLT)
+		}
+		out = append(out, BlockInfo{StartPC: p.code[i].pc, Instrs: uint64(b.nInstr), Segs: int(b.nSegs), PLT: plt})
 	}
 	return out
 }
@@ -245,12 +269,19 @@ func Compile(img *linker.Image, l1iLineBytes int) *Program {
 
 	p := &Program{
 		code:      make([]cinstr, len(pcs)),
+		blockAt:   make([]int32, len(pcs)),
 		pages:     make(map[uint64]*idxPage),
 		lineBytes: l1iLineBytes,
 		gen:       img.Generation(),
 	}
 	for i, pc := range pcs {
-		p.code[i] = cinstr{in: *instrs[pc], pc: pc, next: -1, tgt: -1, trampIdx: -1}
+		p.code[i] = cinstr{in: *instrs[pc], pc: pc, next: -1, tgt: -1, trampIdx: -1, cnt: -1}
+		p.blockAt[i] = -1
+		switch p.code[i].in.Op {
+		case isa.Load, isa.Store, isa.JmpCond:
+			p.code[i].cnt = int32(p.counters)
+			p.counters++
+		}
 		pn := pc >> mem.PageShift
 		pg := p.pages[pn]
 		if pg == nil {
@@ -313,12 +344,9 @@ func Compile(img *linker.Image, l1iLineBytes int) *Program {
 			// stopping where an earlier entry's chain already built
 			// them (identical content: a block depends only on its
 			// start index and the run end).
-			for b0 := k; b0 < e && p.code[b0].blk == nil; {
-				end := b0 + blockCap
-				if end > e {
-					end = e
-				}
-				p.code[b0].blk = buildBlock(p.code, b0, end, lineShift)
+			for b0 := k; b0 < e && p.blockAt[b0] < 0; {
+				end := min(b0+blockCap, e)
+				p.blockAt[b0] = p.buildBlock(b0, end, lineShift)
 				b0 = end
 			}
 		}
@@ -327,71 +355,87 @@ func Compile(img *linker.Image, l1iLineBytes int) *Program {
 	return p
 }
 
-// buildBlock compiles the superblock covering code[b0:end).
-func buildBlock(code []cinstr, b0, end int, lineShift uint) *block {
-	last := &code[end-1]
-	b := &block{
-		nInstr: uint64(end - b0),
-		endIdx: last.next,
+// buildBlock compiles the superblock covering code[b0:end), appending
+// its segments and fetch runs, and returns its index in p.blocks.
+// Segments end at memory operations.  Each segment's fetch runs replay
+// the interpreter's exact access sequence, per structure: for each
+// instruction, every page overlapped by [pc, pc+Size), and every L1I
+// line.
+func (p *Program) buildBlock(b0, end int, lineShift uint) int32 {
+	last := &p.code[end-1]
+	b := block{
 		endPC:  last.pc + uint64(last.in.Size),
+		endIdx: last.next,
+		nInstr: int32(end - b0),
+		seg:    int32(len(p.segs)),
 	}
-	segStart := b0
-	for k := b0; k < end; k++ {
-		op := code[k].in.Op
-		memOp := op == isa.Load || op == isa.Store || op == isa.Push
-		if memOp || k == end-1 {
-			b.segs = append(b.segs, buildSeg(code, segStart, k+1, memOp, lineShift))
-			segStart = k + 1
+	lastITLB, lastL1I := -1, -1 // p.runs index of the block's latest run of each structure
+	for s := b0; s < end; {
+		e := s + 1
+		for e < end && !memOp(p.code[e-1].in.Op) {
+			e++
 		}
-	}
-	return b
-}
-
-// buildSeg pre-computes one segment's RLE fetch runs, replaying the
-// interpreter's exact access sequence: per instruction, every page
-// overlapped by [pc, pc+Size), then every L1I line.  Runs record the
-// first access's address (page number for the TLB), because only the
-// first access of a same-key run can miss and recurse.
-func buildSeg(code []cinstr, s, e int, memOp bool, lineShift uint) seg {
-	sg := seg{firstIdx: int32(s), n: int32(e - s), memIdx: -1}
-	if memOp {
-		sg.memIdx = int32(e - 1)
-	}
-	for k := s; k < e; k++ {
-		ci := &code[k]
-		if ci.in.PLT {
-			sg.nPLT++
+		sg := seg{firstIdx: int32(s), n: int32(e - s), memIdx: -1, run: int32(len(p.runs))}
+		if memOp(p.code[e-1].in.Op) {
+			sg.memIdx = int32(e - 1)
 		}
-		pc, size := ci.pc, uint64(ci.in.Size)
-		pFirst, pLast := mem.PageNum(pc), mem.PageNum(pc+size-1)
-		for vpn := pFirst; vpn <= pLast; vpn++ {
-			if n := len(sg.itlb) - 1; n >= 0 && sg.itlb[n].addr == vpn {
-				sg.itlb[n].n++
-			} else {
-				sg.itlb = append(sg.itlb, crun{addr: vpn, n: 1})
+		for k := s; k < e; k++ {
+			ci := &p.code[k]
+			if ci.in.PLT {
+				sg.nPLT++
+			}
+			for vpn := mem.PageNum(ci.pc); vpn <= mem.PageNum(ci.pc+uint64(ci.in.Size)-1); vpn++ {
+				lastITLB = p.addRun(lastITLB, vpn, 0, &sg.nITLB)
 			}
 		}
-		// Mirror cache.AccessRange: a single-line access records the
-		// real byte address; a straddling access records each line's
-		// base address.
-		lFirst, lLast := pc>>lineShift, (pc+size-1)>>lineShift
-		if lFirst == lLast {
-			sg.l1i = appendLineRun(sg.l1i, pc, lineShift)
-		} else {
+		for k := s; k < e; k++ {
+			// Mirror cache.AccessRange: a single-line access records
+			// the real byte address; a straddling access records each
+			// line's base address.
+			pc := p.code[k].pc
+			lFirst, lLast := pc>>lineShift, (pc+uint64(p.code[k].in.Size)-1)>>lineShift
+			if lFirst == lLast {
+				lastL1I = p.addRun(lastL1I, pc, lineShift, &sg.nL1I)
+				continue
+			}
 			for ln := lFirst; ln <= lLast; ln++ {
-				sg.l1i = appendLineRun(sg.l1i, ln<<lineShift, lineShift)
+				lastL1I = p.addRun(lastL1I, ln<<lineShift, lineShift, &sg.nL1I)
 			}
 		}
+		p.segs = append(p.segs, sg)
+		s = e
 	}
-	return sg
+	b.nSegs = int32(len(p.segs)) - b.seg
+	p.blocks = append(p.blocks, b)
+	return int32(len(p.blocks) - 1)
 }
 
-func appendLineRun(runs []crun, addr uint64, lineShift uint) []crun {
-	if n := len(runs) - 1; n >= 0 && runs[n].addr>>lineShift == addr>>lineShift {
-		runs[n].n++
-		return runs
+// memOp reports whether op ends a superblock segment.
+func memOp(op isa.Op) bool {
+	return op == isa.Load || op == isa.Store || op == isa.Push
+}
+
+// addRun records one fetch access to addr (a byte address, or for the
+// I-TLB the page number itself), given last, the p.runs index of the
+// block's latest run of the same structure (-1 if none).  A run records
+// its first access's address, because only the first access of a
+// same-key run can miss and recurse: an access whose key (addr>>shift)
+// matches the latest run extends it, and any other access appends a
+// new run, counted in *n.  It returns the new latest run.
+//
+// The latest run may belong to an earlier segment of the block, so a
+// segment's first run folds into it.  No access to that structure
+// comes between the two, so the folded accesses are guaranteed hits,
+// and a hit never reaches the shared L2: applying them before the
+// D-side access that ended the earlier segment changes no state.
+func (p *Program) addRun(last int, addr uint64, shift uint, n *int32) int {
+	if last >= 0 && p.runs[last].addr>>shift == addr>>shift {
+		p.runs[last].n++
+		return last
 	}
-	return append(runs, crun{addr: addr, n: 1})
+	p.runs = append(p.runs, crun{addr: addr, n: 1})
+	*n++
+	return len(p.runs) - 1
 }
 
 // SetProgram installs (or, with nil, removes) a compiled program; Run
@@ -399,6 +443,13 @@ func appendLineRun(runs []crun, addr uint64, lineShift uint) []crun {
 // compiled from the CPU's image — or from any image sharing its
 // instruction index, i.e. the pooled master this image was forked
 // from — for the same L1I line size.
+//
+// The compiled path keeps execution counts in a dense slice indexed by
+// the program's counter slots; the interpreter keeps them in PC-keyed
+// pages.  SetProgram spills the outgoing program's counts to the pages
+// and fills the incoming program's slots from them, so every PC's
+// count survives recompiles after library churn and switches between
+// the two paths.
 func (c *CPU) SetProgram(p *Program) error {
 	if p != nil {
 		if p.lineBytes != c.cfg.L1I.LineBytes {
@@ -412,14 +463,61 @@ func (c *CPU) SetProgram(p *Program) error {
 			return fmt.Errorf("cpu: program has %d instructions, image has %d", len(p.code), len(c.img.Instructions()))
 		}
 	}
+	c.spillCounts()
 	c.prog = p
+	c.fillCounts()
 	// Both paths' page memos key the same underlying state; reset them
 	// all so a mode switch re-derives every memo from the maps.
 	c.idxMemo = [pageMemoSize]idxMemoEntry{}
 	c.pageMemo = [pageMemoSize]pageMemoEntry{}
-	c.cntPageNum, c.cntPage = 0, nil
 	c.fetchPageNum, c.fetchPage, c.fetchCounts = 0, nil, nil
 	return nil
+}
+
+// spillCounts writes the installed program's non-zero execution counts
+// to the PC-keyed pages.  While a program is installed the pages hold
+// the counts it was filled from, which never exceed the dense ones, so
+// zero counts need no write.
+func (c *CPU) spillCounts() {
+	if c.prog == nil {
+		return
+	}
+	for i := range c.prog.code {
+		ci := &c.prog.code[i]
+		if ci.cnt < 0 || c.counts[ci.cnt] == 0 {
+			continue
+		}
+		pn := ci.pc >> mem.PageShift
+		pg := c.execPages[pn]
+		if pg == nil {
+			pg = new(execPage)
+			c.execPages[pn] = pg
+		}
+		pg[ci.pc&(mem.PageSize-1)] = c.counts[ci.cnt]
+	}
+}
+
+// fillCounts sizes the dense counts for the installed program and
+// loads each slot from the PC-keyed pages.
+func (c *CPU) fillCounts() {
+	if c.prog == nil {
+		c.counts = c.counts[:0]
+		return
+	}
+	c.counts = slices.Grow(c.counts[:0], c.prog.counters)[:c.prog.counters]
+	clear(c.counts)
+	if len(c.execPages) == 0 {
+		return
+	}
+	for i := range c.prog.code {
+		ci := &c.prog.code[i]
+		if ci.cnt < 0 {
+			continue
+		}
+		if pg := c.execPages[ci.pc>>mem.PageShift]; pg != nil {
+			c.counts[ci.cnt] = pg[ci.pc&(mem.PageSize-1)]
+		}
+	}
 }
 
 // Program returns the installed compiled program, or nil when the CPU
@@ -441,31 +539,10 @@ func (c *CPU) lookupIdx(pc uint64) int32 {
 	return m.pg[pc&(mem.PageSize-1)]
 }
 
-// bumpC is the compiled path's bumpN: it returns and increments pc's
-// dynamic execution count, memoising the counter page directly (the
-// compiled loop does not maintain the fetch memo).  Pages are shared
-// with the interpreter's execPages map, and the interpreter's memos
-// are refreshed on allocation so a later SetProgram(nil) observes
-// coherent counts.
-func (c *CPU) bumpC(pc uint64) uint64 {
-	pn := pc >> mem.PageShift
-	if c.cntPage == nil || c.cntPageNum != pn {
-		p := c.execPages[pn]
-		if p == nil {
-			p = new(execPage)
-			c.execPages[pn] = p
-			if m := &c.pageMemo[pageMemoIdx(pn)]; m.pn == pn && m.page != nil {
-				m.counts = p
-			}
-			if c.fetchPage != nil && c.fetchPageNum == pn {
-				c.fetchCounts = p
-			}
-		}
-		c.cntPageNum, c.cntPage = pn, p
-	}
-	off := pc & (mem.PageSize - 1)
-	n := c.cntPage[off]
-	c.cntPage[off] = n + 1
+// bump returns and increments the execution count in slot.
+func (c *CPU) bump(slot int32) uint64 {
+	n := c.counts[slot]
+	c.counts[slot] = n + 1
 	return n
 }
 
@@ -493,6 +570,7 @@ func (c *CPU) runCompiled(entry uint64, maxInstrs uint64) (RunResult, error) {
 	c.sp = c.img.StackTop() - 64
 	pc := entry
 	idx := c.lookupIdx(entry)
+	code, blockAt, blocks := c.prog.code, c.prog.blockAt, c.prog.blocks
 	for {
 		if c.c.Instructions >= limit {
 			if c.c.Instructions >= budgetEnd {
@@ -508,15 +586,16 @@ func (c *CPU) runCompiled(entry uint64, maxInstrs uint64) (RunResult, error) {
 		if idx < 0 {
 			return c.runDelta(start), fmt.Errorf("%w: pc %#x", ErrNoInstruction, pc)
 		}
-		ci := &c.prog.code[idx]
-		if b := ci.blk; b != nil && c.c.Instructions+b.nInstr <= limit {
-			c.execBlock(b)
-			idx, pc = b.endIdx, b.endPC
-			continue
+		if bi := blockAt[idx]; bi >= 0 {
+			if b := &blocks[bi]; c.c.Instructions+uint64(b.nInstr) <= limit {
+				c.execBlock(b)
+				idx, pc = b.endIdx, b.endPC
+				continue
+			}
 		}
 		var halted bool
 		var err error
-		idx, pc, halted, err = c.stepIdx(ci)
+		idx, pc, halted, err = c.stepIdx(&code[idx])
 		if err != nil {
 			return c.runDelta(start), err
 		}
@@ -534,40 +613,39 @@ func (c *CPU) runCompiled(entry uint64, maxInstrs uint64) (RunResult, error) {
 // call, so otherwise every hook call would be a no-op.
 func (c *CPU) execBlock(b *block) {
 	glue := c.ab != nil && c.ab.PatternPending()
-	code := c.prog.code
-	for si := range b.segs {
-		s := &b.segs[si]
+	p := c.prog
+	for _, s := range p.segs[b.seg : b.seg+b.nSegs] {
 		lat := 0
-		for _, r := range s.itlb {
+		runs := p.runs[s.run : s.run+s.nITLB+s.nL1I]
+		for _, r := range runs[:s.nITLB] {
 			if c.demand {
 				c.demandTouch(r.addr)
 			}
 			lat += c.itlb.AccessRepeatPage(r.addr, int(r.n))
 		}
-		for _, r := range s.l1i {
+		for _, r := range runs[s.nITLB:] {
 			lat += c.l1i.AccessRepeat(r.addr, int(r.n))
 		}
-		c.c.TrampInstrs += s.nPLT
+		c.c.TrampInstrs += uint64(s.nPLT)
 		c.c.Instructions += uint64(s.n)
 		c.c.Cycles += uint64(lat) + uint64(s.n)
 
-		nSimple := s.n
-		if s.memIdx >= 0 {
-			nSimple--
-		}
 		if glue {
+			nSimple := s.n
+			if s.memIdx >= 0 {
+				nSimple--
+			}
 			for k := s.firstIdx; k < s.firstIdx+nSimple; k++ {
-				ci := &code[k]
-				c.ab.OnRetireOther(ci.pc, ci.in.Size)
+				c.ab.OnRetireOther(p.code[k].pc, p.code[k].in.Size)
 			}
 		}
 		if s.memIdx >= 0 {
-			mi := &code[s.memIdx]
+			mi := &p.code[s.memIdx]
 			switch mi.in.Op {
 			case isa.Load:
-				c.dataRead(mi.in.EffAddr(mi.pc, c.bumpC(mi.pc)))
+				c.dataRead(mi.in.EffAddr(mi.pc, c.bump(mi.cnt)))
 			case isa.Store:
-				c.dataWrite(mi.in.EffAddr(mi.pc, c.bumpC(mi.pc)), mi.in.Val)
+				c.dataWrite(mi.in.EffAddr(mi.pc, c.bump(mi.cnt)), mi.in.Val)
 			case isa.Push:
 				c.sp -= 8
 				c.dataWrite(c.sp, mi.in.Val)
@@ -641,12 +719,12 @@ func (c *CPU) stepIdx(ci *cinstr) (nextIdx int32, nextPC uint64, halted bool, er
 		return ci.next, pc + size, false, nil
 
 	case isa.Load:
-		c.dataRead(in.EffAddr(pc, c.bumpC(pc)))
+		c.dataRead(in.EffAddr(pc, c.bump(ci.cnt)))
 		c.retireBreak()
 		return ci.next, pc + size, false, nil
 
 	case isa.Store:
-		c.dataWrite(in.EffAddr(pc, c.bumpC(pc)), in.Val)
+		c.dataWrite(in.EffAddr(pc, c.bump(ci.cnt)), in.Val)
 		c.retireBreak()
 		return ci.next, pc + size, false, nil
 
@@ -672,7 +750,7 @@ func (c *CPU) stepIdx(ci *cinstr) (nextIdx int32, nextPC uint64, halted bool, er
 		actualIdx, actualKnown = ci.tgt, true
 
 	case isa.JmpCond:
-		taken := in.CondTaken(pc, c.bumpC(pc), c.cfg.Seed)
+		taken := in.CondTaken(pc, c.bump(ci.cnt), c.cfg.Seed)
 		if taken {
 			actual = in.Target
 		} else {
@@ -854,10 +932,10 @@ func (c *CPU) FastForward(entry uint64, maxInstrs uint64) error {
 		case isa.Load:
 			// The count advances (EffAddr sweeps consume one per
 			// execution) but the read has no architectural effect.
-			c.bumpC(pc)
+			c.bump(ci.cnt)
 			idx, pc = ci.next, pc+uint64(in.Size)
 		case isa.Store:
-			c.ffWrite(in.EffAddr(pc, c.bumpC(pc)), in.Val)
+			c.ffWrite(in.EffAddr(pc, c.bump(ci.cnt)), in.Val)
 			idx, pc = ci.next, pc+uint64(in.Size)
 		case isa.Push:
 			c.sp -= 8
@@ -875,7 +953,7 @@ func (c *CPU) FastForward(entry uint64, maxInstrs uint64) error {
 		case isa.Jmp:
 			idx, pc = ci.tgt, in.Target
 		case isa.JmpCond:
-			if in.CondTaken(pc, c.bumpC(pc), c.cfg.Seed) {
+			if in.CondTaken(pc, c.bump(ci.cnt), c.cfg.Seed) {
 				idx, pc = ci.tgt, in.Target
 			} else {
 				idx, pc = ci.next, pc+uint64(in.Size)

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -190,6 +191,39 @@ func TestSetProgramValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	comparePair(t, "detach", interp, compiled)
+}
+
+// TestSwitchesKeepCounts pins SetProgram's spill/fill rule: a CPU that
+// changes kernel paths between runs — detaching to the interpreter,
+// re-attaching its program, attaching a fresh compile as a churn
+// recompile does — keeps every PC's execution count, and so stays
+// bit-identical to a CPU that only interprets.
+func TestSwitchesKeepCounts(t *testing.T) {
+	for seed := uint64(40); seed < 48; seed++ {
+		interp, switching := newPair(t, seed, linker.BindLazy, seed%2 == 0)
+		prog := switching.Program()
+		for r := 0; r < 7; r++ {
+			var p *Program
+			switch r % 3 {
+			case 1:
+				p = prog
+			case 2:
+				p = Compile(switching.Image(), switching.cfg.L1I.LineBytes)
+			}
+			if err := switching.SetProgram(p); err != nil {
+				t.Fatal(err)
+			}
+			ri, errI := interp.RunSymbol("main", 2_000_000)
+			rs, errS := switching.RunSymbol("main", 2_000_000)
+			if errI != nil || errS != nil {
+				t.Fatalf("seed %d run %d: %v / %v", seed, r, errI, errS)
+			}
+			if ri != rs {
+				t.Fatalf("seed %d run %d: results %+v vs %+v", seed, r, ri, rs)
+			}
+			comparePair(t, fmt.Sprintf("seed %d run %d", seed, r), interp, switching)
+		}
+	}
 }
 
 // TestCompiledForkSharing: one Program compiled from a master image

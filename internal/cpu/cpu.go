@@ -286,7 +286,9 @@ type CPU struct {
 
 	// Per-PC dynamic execution counts, kept only for instructions
 	// whose behaviour depends on them (conditional branches and
-	// swept loads/stores), paged like the fetch index.
+	// swept loads/stores), paged like the fetch index.  The
+	// interpreter bumps them here; the compiled path keeps them in
+	// counts and spills them here when its program is replaced.
 	execPages map[uint64]*execPage
 
 	// Per-trampoline call counts, including skipped ones, indexed by
@@ -323,12 +325,12 @@ type CPU struct {
 	// (see Compile/SetProgram): Run replays the dense branch-threaded
 	// instruction array instead of interpreting via per-PC page
 	// lookups.  The compiled path is bit-identical to the interpreted
-	// one.  cntPageNum/cntPage memoise the execution-counter page for
-	// the compiled loop, which never touches the fetch memo.
-	prog       *Program
-	cntPageNum uint64
-	cntPage    *execPage
-	idxMemo    [pageMemoSize]idxMemoEntry
+	// one.  counts holds its execution counts, indexed by the
+	// program's counter slots (execPages holds them while no program
+	// is installed; SetProgram moves them between the two).
+	prog    *Program
+	counts  []uint64
+	idxMemo [pageMemoSize]idxMemoEntry
 
 	// gotStores counts retired linker stores into the GOT (lazy
 	// resolutions plus runtime load/unload rebinds).  It is
@@ -759,7 +761,6 @@ func (c *CPU) syncChurn() {
 		c.fetchPageNum, c.fetchPage, c.fetchCounts = 0, nil, nil
 		c.pageMemo = [pageMemoSize]pageMemoEntry{}
 		c.idxMemo = [pageMemoSize]idxMemoEntry{}
-		c.cntPageNum, c.cntPage = 0, nil
 		if n := len(c.img.TrampolineAddrs()); n > len(c.trampCounts) {
 			grown := make([]uint64, n)
 			copy(grown, c.trampCounts)

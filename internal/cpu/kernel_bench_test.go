@@ -1,0 +1,79 @@
+package cpu_test
+
+import (
+	"testing"
+
+	"repro/internal/cpu"
+	"repro/internal/runner"
+	"repro/internal/workload"
+)
+
+// The golden job geometry of internal/experiments
+// (testdata/golden_counters.json): seed 7 at a quarter of each app's
+// default measured window.
+const (
+	kernelSeed  = 7
+	kernelScale = 0.25
+)
+
+// BenchmarkKernel measures the compiled kernel on real code footprints:
+// the golden-seed, golden-scale job of every app under Base and
+// Enhanced.  Set-up (generate, link, compile, the job's warmup) runs
+// outside the timer; one op is the job's measured request window,
+// replayed from the compiled Program.  The images of the
+// BenchmarkSimulatedInstructions and BenchmarkCompute benchmarks hold
+// 177–1545 instructions and fit in the host's L1; these hold tens of
+// thousands, so the host-side layout of the kernel's data shows in
+// Minstr/s.  instrs/op is exact and does not vary between runs.
+//
+//	go test -run '^$' -bench Kernel ./internal/cpu/
+func BenchmarkKernel(b *testing.B) {
+	for _, app := range runner.WorkloadNames() {
+		for _, kind := range []runner.ConfigKind{runner.Base, runner.Enhanced} {
+			b.Run(app+"/"+string(kind), func(b *testing.B) {
+				d, measure := kernelDriver(b, app, kind)
+				c := d.System().CPU()
+				start := c.Counters().Instructions
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := d.Run(measure); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				instrs := float64(c.Counters().Instructions - start)
+				b.ReportMetric(instrs/float64(b.N), "instrs/op")
+				b.ReportMetric(instrs/b.Elapsed().Seconds()/1e6, "Minstr/s")
+			})
+		}
+	}
+}
+
+// kernelDriver builds the golden job's system unpooled, installs its
+// compiled Program and runs the job's warmup.  It returns the driver
+// and the job's measured request count.
+func kernelDriver(b *testing.B, app string, kind runner.ConfigKind) (*workload.Driver, int) {
+	b.Helper()
+	spec, err := runner.JobSpec{Workload: app, Config: kind, Seed: kernelSeed, Scale: kernelScale}.Normalize()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ws, _ := runner.WorkloadByName(app)
+	cfg, err := kind.Config(spec.Seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := ws.Gen(spec.Seed)
+	sys, err := w.NewSystem(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := sys.CPU().SetProgram(cpu.Compile(sys.Image(), cfg.Hardware.L1I.LineBytes)); err != nil {
+		b.Fatal(err)
+	}
+	d := workload.NewDriver(w, sys, workload.DriverSeed(spec.Seed))
+	if err := d.Warmup(spec.Warm); err != nil {
+		b.Fatal(err)
+	}
+	return d, spec.Measure
+}

@@ -54,16 +54,15 @@ func New(cfg Config) *TLB {
 // cycles (0 on a hit, the page-walk cost on a miss) and filling the
 // TLB.
 func (t *TLB) Access(addr uint64) int {
-	return t.access(mem.PageNum(addr))
+	return t.access(mem.PageNum(addr), 1)
 }
 
-// access is Access with the page number already computed, so the range
-// fast path does not compute it twice.
-func (t *TLB) access(vpn uint64) int {
-	if _, hit := t.t.Lookup(vpn); hit {
+// access performs n consecutive translations of vpn with one probe;
+// only the first can walk.
+func (t *TLB) access(vpn uint64, n int) int {
+	if t.t.AccessRun(vpn, n, struct{}{}) {
 		return 0
 	}
-	t.t.Insert(vpn, struct{}{})
 	return t.cfg.MissPenalty
 }
 
@@ -75,11 +74,11 @@ func (t *TLB) AccessRange(addr, size uint64) int {
 	}
 	first, last := mem.PageNum(addr), mem.PageNum(addr+size-1)
 	if first == last {
-		return t.access(first)
+		return t.access(first, 1)
 	}
 	pen := 0
 	for vpn := first; vpn <= last; vpn++ {
-		pen += t.access(vpn)
+		pen += t.access(vpn, 1)
 	}
 	return pen
 }
@@ -87,8 +86,8 @@ func (t *TLB) AccessRange(addr, size uint64) int {
 // AccessRepeatPage performs n consecutive translations of the page
 // with virtual page number vpn and returns the summed penalty.  The
 // first translation is an ordinary access (it may walk and fill); the
-// remaining n-1 are guaranteed hits and are applied in bulk, with
-// counter and LRU effects bit-identical to n sequential accesses.
+// remaining n-1 are guaranteed hits.  Counter and LRU effects are
+// bit-identical to n sequential accesses, at the cost of one probe.
 // Hits cost zero cycles, so the sum is just the first translation's
 // outcome.  The compiled-trace replay loop uses it for runs of
 // straight-line fetches within one page.
@@ -96,11 +95,7 @@ func (t *TLB) AccessRepeatPage(vpn uint64, n int) int {
 	if n <= 0 {
 		return 0
 	}
-	pen := t.access(vpn)
-	if n > 1 {
-		t.t.BumpHits(vpn, n-1)
-	}
-	return pen
+	return t.access(vpn, n)
 }
 
 // Flush invalidates all entries (context switch without ASIDs).

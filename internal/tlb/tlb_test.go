@@ -1,6 +1,7 @@
 package tlb
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/mem"
@@ -96,5 +97,43 @@ func TestDefaults(t *testing.T) {
 	i.ResetStats()
 	if i.Accesses() != 0 {
 		t.Error("ResetStats did not zero counters")
+	}
+}
+
+// TestAccessRepeatPageMatchesSingleAccesses drives two identical TLBs
+// with one seeded stream: one applies each run with
+// AccessRepeatPage(vpn, n), the other with n single Accesses to
+// addresses in the page.  Penalties, counters and every page's
+// residency must agree after every run.
+func TestAccessRepeatPageMatchesSingleAccesses(t *testing.T) {
+	run, one := small(), small()
+	rng := rand.New(rand.NewPCG(7, 13))
+	const pages = 40
+	for op := 0; op < 20000; op++ {
+		vpn := rng.Uint64N(pages)
+		if op%997 == 996 {
+			run.Flush()
+			one.Flush()
+		}
+		n := 1 + rng.IntN(6)
+		got := run.AccessRepeatPage(vpn, n)
+		want := 0
+		for i := 0; i < n; i++ {
+			want += one.Access(vpn<<mem.PageShift | rng.Uint64N(mem.PageSize))
+		}
+		if got != want {
+			t.Fatalf("op %d: AccessRepeatPage(%d, %d) = %d cycles, single accesses %d", op, vpn, n, got, want)
+		}
+		if run.Accesses() != one.Accesses() || run.Misses() != one.Misses() {
+			t.Fatalf("op %d: accesses/misses %d/%d, single accesses %d/%d", op,
+				run.Accesses(), run.Misses(), one.Accesses(), one.Misses())
+		}
+		for p := uint64(0); p < pages; p++ {
+			_, a := run.t.Peek(p)
+			_, b := one.t.Peek(p)
+			if a != b {
+				t.Fatalf("op %d: residency of page %d differs", op, p)
+			}
+		}
 	}
 }
