@@ -64,20 +64,20 @@ obs-bench:
 timeline-bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkRunTimeline(Off|On)$$' -benchmem ./internal/cpu/
 
-# Simulation-kernel throughput before/after the de-mapped hot loop;
-# regenerates BENCH_kernel.json.  Pair with the bit-identity proof:
+# Simulation-kernel throughput of the compiled kernel on a small Base
+# and Enhanced image; regenerates BENCH_kernel.json (set
+# KB_BASELINE_REF=<ref> for a live interleaved baseline).  Pair with
+# the bit-identity proof:
 # `go test -run TestGoldenCounters ./internal/experiments/`.
 kernel-bench:
 	scripts/kernel_bench.sh
 
-# Compiled-trace and sampled-simulation rows: interpreted vs compiled
-# kernel throughput (interleaved A/B) plus the sampled estimator's
-# accuracy against an exact run of the same job; merges
-# compiled_traces and sampled_simulation sections into
-# BENCH_kernel.json.  Fails on instrs/op divergence between the two
-# kernel paths or on the exact cost falling outside the sampled 95%
-# interval.  Pair with the bit-identity proofs:
-# `go test -run 'TestCompiledBitIdentical|TestGoldenCounters' ./internal/cpu/ ./internal/experiments/`.
+# Sampled-simulation row: the sampled estimator's accuracy against an
+# exact run of the same job; merges the sampled_simulation section into
+# BENCH_kernel.json (and drops the retired compiled_traces row).  Fails
+# on the exact cost falling outside the sampled 95% interval.  Pair
+# with the bit-identity proofs:
+# `go test -run 'TestCompiledBitIdentity|TestGoldenCounters' ./internal/cpu/ ./internal/experiments/`.
 sample-bench:
 	scripts/sample_bench.sh
 

@@ -11,8 +11,8 @@
 // without a dlsimd process.
 //
 // With -compiled it dumps the compiled trace of the linked image
-// instead (internal/cpu.Compile): the one-time lowering the service's
-// fast-path Run loop replays — superblock coverage, RLE fetch-run
+// instead (internal/cpu.Compile): the one-time lowering every CPU's
+// Run loop replays — superblock coverage, RLE fetch-run
 // compression, threaded successor edges, and the largest superblocks
 // with their owning modules.
 //

@@ -109,13 +109,10 @@ func BenchmarkRunTimelineOn(b *testing.B) {
 	b.ReportMetric(float64(instrs)/float64(b.N), "instrs/op")
 }
 
-// benchComputeCPU builds a compute-heavy image for the compiled-trace
-// A/B: long straight-line ALU bodies with occasional data accesses,
-// the shape trace compilation batches into full superblocks.  The
-// same CPU runs interpreted or compiled depending on the flag; the
-// two paths are bit-identical (TestCompiledBitIdentical), so the
-// instrs/op metric must agree between the pair.
-func benchComputeCPU(b *testing.B, compiled bool) *CPU {
+// benchComputeCPU builds a compute-heavy image: long straight-line ALU
+// bodies with occasional data accesses, the shape trace compilation
+// batches into full superblocks.
+func benchComputeCPU(b *testing.B) *CPU {
 	b.Helper()
 	app := objfile.New("app")
 	m := app.NewFunc("main")
@@ -136,14 +133,8 @@ func benchComputeCPU(b *testing.B, compiled bool) *CPU {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	c := New(im, cfg)
-	if compiled {
-		if err := c.SetProgram(Compile(im, cfg.L1I.LineBytes)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for i := 0; i < 3; i++ { // resolve and warm
+	c := New(im, DefaultConfig())
+	for i := 0; i < 3; i++ { // compile, resolve and warm
 		if _, err := c.RunSymbol("main", 0); err != nil {
 			b.Fatal(err)
 		}
@@ -151,8 +142,10 @@ func benchComputeCPU(b *testing.B, compiled bool) *CPU {
 	return c
 }
 
-func benchComputeRun(b *testing.B, c *CPU) {
-	b.Helper()
+// BenchmarkComputeCompiled times the compute-heavy image: superblock
+// dispatch, RLE fetch runs and threaded successors at their best case.
+func BenchmarkComputeCompiled(b *testing.B) {
+	c := benchComputeCPU(b)
 	b.ResetTimer()
 	var instrs uint64
 	for i := 0; i < b.N; i++ {
@@ -163,17 +156,4 @@ func benchComputeRun(b *testing.B, c *CPU) {
 		instrs += res.Instructions
 	}
 	b.ReportMetric(float64(instrs)/float64(b.N), "instrs/op")
-}
-
-// BenchmarkComputeInterpreted / BenchmarkComputeCompiled are the
-// compiled-trace A/B pair scripts/sample_bench.sh records: the same
-// compute-heavy workload stepped instruction by instruction vs
-// replayed from the compiled Program (superblock dispatch, RLE fetch
-// runs, threaded successors).
-func BenchmarkComputeInterpreted(b *testing.B) {
-	benchComputeRun(b, benchComputeCPU(b, false))
-}
-
-func BenchmarkComputeCompiled(b *testing.B) {
-	benchComputeRun(b, benchComputeCPU(b, true))
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/isa"
 	"repro/internal/linker"
 	"repro/internal/objfile"
 )
@@ -80,28 +81,30 @@ func churnOnce(t *testing.T, c *CPU, alu int, demand bool) {
 	}
 }
 
-// TestStaleProgramTraps is the pooled-trace staleness regression: after
-// an unload, a compiled trace built against the old image generation
-// must trap — on Run and on re-installation — rather than branch into
-// freed code, and a recompile against the reloaded image must run.
+// TestStaleProgramTraps is the pooled-trace staleness regression: a
+// trace compiled before an unload is never replayed.  Run recompiles,
+// and the call into the unloaded library then traps in the resolver on
+// the tombstoned GOT word instead of branching into freed code;
+// SetProgram refuses the stale trace; and after a reload Run works
+// again with no manual recompile.
 func TestStaleProgramTraps(t *testing.T) {
 	im := churnImage(t)
 	c := New(im, DefaultConfig())
-	stale := Compile(im, c.cfg.L1I.LineBytes)
-	if err := c.SetProgram(stale); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := c.RunSymbol("main", 0); err != nil {
 		t.Fatal(err)
 	}
+	stale := c.prog
 
 	if err := im.Unload("libdyn", c.LinkerStore); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.RunSymbol("main", 0); err == nil {
-		t.Fatal("compiled run through an unloaded library succeeded")
-	} else if !strings.Contains(err.Error(), "stale compiled trace") {
-		t.Fatalf("unhelpful stale-trace error: %v", err)
+		t.Fatal("run through an unloaded library succeeded")
+	} else if !strings.Contains(err.Error(), "linker: resolve") {
+		t.Fatalf("call into an unloaded library did not trap in the resolver: %v", err)
+	}
+	if c.prog == stale || c.prog.Generation() != im.Generation() {
+		t.Fatal("Run replayed the stale trace instead of recompiling")
 	}
 	if err := c.SetProgram(stale); err == nil {
 		t.Fatal("stale program re-installed without error")
@@ -109,25 +112,56 @@ func TestStaleProgramTraps(t *testing.T) {
 		t.Fatalf("unhelpful stale SetProgram error: %v", err)
 	}
 
-	// The interpreter must trap too: the tombstoned GOT word routes the
-	// call to the resolver, which refuses to resolve through a dead
-	// module instead of returning a freed address.
-	if err := c.SetProgram(nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RunSymbol("main", 0); err == nil {
-		t.Fatal("interpreted call into an unloaded library succeeded")
-	}
-
-	// Reload + recompile restores execution.
 	if _, err := im.Load(churnLib(12), linker.LoadOptions{Write: c.LinkerStore}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SetProgram(Compile(im, c.cfg.L1I.LineBytes)); err != nil {
+	if _, err := c.RunSymbol("main", 0); err != nil {
+		t.Fatalf("run after reload: %v", err)
+	}
+}
+
+// countAt returns the live execution count of the counted instruction
+// at pc, or false if the installed program has none there.
+func countAt(c *CPU, pc uint64) (uint64, bool) {
+	idx := c.lookupIdx(pc)
+	if idx < 0 || c.prog.code[idx].cnt < 0 {
+		return 0, false
+	}
+	return c.counts[c.prog.code[idx].cnt], true
+}
+
+// TestCountsSurviveChurnGap pins the per-PC count model across churn: a
+// swept Load's count survives an unload and a reload of a build that
+// has no counted instruction at its PC, and resumes when a later build
+// brings a counted instruction back to that PC.  Keeping only the
+// previous program's counts at each recompile would lose it.
+func TestCountsSurviveChurnGap(t *testing.T) {
+	c := New(churnImage(t), DefaultConfig())
+	if _, err := c.RunSymbol("main", 0); err != nil {
 		t.Fatal(err)
 	}
+	jfn, _ := c.Image().Symbol("jfn")
+	x := jfn
+	for in, _ := c.Image().InstrAt(x); in.Op != isa.Load; in, _ = c.Image().InstrAt(x) {
+		x += uint64(in.Size)
+	}
+	k, ok := countAt(c, x)
+	if !ok || k == 0 {
+		t.Fatalf("swept load at %#x has count %d (counted %v), want > 0", x, k, ok)
+	}
+
+	churnOnce(t, c, 12, false)
 	if _, err := c.RunSymbol("main", 0); err != nil {
-		t.Fatalf("recompiled run after reload: %v", err)
+		t.Fatal(err)
+	}
+	if n, ok := countAt(c, x); ok {
+		t.Fatalf("reload left a counted instruction at %#x (count %d); the test needs a gap", x, n)
+	}
+
+	churnOnce(t, c, 20, false)
+	c.syncChurn()
+	if n, ok := countAt(c, x); !ok || n != k {
+		t.Fatalf("count at %#x after the gap = %d (counted %v), want %d", x, n, ok, k)
 	}
 }
 
@@ -141,14 +175,7 @@ func TestStaleProgramTraps(t *testing.T) {
 func TestFastForwardGOTStoreSnoop(t *testing.T) {
 	cfg := EnhancedConfig()
 	cfg.Seed = 7
-	mk := func() *CPU {
-		c := New(churnImage(t), cfg)
-		if err := c.SetProgram(Compile(c.Image(), cfg.L1I.LineBytes)); err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	detailed, ffwd := mk(), mk()
+	detailed, ffwd := New(churnImage(t), cfg), New(churnImage(t), cfg)
 
 	for _, c := range []*CPU{detailed, ffwd} {
 		if _, err := c.RunSymbol("warm", 0); err != nil {
@@ -196,45 +223,47 @@ func TestFastForwardGOTStoreSnoop(t *testing.T) {
 	}
 }
 
-// TestChurnBitIdentity extends the compiled path's core contract across
-// a mid-stream unload/reload (with demand paging on): the recompiled
-// trace must replay with counters, trampoline histograms and memory
-// bit-identical to the interpreter.
+// TestChurnBitIdentity extends block replay's core contract across a
+// mid-stream unload/reload (with demand paging on): the trace Run
+// recompiles after churn must replay with counters, trampoline
+// histograms and memory bit-identical to single steps.
 func TestChurnBitIdentity(t *testing.T) {
 	cfg := EnhancedConfig()
 	cfg.Seed = 3
-	interp := New(churnImage(t), cfg)
+	ref := New(churnImage(t), cfg)
 	compiled := New(churnImage(t), cfg)
-	if err := compiled.SetProgram(Compile(compiled.Image(), cfg.L1I.LineBytes)); err != nil {
-		t.Fatal(err)
+	single := func() {
+		t.Helper()
+		if err := ref.SetProgram(stepOnly(ref.Image(), cfg.L1I.LineBytes)); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	run := func(label string) {
 		t.Helper()
-		ri, errI := interp.RunSymbol("main", 0)
+		rr, errR := ref.RunSymbol("main", 0)
 		rc, errC := compiled.RunSymbol("main", 0)
-		if errI != nil || errC != nil {
-			t.Fatalf("%s: %v / %v", label, errI, errC)
+		if errR != nil || errC != nil {
+			t.Fatalf("%s: %v / %v", label, errR, errC)
 		}
-		if ri != rc {
-			t.Fatalf("%s: results %+v vs %+v", label, ri, rc)
+		if rr != rc {
+			t.Fatalf("%s: results %+v vs %+v", label, rr, rc)
 		}
-		comparePair(t, label, interp, compiled)
+		comparePair(t, label, ref, compiled)
 	}
+	single()
 	run("pre-churn")
 
-	churnOnce(t, interp, 12, true)
+	churnOnce(t, ref, 12, true)
 	churnOnce(t, compiled, 12, true)
-	if err := compiled.SetProgram(Compile(compiled.Image(), cfg.L1I.LineBytes)); err != nil {
-		t.Fatal(err)
-	}
+	single()
 	run("post-churn run 1")
 	run("post-churn run 2")
-	if interp.PageFaults() == 0 {
+	if ref.PageFaults() == 0 {
 		t.Error("demand-loaded reload took no page faults")
 	}
-	if interp.PageFaults() != compiled.PageFaults() {
-		t.Errorf("page faults diverged: interpreted %d, compiled %d", interp.PageFaults(), compiled.PageFaults())
+	if ref.PageFaults() != compiled.PageFaults() {
+		t.Errorf("page faults diverged: single-step %d, blocks %d", ref.PageFaults(), compiled.PageFaults())
 	}
 }
 
@@ -291,9 +320,6 @@ func TestDemandPagingCharges(t *testing.T) {
 func TestFastForwardDrainsDemandPages(t *testing.T) {
 	c := New(churnImage(t), DefaultConfig())
 	churnOnce(t, c, 12, true)
-	if err := c.SetProgram(Compile(c.Image(), c.cfg.L1I.LineBytes)); err != nil {
-		t.Fatal(err)
-	}
 	pending := c.Image().DemandPending()
 	if err := c.FastForwardSymbol("main"); err != nil {
 		t.Fatal(err)

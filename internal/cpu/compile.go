@@ -1,16 +1,13 @@
-// Compiled traces: a one-time pass over a linked image that lowers its
-// decoded-instruction maps into a dense, branch-threaded instruction
-// array the Run loop can replay without per-step page lookups.
-//
-// The interpreter executes from the image's per-page instruction index:
-// every step is a page-memo probe, a decode-struct load, two
-// AccessRange calls for fetch, and a full opcode dispatch.  The
-// compiler removes the redundant parts ahead of time:
+// Compiled traces: the CPU's execution kernel.  Compile makes one pass
+// over a linked image and lowers its decoded-instruction map into a
+// dense, branch-threaded instruction array that Run replays, so the
+// work that never changes for a given image is done once instead of
+// at every retired instruction:
 //
 //   - Instructions are stored in one dense array sorted by PC, and
 //     every statically known successor (fall-through, direct call/jump
 //     target) is pre-resolved to an array index, so sequential and
-//     direct-branch execution never consults a page table.
+//     direct-branch execution never consults a PC map.
 //   - Runs of straight-line simple instructions (Nop/ALU/Load/Store/
 //     Push — nothing that touches the predictor) are grouped into
 //     superblocks whose I-TLB and L1I fetch traffic is pre-computed as
@@ -22,36 +19,42 @@
 //     superblock segment carries its retired-in-PLT instruction count.
 //   - Every Load, Store and JmpCond gets a dense execution-counter
 //     slot, so the count its effective address or branch outcome
-//     depends on is one indexed increment (see SetProgram for how the
-//     counts move between the two kernel paths).
+//     depends on is one indexed increment (see install for how the
+//     counts survive recompiles).
 //
 // The host-side layout is dense and pointer-free: superblocks, their
 // segments and their fetch runs live in three flat slices in code
 // order, addressed by int32 indices, so replaying a block walks
 // contiguous memory and the garbage collector never scans a Program.
 //
-// The compiled path is bit-identical to the interpreter — same
-// counters, same cycle account, same sample and budget boundaries,
-// same errors.  Three properties make that exact:
+// Block replay is bit-identical to single-step replay of the same
+// Program (stepIdx on every instruction) — same counters, same cycle
+// account, same sample and budget boundaries, same errors.  Three
+// properties make that exact:
 //
 //   - Superblocks segment at memory operations, so a bulk fetch run
 //     that may miss never reorders across a D-side access into the
 //     shared L2, and a block is only dispatched when it fits entirely
 //     under the loop's current limit (budget or sample boundary);
-//     otherwise replay falls back to single-instruction steps,
-//     reproducing the interpreter's step granularity exactly.
-//   - The bulk cache/TLB operations replay the interpreter's exact
-//     access sequence: only the first access of a same-line (same-page)
-//     run can miss, so recording that access's address preserves
-//     next-level addresses, and the remaining accesses are applied as
-//     guaranteed hits with identical counter and LRU effects.
+//     otherwise replay falls back to single-instruction steps, so
+//     limits land on the same instruction counts.
+//   - The bulk cache/TLB operations replay the single-step access
+//     sequence exactly: only the first access of a same-line
+//     (same-page) run can miss, so recording that access's address
+//     preserves next-level addresses, and the remaining accesses are
+//     applied as guaranteed hits with identical counter and LRU
+//     effects.
 //   - A segment's first fetch run is folded into the block's previous
 //     run of the same structure when both name the same page or line.
 //     The folded accesses are guaranteed hits, and hits never reach
 //     the L2, so moving them ahead of the D-side access between the
 //     two changes no state (see addRun).
 //
-// A Program is built from the image's shared instruction index, which
+// The single-step semantics themselves are pinned by an independent
+// oracle: internal/experiments' golden counters, recorded from an
+// earlier kernel.
+//
+// A Program is built from the image's shared instruction map, which
 // forks share with their master, so one compiled Program serves every
 // fork of a pooled image (see internal/pool).
 package cpu
@@ -119,7 +122,7 @@ type block struct {
 }
 
 // idxMemoEntry memoises one compiled-index page for the replay loop's
-// dynamic-target lookups, mirroring the interpreter's fetch-page memo.
+// dynamic-target lookups.
 type idxMemoEntry struct {
 	pn uint64
 	pg *idxPage // nil marks an empty memo slot
@@ -158,8 +161,8 @@ func (p *Program) LineBytes() int { return p.lineBytes }
 
 // Generation returns the image generation (see linker.Image.Generation)
 // the program was compiled against.  Runtime Load/Unload bumps the
-// image's generation, making older programs stale: SetProgram and Run
-// refuse to replay them.
+// image's generation, making older programs stale: SetProgram refuses
+// them, and Run and FastForward recompile instead of replaying them.
 func (p *Program) Generation() uint64 { return p.gen }
 
 // ProgramStats summarises a compiled trace for tooling (cmd/tracedump
@@ -247,7 +250,7 @@ func batchable(op isa.Op) bool {
 	return false
 }
 
-// Compile lowers the image's instruction index into a Program whose
+// Compile lowers the image's instruction map into a Program whose
 // fetch runs are pre-computed for the given L1I line size.  The image's
 // instruction map is read but never mutated, and because forks share
 // that map one Program serves the master and every fork.
@@ -358,7 +361,7 @@ func Compile(img *linker.Image, l1iLineBytes int) *Program {
 // buildBlock compiles the superblock covering code[b0:end), appending
 // its segments and fetch runs, and returns its index in p.blocks.
 // Segments end at memory operations.  Each segment's fetch runs replay
-// the interpreter's exact access sequence, per structure: for each
+// single-step fetch's exact access sequence, per structure: for each
 // instruction, every page overlapped by [pc, pc+Size), and every L1I
 // line.
 func (p *Program) buildBlock(b0, end int, lineShift uint) int32 {
@@ -438,46 +441,53 @@ func (p *Program) addRun(last int, addr uint64, shift uint, n *int32) int {
 	return len(p.runs) - 1
 }
 
-// SetProgram installs (or, with nil, removes) a compiled program; Run
-// replays it instead of interpreting.  The program must have been
-// compiled from the CPU's image — or from any image sharing its
-// instruction index, i.e. the pooled master this image was forked
-// from — for the same L1I line size.
-//
-// The compiled path keeps execution counts in a dense slice indexed by
-// the program's counter slots; the interpreter keeps them in PC-keyed
-// pages.  SetProgram spills the outgoing program's counts to the pages
-// and fills the incoming program's slots from them, so every PC's
-// count survives recompiles after library churn and switches between
-// the two paths.
+// SetProgram installs a compiled program in place of the one Run would
+// compile itself; the pool uses it to share one Program among every
+// fork of a master image.  The program must have been compiled from the
+// CPU's image — or from any image sharing its instruction map, i.e. the
+// pooled master this image was forked from — at the image's current
+// generation, for the same L1I line size.
 func (c *CPU) SetProgram(p *Program) error {
-	if p != nil {
-		if p.lineBytes != c.cfg.L1I.LineBytes {
-			return fmt.Errorf("cpu: program compiled for %d-byte I-lines, cache has %d-byte lines", p.lineBytes, c.cfg.L1I.LineBytes)
-		}
-		if p.gen != c.img.Generation() {
-			return fmt.Errorf("cpu: program compiled against image generation %d, image is at %d (library churn since compile); recompile or run interpreted",
-				p.gen, c.img.Generation())
-		}
-		if len(p.code) != len(c.img.Instructions()) {
-			return fmt.Errorf("cpu: program has %d instructions, image has %d", len(p.code), len(c.img.Instructions()))
-		}
+	if p == nil {
+		return fmt.Errorf("cpu: nil program")
 	}
-	c.spillCounts()
-	c.prog = p
-	c.fillCounts()
-	// Both paths' page memos key the same underlying state; reset them
-	// all so a mode switch re-derives every memo from the maps.
-	c.idxMemo = [pageMemoSize]idxMemoEntry{}
-	c.pageMemo = [pageMemoSize]pageMemoEntry{}
-	c.fetchPageNum, c.fetchPage, c.fetchCounts = 0, nil, nil
+	if p.lineBytes != c.cfg.L1I.LineBytes {
+		return fmt.Errorf("cpu: program compiled for %d-byte I-lines, cache has %d-byte lines", p.lineBytes, c.cfg.L1I.LineBytes)
+	}
+	if p.gen != c.img.Generation() {
+		return fmt.Errorf("cpu: program compiled against image generation %d, image is at %d (library churn since compile)",
+			p.gen, c.img.Generation())
+	}
+	if len(p.code) != len(c.img.Instructions()) {
+		return fmt.Errorf("cpu: program has %d instructions, image has %d", len(p.code), len(c.img.Instructions()))
+	}
+	c.install(p)
 	return nil
 }
 
+// install makes p the CPU's program.  The dense counts are the only
+// live count store, but a recompile renumbers their slots, so every
+// install spills the outgoing program's counts by PC and fills the
+// incoming program's slots from them: each PC's count survives churn
+// recompiles, even while churn has removed its code.  install also
+// drops the index-page memo and grows the per-trampoline counters to
+// cover dense indices appended by Load.
+func (c *CPU) install(p *Program) {
+	c.spillCounts()
+	c.prog = p
+	c.fillCounts()
+	c.idxMemo = [pageMemoSize]idxMemoEntry{}
+	if n := len(c.img.TrampolineAddrs()); n > len(c.trampCounts) {
+		grown := make([]uint64, n)
+		copy(grown, c.trampCounts)
+		c.trampCounts = grown
+	}
+}
+
 // spillCounts writes the installed program's non-zero execution counts
-// to the PC-keyed pages.  While a program is installed the pages hold
-// the counts it was filled from, which never exceed the dense ones, so
-// zero counts need no write.
+// to the PC-keyed spill map.  While a program is installed the map
+// holds the counts it was filled from, which never exceed the dense
+// ones, so zero counts need no write.
 func (c *CPU) spillCounts() {
 	if c.prog == nil {
 		return
@@ -487,42 +497,27 @@ func (c *CPU) spillCounts() {
 		if ci.cnt < 0 || c.counts[ci.cnt] == 0 {
 			continue
 		}
-		pn := ci.pc >> mem.PageShift
-		pg := c.execPages[pn]
-		if pg == nil {
-			pg = new(execPage)
-			c.execPages[pn] = pg
+		if c.spilled == nil {
+			c.spilled = make(map[uint64]uint64)
 		}
-		pg[ci.pc&(mem.PageSize-1)] = c.counts[ci.cnt]
+		c.spilled[ci.pc] = c.counts[ci.cnt]
 	}
 }
 
 // fillCounts sizes the dense counts for the installed program and
-// loads each slot from the PC-keyed pages.
+// loads each slot from the spill map.
 func (c *CPU) fillCounts() {
-	if c.prog == nil {
-		c.counts = c.counts[:0]
-		return
-	}
 	c.counts = slices.Grow(c.counts[:0], c.prog.counters)[:c.prog.counters]
 	clear(c.counts)
-	if len(c.execPages) == 0 {
+	if len(c.spilled) == 0 {
 		return
 	}
 	for i := range c.prog.code {
-		ci := &c.prog.code[i]
-		if ci.cnt < 0 {
-			continue
-		}
-		if pg := c.execPages[ci.pc>>mem.PageShift]; pg != nil {
-			c.counts[ci.cnt] = pg[ci.pc&(mem.PageSize-1)]
+		if ci := &c.prog.code[i]; ci.cnt >= 0 {
+			c.counts[ci.cnt] = c.spilled[ci.pc]
 		}
 	}
 }
-
-// Program returns the installed compiled program, or nil when the CPU
-// interprets.
-func (c *CPU) Program() *Program { return c.prog }
 
 // lookupIdx maps a dynamic target PC to its code-array index (-1 if
 // unmapped), memoising the index page.
@@ -544,65 +539,6 @@ func (c *CPU) bump(slot int32) uint64 {
 	n := c.counts[slot]
 	c.counts[slot] = n + 1
 	return n
-}
-
-// runCompiled is Run over a compiled program.  The control structure —
-// limit = min(budget end, next sample boundary), checked before every
-// dispatch — is the interpreter's; the difference is that a superblock
-// is dispatched as one unit when it fits entirely under the limit, and
-// otherwise (or for control flow) a single pre-threaded instruction is
-// stepped.  Because blocks never partially execute, budget errors and
-// sample boundaries land on exactly the interpreter's instruction
-// counts.
-func (c *CPU) runCompiled(entry uint64, maxInstrs uint64) (RunResult, error) {
-	if c.prog.gen != c.img.Generation() {
-		// Trap instead of branching into freed or rewritten code: the
-		// image was churned (Load/Unload) after this trace was built.
-		return RunResult{}, fmt.Errorf("cpu: stale compiled trace (program generation %d, image at %d); recompile or SetProgram(nil)",
-			c.prog.gen, c.img.Generation())
-	}
-	start := c.c
-	budgetEnd := start.Instructions + maxInstrs
-	limit := budgetEnd
-	if c.onSample != nil && c.nextSampleAt < limit {
-		limit = c.nextSampleAt
-	}
-	c.sp = c.img.StackTop() - 64
-	pc := entry
-	idx := c.lookupIdx(entry)
-	code, blockAt, blocks := c.prog.code, c.prog.blockAt, c.prog.blocks
-	for {
-		if c.c.Instructions >= limit {
-			if c.c.Instructions >= budgetEnd {
-				return c.runDelta(start), fmt.Errorf("cpu: instruction budget %d exhausted at pc %#x", maxInstrs, pc)
-			}
-			c.takeSample()
-			limit = budgetEnd
-			if c.nextSampleAt < limit {
-				limit = c.nextSampleAt
-			}
-			continue
-		}
-		if idx < 0 {
-			return c.runDelta(start), fmt.Errorf("%w: pc %#x", ErrNoInstruction, pc)
-		}
-		if bi := blockAt[idx]; bi >= 0 {
-			if b := &blocks[bi]; c.c.Instructions+uint64(b.nInstr) <= limit {
-				c.execBlock(b)
-				idx, pc = b.endIdx, b.endPC
-				continue
-			}
-		}
-		var halted bool
-		var err error
-		idx, pc, halted, err = c.stepIdx(&code[idx])
-		if err != nil {
-			return c.runDelta(start), err
-		}
-		if halted {
-			return c.runDelta(start), nil
-		}
-	}
 }
 
 // execBlock replays one superblock: per segment, the pre-computed
@@ -658,12 +594,12 @@ func (c *CPU) execBlock(b *block) {
 	}
 }
 
-// stepIdx retires one compiled instruction.  It mirrors step exactly —
-// same access order, same counter and predictor updates, same retire
-// logic — but consumes pre-threaded successor indices and returns the
-// next (index, pc) pair.  It also serves as the fallback for entering
-// a superblock that does not fit under the current limit, which is why
-// it handles the batchable opcodes too.
+// stepIdx retires one compiled instruction — fetch, branch prediction,
+// execute, and retire with the ABTB hook — consuming pre-threaded
+// successor indices and returning the next (index, pc) pair.  It also
+// serves as the fallback for entering a superblock that does not fit
+// under the current limit, which is why it handles the batchable
+// opcodes too.
 func (c *CPU) stepIdx(ci *cinstr) (nextIdx int32, nextPC uint64, halted bool, err error) {
 	in := &ci.in
 	pc := ci.pc
@@ -787,7 +723,7 @@ func (c *CPU) stepIdx(ci *cinstr) (nextIdx int32, nextPC uint64, halted bool, er
 		c.sp += 8
 
 	case isa.Resolve:
-		next, _, rerr := c.execResolve(pc, predicted, predValid)
+		next, rerr := c.execResolve(pc, predicted, predValid)
 		if rerr != nil {
 			return 0, 0, false, rerr
 		}
@@ -882,18 +818,12 @@ func (c *CPU) stepIdx(ci *cinstr) (nextIdx int32, nextPC uint64, halted bool, er
 // the same architectural state it would have seen had every
 // instruction been simulated in detail.
 //
-// It requires a compiled program (the threaded successor indices are
-// what make skipping cheap) and bounds runaway execution like Run
-// (maxInstrs 0 means the same generous default).
+// Like Run it replays the compiled program, compiling it first when
+// needed (the threaded successor indices are what make skipping cheap),
+// and it bounds runaway execution like Run (maxInstrs 0 means the same
+// generous default).
 func (c *CPU) FastForward(entry uint64, maxInstrs uint64) error {
-	if c.prog == nil {
-		return fmt.Errorf("cpu: fast-forward requires a compiled program")
-	}
 	c.syncChurn()
-	if c.prog.gen != c.img.Generation() {
-		return fmt.Errorf("cpu: stale compiled trace (program generation %d, image at %d); recompile or SetProgram(nil)",
-			c.prog.gen, c.img.Generation())
-	}
 	if maxInstrs == 0 {
 		maxInstrs = 100_000_000
 	}

@@ -7,14 +7,28 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/isa"
 	"repro/internal/linker"
+	"repro/internal/mem"
 	"repro/internal/objfile"
 )
 
+// stepOnly compiles img with every superblock head cleared, so Run
+// retires every instruction through stepIdx: the single-step reference
+// that block replay must reproduce exactly.
+func stepOnly(img *linker.Image, lineBytes int) *Program {
+	p := Compile(img, lineBytes)
+	for i := range p.blockAt {
+		p.blockAt[i] = -1
+	}
+	return p
+}
+
 // newPair links the same random program twice (lazy GOT state is
-// mutable, so each CPU needs its own image) and returns an interpreted
-// CPU and a compiled CPU with otherwise identical configuration.
-func newPair(t *testing.T, seed uint64, mode linker.BindingMode, enhanced bool) (interp, compiled *CPU) {
+// mutable, so each CPU needs its own image) and returns a single-step
+// reference CPU and a block-replaying CPU, which compiles at its first
+// Run, with otherwise identical configuration.
+func newPair(t *testing.T, seed uint64, mode linker.BindingMode, enhanced bool) (ref, compiled *CPU) {
 	t.Helper()
 	app, libs := genRandomProgram(seed)
 	opts := linker.Options{Mode: mode, Seed: seed, IFuncLevel: int(seed % 3)}
@@ -23,7 +37,7 @@ func newPair(t *testing.T, seed uint64, mode linker.BindingMode, enhanced bool) 
 		cfg = EnhancedConfig()
 	}
 	cfg.Seed = seed
-	imI, err := linker.Link(app, libs, opts)
+	imR, err := linker.Link(app, libs, opts)
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
@@ -31,54 +45,54 @@ func newPair(t *testing.T, seed uint64, mode linker.BindingMode, enhanced bool) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	interp = New(imI, cfg)
-	compiled = New(imC, cfg)
-	if err := compiled.SetProgram(Compile(imC, cfg.L1I.LineBytes)); err != nil {
+	ref = New(imR, cfg)
+	if err := ref.SetProgram(stepOnly(imR, cfg.L1I.LineBytes)); err != nil {
 		t.Fatal(err)
 	}
-	return interp, compiled
+	return ref, New(imC, cfg)
 }
 
 // comparePair asserts the two CPUs are in bit-identical measurement
 // and architectural states.
-func comparePair(t *testing.T, label string, interp, compiled *CPU) {
+func comparePair(t *testing.T, label string, ref, compiled *CPU) {
 	t.Helper()
-	if ci, cc := interp.Counters(), compiled.Counters(); ci != cc {
-		t.Fatalf("%s: counters diverged\ninterpreted: %+v\ncompiled:    %+v", label, ci, cc)
+	if cr, cc := ref.Counters(), compiled.Counters(); cr != cc {
+		t.Fatalf("%s: counters diverged\nsingle-step: %+v\nblocks:      %+v", label, cr, cc)
 	}
-	if fi, fc := interp.TrampFreq(), compiled.TrampFreq(); !reflect.DeepEqual(fi, fc) {
-		t.Fatalf("%s: trampoline frequencies diverged: %v vs %v", label, fi, fc)
+	if fr, fc := ref.TrampFreq(), compiled.TrampFreq(); !reflect.DeepEqual(fr, fc) {
+		t.Fatalf("%s: trampoline frequencies diverged: %v vs %v", label, fr, fc)
 	}
-	for mi, m := range interp.Image().Modules() {
+	for mi, m := range ref.Image().Modules() {
 		mc := compiled.Image().Modules()[mi]
 		for a := m.DataBase; a < m.DataEnd; a += 8 {
-			if vi, vc := interp.Image().Memory().Read64(a), compiled.Image().Memory().Read64(a); vi != vc {
-				t.Fatalf("%s: memory diverged at %#x in %s: %#x vs %#x", label, a, mc.Name, vi, vc)
+			if vr, vc := ref.Image().Memory().Read64(a), compiled.Image().Memory().Read64(a); vr != vc {
+				t.Fatalf("%s: memory diverged at %#x in %s: %#x vs %#x", label, a, mc.Name, vr, vc)
 			}
 		}
 	}
 }
 
-// TestCompiledBitIdentity is the compiled path's core contract: over
-// random programs, all binding modes, and both hardware systems, the
-// compiled trace replays with counters, trampoline histograms, and
-// memory side effects bit-identical to the interpreter, run after run.
+// TestCompiledBitIdentity is block replay's core contract: over random
+// programs, all binding modes, and both hardware systems, replaying
+// superblocks gives counters, trampoline histograms, and memory side
+// effects bit-identical to single-stepping the same Program, run after
+// run.
 func TestCompiledBitIdentity(t *testing.T) {
 	modes := []linker.BindingMode{linker.BindLazy, linker.BindNow, linker.BindStatic, linker.BindPatched}
 	for seed := uint64(0); seed < 25; seed++ {
 		for _, mode := range modes {
 			for _, enhanced := range []bool{false, true} {
-				interp, compiled := newPair(t, seed, mode, enhanced)
+				ref, compiled := newPair(t, seed, mode, enhanced)
 				for r := 0; r < 3; r++ {
-					ri, errI := interp.RunSymbol("main", 2_000_000)
+					rr, errR := ref.RunSymbol("main", 2_000_000)
 					rc, errC := compiled.RunSymbol("main", 2_000_000)
-					if errI != nil || errC != nil {
-						t.Fatalf("seed %d mode %v enhanced=%v run %d: %v / %v", seed, mode, enhanced, r, errI, errC)
+					if errR != nil || errC != nil {
+						t.Fatalf("seed %d mode %v enhanced=%v run %d: %v / %v", seed, mode, enhanced, r, errR, errC)
 					}
-					if ri != rc {
-						t.Fatalf("seed %d mode %v enhanced=%v run %d: results %+v vs %+v", seed, mode, enhanced, r, ri, rc)
+					if rr != rc {
+						t.Fatalf("seed %d mode %v enhanced=%v run %d: results %+v vs %+v", seed, mode, enhanced, r, rr, rc)
 					}
-					comparePair(t, "bit-identity", interp, compiled)
+					comparePair(t, "bit-identity", ref, compiled)
 				}
 			}
 		}
@@ -88,46 +102,46 @@ func TestCompiledBitIdentity(t *testing.T) {
 // TestCompiledBudgetIdentity: because a superblock is only dispatched
 // when it fits entirely under the limit, budget exhaustion must land
 // on the same instruction with the same error and the same partial
-// counters on both paths.
+// counters under single-step and block replay.
 func TestCompiledBudgetIdentity(t *testing.T) {
 	for _, budget := range []uint64{1, 2, 3, 5, 7, 17, 50, 199, 1000} {
-		interp, compiled := newPair(t, 11, linker.BindLazy, true)
-		ri, errI := interp.RunSymbol("main", budget)
+		ref, compiled := newPair(t, 11, linker.BindLazy, true)
+		rr, errR := ref.RunSymbol("main", budget)
 		rc, errC := compiled.RunSymbol("main", budget)
-		if (errI == nil) != (errC == nil) {
-			t.Fatalf("budget %d: error mismatch: %v vs %v", budget, errI, errC)
+		if (errR == nil) != (errC == nil) {
+			t.Fatalf("budget %d: error mismatch: %v vs %v", budget, errR, errC)
 		}
-		if errI != nil && errI.Error() != errC.Error() {
-			t.Fatalf("budget %d: errors diverged: %q vs %q", budget, errI, errC)
+		if errR != nil && errR.Error() != errC.Error() {
+			t.Fatalf("budget %d: errors diverged: %q vs %q", budget, errR, errC)
 		}
-		if ri != rc {
-			t.Fatalf("budget %d: partial results diverged: %+v vs %+v", budget, ri, rc)
+		if rr != rc {
+			t.Fatalf("budget %d: partial results diverged: %+v vs %+v", budget, rr, rc)
 		}
-		comparePair(t, "budget", interp, compiled)
+		comparePair(t, "budget", ref, compiled)
 	}
 }
 
 // TestCompiledSampleIdentity: interval-sample boundaries are part of
-// the bit-identity contract — with the same sampler attached, both
-// paths must emit identical sample series, boundary for boundary.
+// the bit-identity contract — with the same sampler attached, single
+// steps and blocks must emit identical sample series, boundary for boundary.
 func TestCompiledSampleIdentity(t *testing.T) {
 	for _, every := range []uint64{64, 700} {
-		interp, compiled := newPair(t, 4, linker.BindLazy, true)
-		var si, sc []IntervalSample
-		interp.SetSampler(every, func(s IntervalSample) { si = append(si, s) })
+		ref, compiled := newPair(t, 4, linker.BindLazy, true)
+		var sr, sc []IntervalSample
+		ref.SetSampler(every, func(s IntervalSample) { sr = append(sr, s) })
 		compiled.SetSampler(every, func(s IntervalSample) { sc = append(sc, s) })
 		for r := 0; r < 2; r++ {
-			if _, err := interp.RunSymbol("main", 0); err != nil {
+			if _, err := ref.RunSymbol("main", 0); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := compiled.RunSymbol("main", 0); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if !reflect.DeepEqual(si, sc) {
-			t.Fatalf("every=%d: sample series diverged (%d vs %d samples)", every, len(si), len(sc))
+		if !reflect.DeepEqual(sr, sc) {
+			t.Fatalf("every=%d: sample series diverged (%d vs %d samples)", every, len(sr), len(sc))
 		}
-		if len(si) == 0 {
+		if len(sr) == 0 {
 			t.Fatalf("every=%d: no samples emitted", every)
 		}
 	}
@@ -137,29 +151,28 @@ func TestCompiledSampleIdentity(t *testing.T) {
 // decoded instruction must produce the same wrapped ErrNoInstruction,
 // at the same pc, with the same partial counters.
 func TestCompiledUnmappedIdentity(t *testing.T) {
-	interp, compiled := newPair(t, 2, linker.BindNow, false)
-	ri, errI := interp.Run(0xdead000, 0)
+	ref, compiled := newPair(t, 2, linker.BindNow, false)
+	rr, errR := ref.Run(0xdead000, 0)
 	rc, errC := compiled.Run(0xdead000, 0)
-	if !errors.Is(errI, ErrNoInstruction) || !errors.Is(errC, ErrNoInstruction) {
-		t.Fatalf("want ErrNoInstruction from both paths, got %v / %v", errI, errC)
+	if !errors.Is(errR, ErrNoInstruction) || !errors.Is(errC, ErrNoInstruction) {
+		t.Fatalf("want ErrNoInstruction from both, got %v / %v", errR, errC)
 	}
-	if errI.Error() != errC.Error() {
-		t.Fatalf("errors diverged: %q vs %q", errI, errC)
+	if errR.Error() != errC.Error() {
+		t.Fatalf("errors diverged: %q vs %q", errR, errC)
 	}
-	if ri != rc || interp.Counters() != compiled.Counters() {
-		t.Fatalf("partial state diverged: %+v vs %+v", ri, rc)
+	if rr != rc || ref.Counters() != compiled.Counters() {
+		t.Fatalf("partial state diverged: %+v vs %+v", rr, rc)
 	}
 }
 
-// TestSetProgramValidation: programs compiled for a different line
-// size or a different image are rejected; nil detaches.
+// TestSetProgramValidation: nil, programs compiled for a different
+// line size and programs compiled from a different image are rejected.
 func TestSetProgramValidation(t *testing.T) {
-	interp, compiled := newPair(t, 1, linker.BindLazy, false)
-	prog := compiled.Program()
-	if prog == nil {
-		t.Fatal("no program installed")
+	ref, _ := newPair(t, 1, linker.BindLazy, false)
+	if err := ref.SetProgram(nil); err == nil {
+		t.Fatal("nil program accepted")
 	}
-	if err := interp.SetProgram(Compile(interp.Image(), 128)); err == nil {
+	if err := ref.SetProgram(Compile(ref.Image(), 128)); err == nil {
 		t.Fatal("line-size mismatch accepted")
 	} else if !strings.Contains(err.Error(), "line") {
 		t.Fatalf("unhelpful error: %v", err)
@@ -170,60 +183,173 @@ func TestSetProgramValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := New(im, DefaultConfig()).SetProgram(prog); err == nil {
+	if err := New(im, DefaultConfig()).SetProgram(ref.prog); err == nil {
 		t.Fatal("foreign program accepted")
 	}
-	// Detach mid-life: the CPU must revert to interpretation with
-	// coherent execution counts.
-	if _, err := compiled.RunSymbol("main", 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := interp.RunSymbol("main", 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := compiled.SetProgram(nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := compiled.RunSymbol("main", 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := interp.RunSymbol("main", 0); err != nil {
-		t.Fatal(err)
-	}
-	comparePair(t, "detach", interp, compiled)
 }
 
-// TestSwitchesKeepCounts pins SetProgram's spill/fill rule: a CPU that
-// changes kernel paths between runs — detaching to the interpreter,
-// re-attaching its program, attaching a fresh compile as a churn
-// recompile does — keeps every PC's execution count, and so stays
-// bit-identical to a CPU that only interprets.
+// TestSwitchesKeepCounts pins install's spill/fill rule: a CPU whose
+// program is replaced between runs — by a fresh compile as a churn
+// recompile does, by its first program again, by a single-step
+// compile — keeps every PC's execution count, and so stays
+// bit-identical to a CPU that keeps one program throughout.
 func TestSwitchesKeepCounts(t *testing.T) {
 	for seed := uint64(40); seed < 48; seed++ {
-		interp, switching := newPair(t, seed, linker.BindLazy, seed%2 == 0)
-		prog := switching.Program()
+		ref, switching := newPair(t, seed, linker.BindLazy, seed%2 == 0)
+		line := switching.cfg.L1I.LineBytes
+		first := Compile(switching.Image(), line)
 		for r := 0; r < 7; r++ {
-			var p *Program
+			p := first
 			switch r % 3 {
 			case 1:
-				p = prog
+				p = Compile(switching.Image(), line)
 			case 2:
-				p = Compile(switching.Image(), switching.cfg.L1I.LineBytes)
+				p = stepOnly(switching.Image(), line)
 			}
 			if err := switching.SetProgram(p); err != nil {
 				t.Fatal(err)
 			}
-			ri, errI := interp.RunSymbol("main", 2_000_000)
+			rr, errR := ref.RunSymbol("main", 2_000_000)
 			rs, errS := switching.RunSymbol("main", 2_000_000)
-			if errI != nil || errS != nil {
-				t.Fatalf("seed %d run %d: %v / %v", seed, r, errI, errS)
+			if errR != nil || errS != nil {
+				t.Fatalf("seed %d run %d: %v / %v", seed, r, errR, errS)
 			}
-			if ri != rs {
-				t.Fatalf("seed %d run %d: results %+v vs %+v", seed, r, ri, rs)
+			if rr != rs {
+				t.Fatalf("seed %d run %d: results %+v vs %+v", seed, r, rr, rs)
 			}
-			comparePair(t, fmt.Sprintf("seed %d run %d", seed, r), interp, switching)
+			comparePair(t, fmt.Sprintf("seed %d run %d", seed, r), ref, switching)
 		}
 	}
+}
+
+// checkThreading compiles img and checks the program against the
+// image's instruction map, independently of execution: the code array
+// is the map in PC order; next and tgt index the instruction at
+// pc+Size and Target, and are -1 only when there is none; a direct
+// call carries its target's trampoline index; counter slots belong
+// exactly to Loads, Stores and JmpConds and are dense and unique; and
+// lookupIdx agrees with the map at every byte of every instruction,
+// and misses on a code-free page that shares the memo slot of the page
+// it just looked up.
+func checkThreading(t *testing.T, label string, img *linker.Image) {
+	t.Helper()
+	cfg := DefaultConfig()
+	p := Compile(img, cfg.L1I.LineBytes)
+	c := New(img, cfg)
+	if err := c.SetProgram(p); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	instrs := img.Instructions()
+	if len(p.code) != len(instrs) {
+		t.Fatalf("%s: %d compiled instructions, image has %d", label, len(p.code), len(instrs))
+	}
+	index := make(map[uint64]int32, len(p.code))
+	for i := range p.code {
+		ci := &p.code[i]
+		if in, ok := instrs[ci.pc]; !ok || *in != ci.in {
+			t.Fatalf("%s: code[%d] at %#x does not match the image", label, i, ci.pc)
+		}
+		if i > 0 && p.code[i-1].pc >= ci.pc {
+			t.Fatalf("%s: code[%d] at %#x out of PC order", label, i, ci.pc)
+		}
+		index[ci.pc] = int32(i)
+	}
+	indexOf := func(pc uint64) int32 {
+		if i, ok := index[pc]; ok {
+			return i
+		}
+		return -1
+	}
+	codePages := make(map[uint64]bool)
+	for pc := range instrs {
+		codePages[pc>>mem.PageShift] = true
+	}
+	aliases := make(map[uint64]uint64) // code page -> code-free page with the same memo slot
+	aliasOf := func(pn uint64) uint64 {
+		if q, ok := aliases[pn]; ok {
+			return q
+		}
+		q := pn + 1
+		for pageMemoIdx(q) != pageMemoIdx(pn) || codePages[q] {
+			q++
+		}
+		aliases[pn] = q
+		return q
+	}
+	slots := make([]bool, p.counters)
+	for i := range p.code {
+		ci := &p.code[i]
+		if want := indexOf(ci.pc + uint64(ci.in.Size)); ci.next != want {
+			t.Fatalf("%s: %#x %v: next = %d, want %d", label, ci.pc, ci.in.Op, ci.next, want)
+		}
+		wantTgt, wantTramp := int32(-1), int32(-1)
+		switch ci.in.Op {
+		case isa.Call, isa.Jmp, isa.JmpCond:
+			wantTgt = indexOf(ci.in.Target)
+		}
+		if ci.in.Op == isa.Call {
+			wantTramp = int32(img.TrampolineIndex(ci.in.Target))
+		}
+		if ci.tgt != wantTgt || ci.trampIdx != wantTramp {
+			t.Fatalf("%s: %#x %v: tgt/trampIdx = %d/%d, want %d/%d", label, ci.pc, ci.in.Op, ci.tgt, ci.trampIdx, wantTgt, wantTramp)
+		}
+		switch ci.in.Op {
+		case isa.Load, isa.Store, isa.JmpCond:
+			if ci.cnt < 0 || int(ci.cnt) >= p.counters || slots[ci.cnt] {
+				t.Fatalf("%s: %#x %v: counter slot %d missing, out of range or shared", label, ci.pc, ci.in.Op, ci.cnt)
+			}
+			slots[ci.cnt] = true
+		default:
+			if ci.cnt != -1 {
+				t.Fatalf("%s: %#x %v holds counter slot %d", label, ci.pc, ci.in.Op, ci.cnt)
+			}
+		}
+		for a := ci.pc; a <= ci.pc+uint64(ci.in.Size); a++ {
+			if got := c.lookupIdx(a); got != indexOf(a) {
+				t.Fatalf("%s: lookupIdx(%#x) = %d, want %d", label, a, got, indexOf(a))
+			}
+		}
+		c.lookupIdx(ci.pc)
+		alias := aliasOf(ci.pc>>mem.PageShift)<<mem.PageShift | ci.pc&(mem.PageSize-1)
+		if got := c.lookupIdx(alias); got != -1 {
+			t.Fatalf("%s: lookupIdx(%#x) = %d on a code-free page, right after %#x", label, alias, got, ci.pc)
+		}
+	}
+	for s, used := range slots {
+		if !used {
+			t.Fatalf("%s: counter slot %d unused (slots not dense)", label, s)
+		}
+	}
+	if got := c.lookupIdx(0xdead000); got != indexOf(0xdead000) {
+		t.Fatalf("%s: lookupIdx of an unmapped page = %d", label, got)
+	}
+}
+
+// TestCompileThreading checks the compiler's PC-to-index threading
+// structurally, over random programs in every binding mode and both
+// PLT flavours, and over an image churned by an unload and a reload.
+func TestCompileThreading(t *testing.T) {
+	modes := []linker.BindingMode{linker.BindLazy, linker.BindNow, linker.BindStatic, linker.BindPatched}
+	for seed := uint64(0); seed < 12; seed++ {
+		for _, mode := range modes {
+			for _, plt := range []linker.PLTStyle{linker.PLTx86, linker.PLTARM} {
+				app, libs := genRandomProgram(seed)
+				im, err := linker.Link(app, libs, linker.Options{Mode: mode, Seed: seed, IFuncLevel: int(seed % 3), PLT: plt})
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				checkThreading(t, fmt.Sprintf("seed %d mode %v plt %v", seed, mode, plt), im)
+			}
+		}
+	}
+	im := churnImage(t)
+	if err := im.Unload("libdyn", nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := im.Load(churnLib(12), linker.LoadOptions{Demand: true}); err != nil {
+		t.Fatal(err)
+	}
+	checkThreading(t, "churned", im)
 }
 
 // TestCompiledForkSharing: one Program compiled from a master image
@@ -236,26 +362,29 @@ func TestCompiledForkSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := Compile(master, DefaultConfig().L1I.LineBytes)
-	ref, err := linker.Link(app, libs, opts)
+	imR, err := linker.Link(app, libs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	interp := New(ref, DefaultConfig())
+	ref := New(imR, DefaultConfig())
+	if err := ref.SetProgram(stepOnly(imR, DefaultConfig().L1I.LineBytes)); err != nil {
+		t.Fatal(err)
+	}
 	compiled := New(master.Fork(), DefaultConfig())
 	if err := compiled.SetProgram(prog); err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < 3; r++ {
-		ri, errI := interp.RunSymbol("main", 0)
+		rr, errR := ref.RunSymbol("main", 0)
 		rc, errC := compiled.RunSymbol("main", 0)
-		if errI != nil || errC != nil {
-			t.Fatal(errI, errC)
+		if errR != nil || errC != nil {
+			t.Fatal(errR, errC)
 		}
-		if ri != rc {
-			t.Fatalf("run %d: %+v vs %+v", r, ri, rc)
+		if rr != rc {
+			t.Fatalf("run %d: %+v vs %+v", r, rr, rc)
 		}
 	}
-	if interp.Counters() != compiled.Counters() {
+	if ref.Counters() != compiled.Counters() {
 		t.Fatal("fork-shared program diverged from reference")
 	}
 }
@@ -280,12 +409,6 @@ func TestFastForwardArchEquivalence(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Seed = seed
 		detailed, ffwd := New(imA, cfg), New(imB, cfg)
-		if err := detailed.SetProgram(Compile(imA, cfg.L1I.LineBytes)); err != nil {
-			t.Fatal(err)
-		}
-		if err := ffwd.SetProgram(Compile(imB, cfg.L1I.LineBytes)); err != nil {
-			t.Fatal(err)
-		}
 		for r := 0; r < 2; r++ {
 			if _, err := detailed.RunSymbol("main", 0); err != nil {
 				t.Fatal(err)
@@ -316,13 +439,5 @@ func TestFastForwardArchEquivalence(t *testing.T) {
 		if imA.Resolutions() != imB.Resolutions() {
 			t.Fatalf("seed %d: resolutions %d vs %d", seed, imA.Resolutions(), imB.Resolutions())
 		}
-	}
-}
-
-// TestFastForwardRequiresProgram documents the compiled-only contract.
-func TestFastForwardRequiresProgram(t *testing.T) {
-	interp, _ := newPair(t, 0, linker.BindLazy, false)
-	if err := interp.FastForwardSymbol("main"); err == nil {
-		t.Fatal("fast-forward without a program accepted")
 	}
 }

@@ -27,6 +27,12 @@
 // count, seed), so the same image executes identically under every
 // hardware configuration — the property that makes Base-vs-Enhanced
 // comparisons exact.
+//
+// The CPU has one execution kernel: it replays a compiled Program
+// (compile.go), a dense branch-threaded form of the image.  Run and
+// FastForward compile the image on first use and again whenever
+// runtime library churn has moved the image's generation, so a trace
+// built against freed or rewritten code is never replayed.
 package cpu
 
 import (
@@ -234,25 +240,12 @@ type IntervalSample struct {
 	PageFaults     uint64 // demand-paging faults on first touch of lazily-mapped library pages
 }
 
-// execPage holds per-PC dynamic execution counts for one
-// instruction-index page, indexed by the PC's in-page byte offset.
-// Hanging the counters off the fetch page (allocated lazily, only for
-// pages whose instructions consult their counts) turns the per-retire
-// count bump from a map operation into an array increment.
-type execPage [mem.PageSize]uint64
-
 // pageMemoSize is the size (a power of two) of the CPU's direct-mapped
-// fetch-page memo, which caches instruction-index pages and their
-// counter pages by page number.  Call-heavy code ping-pongs between a
-// handful of pages (caller, PLT, callee), so this absorbs nearly all
-// page switches without a map probe.
+// memo of compiled index pages (see lookupIdx), keyed by page number.
+// Call-heavy code ping-pongs between a handful of pages (caller, PLT,
+// callee), so this absorbs nearly all dynamic-target lookups without a
+// map probe.
 const pageMemoSize = 128
-
-type pageMemoEntry struct {
-	pn     uint64
-	page   *linker.InstrPage // nil marks an empty memo slot
-	counts *execPage
-}
 
 // pageMemoIdx spreads page numbers across the memo.  Text pages from
 // different modules can share low bits (module bases are aligned), so
@@ -274,22 +267,6 @@ type CPU struct {
 	ab           *abtb.ABTB // nil in the base system
 
 	sp uint64
-
-	// Fetch memo: the instruction-index page of the last fetch, and
-	// that page's execution counters (nil until first bump).
-	// Sequential execution stays on one page for dozens of
-	// instructions, so page-crossing map lookups amortise to nothing.
-	fetchPageNum uint64
-	fetchPage    *linker.InstrPage
-	fetchCounts  *execPage
-	pageMemo     [pageMemoSize]pageMemoEntry
-
-	// Per-PC dynamic execution counts, kept only for instructions
-	// whose behaviour depends on them (conditional branches and
-	// swept loads/stores), paged like the fetch index.  The
-	// interpreter bumps them here; the compiled path keeps them in
-	// counts and spills them here when its program is replaced.
-	execPages map[uint64]*execPage
 
 	// Per-trampoline call counts, including skipped ones, indexed by
 	// the image's dense trampoline numbering (see
@@ -321,15 +298,16 @@ type CPU struct {
 	nextSampleAt uint64
 	onSample     func(IntervalSample)
 
-	// prog, when non-nil, is the compiled-trace program for the image
-	// (see Compile/SetProgram): Run replays the dense branch-threaded
-	// instruction array instead of interpreting via per-PC page
-	// lookups.  The compiled path is bit-identical to the interpreted
-	// one.  counts holds its execution counts, indexed by the
-	// program's counter slots (execPages holds them while no program
-	// is installed; SetProgram moves them between the two).
+	// prog is the compiled program Run and FastForward replay (see
+	// Compile): syncChurn compiles it on first use and after churn, or
+	// SetProgram installs a shared one.  counts holds the per-PC
+	// dynamic execution counts, kept only for instructions whose
+	// behaviour depends on them (conditional branches and swept
+	// loads/stores), indexed by the program's counter slots.  spilled
+	// carries them across installs by PC (see install).
 	prog    *Program
 	counts  []uint64
+	spilled map[uint64]uint64
 	idxMemo [pageMemoSize]idxMemoEntry
 
 	// gotStores counts retired linker stores into the GOT (lazy
@@ -342,12 +320,8 @@ type CPU struct {
 	// pageFaults counts first-touch faults on lazily-mapped library
 	// pages (outside Counters, like gotStores); demand arms the
 	// fetch-side touch check and is re-derived at every Run entry.
-	// memoGen is the image generation the fetch/index memos were built
-	// against — runtime Load/Unload replaces instruction pages, so
-	// stale memos would fetch freed code.
 	pageFaults uint64
 	demand     bool
-	memoGen    uint64
 
 	c Counters
 }
@@ -369,7 +343,6 @@ func New(img *linker.Image, cfg Config) *CPU {
 		itlb:        tlb.New(cfg.ITLB),
 		dtlb:        tlb.New(cfg.DTLB),
 		bp:          branch.New(cfg.Branch),
-		execPages:   make(map[uint64]*execPage),
 		trampCounts: make([]uint64, img.Trampolines()),
 	}
 	if cfg.ABTB != nil {
@@ -402,6 +375,19 @@ var ErrNoInstruction = fmt.Errorf("cpu: execution reached unmapped code")
 // the instructions and cycles consumed by this run.  maxInstrs bounds
 // runaway execution (0 means a generous default).
 //
+// Run replays the compiled program, compiling it first if there is
+// none or library churn made it stale (see syncChurn).  The loop stops
+// at limit = min(budget end, next sample boundary), checked before
+// every dispatch: one comparison whether or not sampling is enabled,
+// so the timeline-off path does no extra work.  A superblock is
+// dispatched as one unit only when it fits entirely under the limit;
+// otherwise, and for control flow, one pre-threaded instruction is
+// stepped.  Blocks never partially execute, so budget errors and sample
+// boundaries land on exactly the instruction counts single-stepping
+// gives.  Sample boundaries persist across Run calls (nextSampleAt is
+// an absolute retired-instruction count), so a measure window made of
+// many short runs samples on one grid.
+//
 // On error — budget exhaustion or a decode/resolve failure — Run
 // returns the partial instruction and cycle counts consumed so far
 // alongside the error, so callers can account for truncated work.
@@ -415,16 +401,7 @@ func (c *CPU) Run(entry uint64, maxInstrs uint64) (RunResult, error) {
 		maxInstrs = 100_000_000
 	}
 	c.syncChurn()
-	if c.prog != nil {
-		return c.runCompiled(entry, maxInstrs)
-	}
 	start := c.c
-	// The loop stops at limit = min(budget end, next sample boundary):
-	// one comparison per step whether or not sampling is enabled, so
-	// the timeline-off path does exactly the work it did before
-	// sampling existed.  Sample boundaries persist across Run calls
-	// (nextSampleAt is an absolute retired-instruction count), so a
-	// measure window made of many short runs samples on one grid.
 	budgetEnd := start.Instructions + maxInstrs
 	limit := budgetEnd
 	if c.onSample != nil && c.nextSampleAt < limit {
@@ -432,6 +409,8 @@ func (c *CPU) Run(entry uint64, maxInstrs uint64) (RunResult, error) {
 	}
 	c.sp = c.img.StackTop() - 64
 	pc := entry
+	idx := c.lookupIdx(entry)
+	code, blockAt, blocks := c.prog.code, c.prog.blockAt, c.prog.blocks
 	for {
 		if c.c.Instructions >= limit {
 			if c.c.Instructions >= budgetEnd {
@@ -444,14 +423,25 @@ func (c *CPU) Run(entry uint64, maxInstrs uint64) (RunResult, error) {
 			}
 			continue
 		}
-		next, halted, err := c.step(pc)
+		if idx < 0 {
+			return c.runDelta(start), fmt.Errorf("%w: pc %#x", ErrNoInstruction, pc)
+		}
+		if bi := blockAt[idx]; bi >= 0 {
+			if b := &blocks[bi]; c.c.Instructions+uint64(b.nInstr) <= limit {
+				c.execBlock(b)
+				idx, pc = b.endIdx, b.endPC
+				continue
+			}
+		}
+		var halted bool
+		var err error
+		idx, pc, halted, err = c.stepIdx(&code[idx])
 		if err != nil {
 			return c.runDelta(start), err
 		}
 		if halted {
 			return c.runDelta(start), nil
 		}
-		pc = next
 	}
 }
 
@@ -547,225 +537,17 @@ func (c *CPU) RunSymbol(sym string, maxInstrs uint64) (RunResult, error) {
 	return c.Run(entry, maxInstrs)
 }
 
-// step retires one instruction (or a call plus a skipped trampoline)
-// and returns the next PC.
-func (c *CPU) step(pc uint64) (next uint64, halted bool, err error) {
-	in := c.fetch(pc)
-	if in == nil {
-		return 0, false, fmt.Errorf("%w: pc %#x", ErrNoInstruction, pc)
-	}
-	size := uint64(in.Size)
-
-	// ---- Fetch ----
-	if c.demand {
-		c.touchFetch(pc, size)
-	}
-	c.c.Cycles += uint64(c.itlb.AccessRange(pc, size))
-	c.c.Cycles += uint64(c.l1i.AccessRange(pc, size))
-
-	// Branch prediction at fetch.
-	var predicted uint64
-	var predValid bool
-	var predTaken bool
-	switch in.Op {
-	case isa.Call, isa.CallInd, isa.Jmp, isa.JmpMem, isa.Resolve:
-		predicted, predValid = c.bp.PredictTarget(pc)
-		if in.Op.IsCall() {
-			c.bp.PushReturn(pc + size)
-		}
-	case isa.JmpCond:
-		predTaken = c.bp.PredictCond(pc)
-		if predTaken {
-			predicted, predValid = c.bp.PredictTarget(pc)
-		} else {
-			predicted, predValid = pc+size, true
-		}
-	case isa.Ret:
-		predicted, predValid = c.bp.PredictReturn()
-	}
-
-	// ---- Execute ----
-	if in.PLT {
-		c.c.TrampInstrs++
-	}
-	c.c.Instructions++
-	c.c.Cycles++ // base CPI of 1
-
-	var actual uint64 // resolved next PC for control flow
-	switch in.Op {
-	case isa.Halt:
-		c.retireBreak()
-		c.syncCounters()
-		return 0, true, nil
-
-	case isa.Nop, isa.ALU:
-		// Simple register-only instructions may be trampoline glue
-		// (ARM's address-forming adds) within the pattern window.
-		if c.ab != nil {
-			c.ab.OnRetireOther(pc, in.Size)
-		}
-		return pc + size, false, nil
-
-	case isa.Load:
-		addr := in.EffAddr(pc, c.bumpN(pc))
-		c.dataRead(addr)
-		c.retireBreak()
-		return pc + size, false, nil
-
-	case isa.Store:
-		addr := in.EffAddr(pc, c.bumpN(pc))
-		c.dataWrite(addr, in.Val)
-		c.retireBreak()
-		return pc + size, false, nil
-
-	case isa.Push:
-		c.sp -= 8
-		c.dataWrite(c.sp, in.Val)
-		c.retireBreak()
-		return pc + size, false, nil
-
-	case isa.Call:
-		actual = in.Target
-		c.sp -= 8
-		c.dataWrite(c.sp, pc+size)
-
-	case isa.CallInd:
-		actual = c.dataRead(in.Mem)
-		c.sp -= 8
-		c.dataWrite(c.sp, pc+size)
-
-	case isa.Jmp:
-		actual = in.Target
-
-	case isa.JmpCond:
-		taken := in.CondTaken(pc, c.bumpN(pc), c.cfg.Seed)
-		if taken {
-			actual = in.Target
-		} else {
-			actual = pc + size
-		}
-		c.c.Branches++
-		switch {
-		case taken != predTaken:
-			c.c.Mispredicts++
-			c.c.MispredCond++
-			c.c.Cycles += uint64(c.cfg.MispredictPenalty)
-		case taken && !predValid:
-			// Direction right but no BTB target: redirect at decode.
-			c.c.FetchBubbles++
-			c.c.Cycles += uint64(c.cfg.FetchBubblePenalty)
-		case taken && predicted != actual:
-			c.c.Mispredicts++
-			c.c.MispredCond++
-			c.c.Cycles += uint64(c.cfg.MispredictPenalty)
-		}
-		c.bp.UpdateCond(pc, taken)
-		if taken {
-			c.bp.UpdateTarget(pc, actual)
-		}
-		c.retireBreak()
-		return actual, false, nil
-
-	case isa.JmpMem:
-		actual = c.dataRead(in.Mem)
-
-	case isa.Ret:
-		actual = c.dataRead(c.sp)
-		c.sp += 8
-
-	case isa.Resolve:
-		return c.execResolve(pc, predicted, predValid)
-
-	default:
-		return 0, false, fmt.Errorf("cpu: unexecutable opcode %v at %#x", in.Op, pc)
-	}
-
-	// ---- Retire: branch resolution with the ABTB hook ----
-	effective := actual
-	skipped := false
-	if in.Op.IsCall() {
-		if idx := c.img.TrampolineIndex(actual); idx >= 0 {
-			c.c.TrampCalls++
-			c.trampCounts[idx]++
-			if c.TraceLibCall != nil {
-				c.TraceLibCall(actual)
-			}
-		}
-		if c.ab != nil {
-			if target, hit := c.ab.Lookup(actual); hit {
-				effective = target
-				skipped = true
-				c.c.TrampSkips++
-			}
-		}
-	}
-
-	c.c.Branches++
-	if !predValid || predicted != effective {
-		if (in.Op == isa.Call || in.Op == isa.Jmp) && !skipped {
-			// Direct branches recover at decode unless the ABTB
-			// redirected them somewhere the decoder cannot know.
-			c.c.FetchBubbles++
-			c.c.Cycles += uint64(c.cfg.FetchBubblePenalty)
-		} else {
-			c.c.Mispredicts++
-			c.c.Cycles += uint64(c.cfg.MispredictPenalty)
-			switch {
-			case skipped || in.Op == isa.Call:
-				c.c.MispredCall++
-			case in.Op == isa.Ret:
-				c.c.MispredRet++
-			default:
-				c.c.MispredIndirect++
-			}
-		}
-	}
-	if in.Op != isa.Ret {
-		// Returns are predicted by the RAS, not the BTB.
-		c.bp.UpdateTarget(pc, effective)
-	}
-
-	// ABTB retire-time population (§3.2).  Only indirect *jumps*
-	// qualify as the pattern's second half: an indirect call pushes a
-	// return address, so skipping it would corrupt the call stack —
-	// the hardware distinguishes the opcodes at retire.
-	if c.ab != nil {
-		if in.Op.IsIndirectBranch() {
-			memAddr := uint64(0)
-			if in.Op == isa.JmpMem {
-				memAddr = in.Mem
-			}
-			c.ab.OnRetireIndirectBranch(pc, actual, memAddr)
-		}
-		if in.Op.IsCall() {
-			c.ab.OnRetireCall(actual)
-		} else if !in.Op.IsIndirectBranch() {
-			c.ab.BreakPattern() // direct jumps are never glue
-		}
-	}
-
-	return effective, false, nil
-}
-
 // syncChurn re-arms per-run state that runtime library churn can
-// change between Run calls: when the image generation moved, the
-// fetch-page and compiled-index memos are dropped (their page objects
-// may describe freed code), the per-trampoline counter array grows to
-// cover dense indices appended by Load, and the demand-paging check is
-// armed iff unmapped pages exist.  For unchurned images this is two
-// comparisons per Run.
+// change between Run calls: the demand-paging check is armed iff
+// unmapped pages exist, and the image is compiled when no program is
+// installed or the installed one predates the image generation
+// (Load/Unload replaced code it threads through), so a stale trace is
+// never replayed.  For unchurned images this is three comparisons per
+// Run.
 func (c *CPU) syncChurn() {
 	c.demand = c.img.HasDemandPages()
-	if g := c.img.Generation(); g != c.memoGen {
-		c.memoGen = g
-		c.fetchPageNum, c.fetchPage, c.fetchCounts = 0, nil, nil
-		c.pageMemo = [pageMemoSize]pageMemoEntry{}
-		c.idxMemo = [pageMemoSize]idxMemoEntry{}
-		if n := len(c.img.TrampolineAddrs()); n > len(c.trampCounts) {
-			grown := make([]uint64, n)
-			copy(grown, c.trampCounts)
-			c.trampCounts = grown
-		}
+	if c.prog == nil || c.prog.gen != c.img.Generation() {
+		c.install(Compile(c.img, c.cfg.L1I.LineBytes))
 	}
 }
 
@@ -811,52 +593,18 @@ func (c *CPU) LinkerStore(addr, val uint64) {
 	}
 }
 
-// fetch returns the decoded instruction at pc (nil if unmapped),
-// memoising the containing index page and its execution-counter page:
-// sequential execution stays on one page for dozens of instructions.
-func (c *CPU) fetch(pc uint64) *isa.Instr {
-	pn := pc >> mem.PageShift
-	if pn != c.fetchPageNum || c.fetchPage == nil {
-		if !c.fetchSwitch(pn, pc) {
-			return nil
-		}
-	}
-	return c.fetchPage[pc&(mem.PageSize-1)]
-}
-
-// fetchSwitch re-points the fetch memo at pn's index page, consulting
-// the image and counter maps only on a page-memo miss.
-func (c *CPU) fetchSwitch(pn, pc uint64) bool {
-	c.fetchPageNum = pn
-	m := &c.pageMemo[pageMemoIdx(pn)]
-	if m.pn == pn && m.page != nil {
-		c.fetchPage, c.fetchCounts = m.page, m.counts
-		return true
-	}
-	pg := c.img.InstrPageAt(pc)
-	c.fetchPage = pg
-	if pg == nil {
-		c.fetchCounts = nil
-		return false
-	}
-	cnt := c.execPages[pn] // nil until the page first bumps
-	c.fetchCounts = cnt
-	*m = pageMemoEntry{pn: pn, page: pg, counts: cnt}
-	return true
-}
-
 // execResolve models the lazy dynamic linker invocation reached
 // through PLT0 (§2): read the pushed module ID and relocation index,
 // perform the binding work, store the resolved address into the GOT
 // (snooped by the ABTB), and jump to the function.
-func (c *CPU) execResolve(pc, predicted uint64, predValid bool) (uint64, bool, error) {
+func (c *CPU) execResolve(pc, predicted uint64, predValid bool) (uint64, error) {
 	modID := c.dataRead(c.sp)
 	relocIdx := c.dataRead(c.sp + 8)
 	c.sp += 16
 
 	gotAddr, funcAddr, err := c.img.Resolve(modID, relocIdx)
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	c.c.Resolutions++
 
@@ -895,7 +643,7 @@ func (c *CPU) execResolve(pc, predicted uint64, predValid bool) (uint64, bool, e
 		// Preceded by pushes, so no call→indirect-branch pattern.
 		c.ab.BreakPattern()
 	}
-	return funcAddr, false, nil
+	return funcAddr, nil
 }
 
 // dataRead performs a data-memory read through the D-TLB and D-cache.
@@ -928,27 +676,6 @@ func (c *CPU) retireBreak() {
 	if c.ab != nil {
 		c.ab.BreakPattern()
 	}
-}
-
-// bumpN returns the current execution count of pc and increments it.
-// pc is always the PC of the instruction currently being stepped, so
-// its counter page is the memoized fetch page's — an array increment,
-// allocated lazily the first time a page's instruction consults its
-// count.
-func (c *CPU) bumpN(pc uint64) uint64 {
-	p := c.fetchCounts
-	if p == nil {
-		pn := pc >> mem.PageShift
-		p = new(execPage)
-		c.execPages[pn] = p
-		c.fetchCounts = p
-		if m := &c.pageMemo[pageMemoIdx(pn)]; m.pn == pn && m.page != nil {
-			m.counts = p
-		}
-	}
-	n := p[pc&(mem.PageSize-1)]
-	p[pc&(mem.PageSize-1)] = n + 1
-	return n
 }
 
 // ContextSwitch models an OS context switch: untagged structures

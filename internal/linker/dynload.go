@@ -14,9 +14,9 @@
 //     mappings for freed (or about-to-be-reused) code cannot survive,
 //     because every ABTB entry's GOT address was inserted into the
 //     Bloom alongside it.
-//   - Every mutation bumps the image generation, which invalidates any
-//     compiled Program built against the old instruction index (see
-//     cpu.Compile / cpu.CPU.SetProgram).
+//   - Every mutation bumps the image generation, which makes any
+//     compiled Program built against the old instruction map stale: a
+//     CPU recompiles at its next run (see cpu.Compile).
 //   - Unload tombstones other modules' GOT slots that point into the
 //     dead module back to their lazy re-entry values, so the next call
 //     re-resolves through PLT0 instead of branching into freed code.
@@ -28,7 +28,7 @@
 // the reserved span, and fresh libraries come from a bump allocator
 // seeded above everything the initial link placed.  No randomness is
 // involved at runtime, keeping churned runs bit-identical across
-// interpreter, compiled-trace and pooled paths.
+// pooled and unpooled images.
 //
 // Demand-driven loading (per Mururu et al., "Binary Debloating via
 // Demand Driven Loading") is modelled on top: Load with Demand leaves
@@ -76,10 +76,10 @@ func (im *Image) churnSupported(op string) error {
 
 // privatize deep-copies the index structures Fork shares between a
 // master image and its clones, so a churn mutation on this image
-// cannot corrupt siblings.  Decoded instructions, instruction pages
-// and Module records are themselves immutable once published (churn
-// replaces whole map entries / table slots, never mutates in place),
-// so only the containers are copied.
+// cannot corrupt siblings.  Decoded instructions and Module records
+// are themselves immutable once published (churn replaces whole map
+// entries / table slots, never mutates in place), so only the
+// containers are copied.
 func (im *Image) privatize() {
 	if !im.shared {
 		return
@@ -91,12 +91,6 @@ func (im *Image) privatize() {
 		instrs[pc] = in
 	}
 	im.instrs = instrs
-
-	ipages := make(map[uint64]*InstrPage, len(im.ipages))
-	for pn, pg := range im.ipages {
-		ipages[pn] = pg
-	}
-	im.ipages = ipages
 
 	im.modules = append([]*Module(nil), im.modules...)
 	im.pltSlotRanges = append([]pltSlotRange(nil), im.pltSlotRanges...)
@@ -190,18 +184,15 @@ func (im *Image) Unload(name string, write StoreFunc) error {
 		}
 	}
 
-	// Drop the module's instructions (text + PLT + ARM stubs share no
-	// page with data or other modules, so whole pages go).
-	for pn := m.Base >> mem.PageShift; pn <= (m.PLTEnd-1)>>mem.PageShift; pn++ {
-		if pg := im.ipages[pn]; pg != nil {
-			base := pn << mem.PageShift
-			for off, in := range pg {
-				if in != nil {
-					delete(im.instrs, base+uint64(off))
-				}
-			}
-			delete(im.ipages, pn)
+	// Drop the module's instructions (text + PLT + ARM stubs) and its
+	// pending demand pages; they share no page with data or other
+	// modules.
+	for pc := range im.instrs {
+		if pc >= m.Base && pc < m.PLTEnd {
+			delete(im.instrs, pc)
 		}
+	}
+	for pn := m.Base >> mem.PageShift; pn <= (m.PLTEnd-1)>>mem.PageShift; pn++ {
 		delete(im.demandPages, pn)
 	}
 
@@ -363,7 +354,7 @@ func (im *Image) Load(o *objfile.Object, opts LoadOptions) (*Module, error) {
 // allocBase reserves a fresh, deterministic base address for a library
 // loaded at runtime into new address space: a bump allocator starting
 // above everything the initial link placed (no randomness, so churned
-// runs stay bit-identical across forks and kernel paths).
+// runs stay bit-identical across forks).
 func (im *Image) allocBase(size uint64) uint64 {
 	const libAlign = 1 << 16
 	if im.dynNext == 0 {

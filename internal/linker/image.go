@@ -7,10 +7,6 @@ import (
 	"repro/internal/mem"
 )
 
-// InstrPage is one page of the decoded-instruction index: the
-// instruction starting at each byte offset, or nil.
-type InstrPage [mem.PageSize]*isa.Instr
-
 // Fork returns a copy-on-write clone of the image for a fresh
 // simulated process.
 //
@@ -50,43 +46,33 @@ func (im *Image) Fork() *Image {
 }
 
 // Generation counts runtime Load/Unload mutations of the image.  A
-// compiled Program captures the generation it was built against;
-// replaying it against a different generation is refused (the trace
-// would branch into freed or rewritten code).  Freshly linked images
-// are generation 0.
+// compiled Program captures the generation it was built against, and a
+// CPU recompiles at its next run once the generation has moved (the
+// old trace would branch into freed or rewritten code).  Freshly linked
+// images are generation 0.
 func (im *Image) Generation() uint64 { return im.generation }
 
 // SharedBytes returns the size in bytes of the image's copy-on-write
 // page layer plus its privately written pages — the resident data
-// footprint one pooled master contributes (text/instruction indexes
-// are shared Go objects and not counted).
+// footprint one pooled master contributes (the instruction map is a
+// shared Go object and not counted).
 func (im *Image) SharedBytes() uint64 {
 	return uint64(im.memory.PagesShared())*mem.PageSize + im.memory.FootprintBytes()
 }
 
 // InstrAt returns the decoded instruction at pc.
 func (im *Image) InstrAt(pc uint64) (*isa.Instr, bool) {
-	pg := im.ipages[pc>>mem.PageShift]
-	if pg == nil {
-		return nil, false
-	}
-	in := pg[pc&(mem.PageSize-1)]
-	return in, in != nil
-}
-
-// InstrPageAt returns the instruction-index page containing pc, or
-// nil.  The CPU memoises the page across sequential fetches.
-func (im *Image) InstrPageAt(pc uint64) *InstrPage {
-	return im.ipages[pc>>mem.PageShift]
+	in, ok := im.instrs[pc]
+	return in, ok
 }
 
 // Memory returns the image's data memory (GOT, data regions, stack).
 func (im *Image) Memory() *mem.Memory { return im.memory }
 
-// Instructions returns the image's full decoded-instruction index,
-// keyed by virtual address.  The trace compiler walks it once to build
-// its dense branch-threaded program; iteration order is unspecified,
-// so callers sort.  The map is shared with the image (and with every
+// Instructions returns the image's full decoded-instruction map, keyed
+// by virtual address.  The trace compiler walks it once to build its
+// dense branch-threaded program; iteration order is unspecified, so
+// callers sort.  The map is shared with the image (and with every
 // fork, which is why one compiled program serves all forks of a pooled
 // master) and must not be mutated.
 func (im *Image) Instructions() map[uint64]*isa.Instr { return im.instrs }

@@ -168,13 +168,7 @@ type PatchStats struct {
 type Image struct {
 	opts Options
 
-	instrs map[uint64]*isa.Instr
-	// ipages is a two-level index over instrs (page number -> dense
-	// per-byte-offset array), built once at the end of linking.  The
-	// CPU fetches billions of instructions; the paged index plus a
-	// last-page memo makes InstrAt a few array indexations instead of
-	// a map probe.
-	ipages   map[uint64]*InstrPage
+	instrs   map[uint64]*isa.Instr
 	memory   *mem.Memory
 	modules  []*Module
 	symbols  map[string]uint64 // global function symbols
@@ -228,23 +222,6 @@ func (im *Image) writeGOT(addr, val uint64) {
 		return
 	}
 	im.memory.Write64(addr, val)
-}
-
-// addInstr registers a decoded instruction, keeping the paged fetch
-// index in sync when it already exists (runtime Load; at link time the
-// index is built once afterwards).
-func (im *Image) addInstr(pc uint64, in *isa.Instr) {
-	im.instrs[pc] = in
-	if im.ipages == nil {
-		return
-	}
-	pn := pc >> mem.PageShift
-	pg := im.ipages[pn]
-	if pg == nil {
-		pg = new(InstrPage)
-		im.ipages[pn] = pg
-	}
-	pg[pc&(mem.PageSize-1)] = in
 }
 
 // Link links the executable object against the given libraries.
@@ -355,24 +332,12 @@ func Link(exe *objfile.Object, libs []*objfile.Object, opts Options) (*Image, er
 		}
 	}
 
-	im.buildInstrIndex()
+	im.buildTrampolineIndex()
 	return im, nil
 }
 
-// buildInstrIndex constructs the paged fetch index and the dense
-// trampoline index.
-func (im *Image) buildInstrIndex() {
-	im.ipages = make(map[uint64]*InstrPage)
-	for pc, in := range im.instrs {
-		pn := pc >> mem.PageShift
-		pg := im.ipages[pn]
-		if pg == nil {
-			pg = new(InstrPage)
-			im.ipages[pn] = pg
-		}
-		pg[pc&(mem.PageSize-1)] = in
-	}
-
+// buildTrampolineIndex constructs the dense trampoline index.
+func (im *Image) buildTrampolineIndex() {
 	// Number every PLT slot in module load order.  Slot i of a module
 	// lives at PLTSlotAddr(i) = PLTBase + (i+1)*PLTSlotBytes; the slot
 	// region excludes PLT0 (below) and the ARM lazy stubs (above).
@@ -527,7 +492,7 @@ func (im *Image) emitModule(m *Module, o *objfile.Object) error {
 			if err := in.Validate(); err != nil {
 				return fmt.Errorf("linker: %s:%s[%d]: %w", o.Name(), f.Name, i, err)
 			}
-			im.addInstr(addrs[i], in)
+			im.instrs[addrs[i]] = in
 		}
 	}
 
@@ -575,16 +540,16 @@ func (im *Image) emitPLT(m *Module) {
 	}
 	// PLT0: push module id; invoke the resolver.
 	plt0 := m.PLTBase
-	im.addInstr(plt0, &isa.Instr{Op: isa.Push, Size: isa.SizePush, Val: uint64(m.ID), PLT: true})
-	im.addInstr(plt0+isa.SizePush, &isa.Instr{Op: isa.Resolve, Size: isa.SizeJmpMem, PLT: true})
+	im.instrs[plt0] = &isa.Instr{Op: isa.Push, Size: isa.SizePush, Val: uint64(m.ID), PLT: true}
+	im.instrs[plt0+isa.SizePush] = &isa.Instr{Op: isa.Resolve, Size: isa.SizeJmpMem, PLT: true}
 
 	for i, sym := range m.imports {
 		slot := m.PLTSlotAddr(i)
 		got := m.GOTSlotAddr(i)
 		// jmp *(got); push reloc; jmp plt0
-		im.addInstr(slot, &isa.Instr{Op: isa.JmpMem, Size: isa.SizeJmpMem, Mem: got, PLT: true})
-		im.addInstr(slot+isa.SizeJmpMem, &isa.Instr{Op: isa.Push, Size: isa.SizePush, Val: uint64(i), PLT: true})
-		im.addInstr(slot+isa.SizeJmpMem+isa.SizePush, &isa.Instr{Op: isa.Jmp, Size: isa.SizeJmp, Target: plt0, PLT: true})
+		im.instrs[slot] = &isa.Instr{Op: isa.JmpMem, Size: isa.SizeJmpMem, Mem: got, PLT: true}
+		im.instrs[slot+isa.SizeJmpMem] = &isa.Instr{Op: isa.Push, Size: isa.SizePush, Val: uint64(i), PLT: true}
+		im.instrs[slot+isa.SizeJmpMem+isa.SizePush] = &isa.Instr{Op: isa.Jmp, Size: isa.SizeJmp, Target: plt0, PLT: true}
 		im.trampolineSym[slot] = sym
 
 		im.writeGOT(got, im.initialGOTWord(m, i, sym))
@@ -610,15 +575,15 @@ func (im *Image) emitARMPLT(m *Module) {
 	for i, sym := range m.imports {
 		slot := m.PLTSlotAddr(i)
 		got := m.GOTSlotAddr(i)
-		im.addInstr(slot, &isa.Instr{Op: isa.ALU, Size: 4, PLT: true})
-		im.addInstr(slot+4, &isa.Instr{Op: isa.ALU, Size: 4, PLT: true})
-		im.addInstr(slot+8, &isa.Instr{Op: isa.JmpMem, Size: 4, Mem: got, PLT: true})
+		im.instrs[slot] = &isa.Instr{Op: isa.ALU, Size: 4, PLT: true}
+		im.instrs[slot+4] = &isa.Instr{Op: isa.ALU, Size: 4, PLT: true}
+		im.instrs[slot+8] = &isa.Instr{Op: isa.JmpMem, Size: 4, Mem: got, PLT: true}
 		im.trampolineSym[slot] = sym
 
 		stub := stubBase + uint64(i)*armStubBytes
-		im.addInstr(stub, &isa.Instr{Op: isa.Push, Size: 4, Val: uint64(i), PLT: true})
-		im.addInstr(stub+4, &isa.Instr{Op: isa.Push, Size: 4, Val: uint64(m.ID), PLT: true})
-		im.addInstr(stub+8, &isa.Instr{Op: isa.Resolve, Size: 4, PLT: true})
+		im.instrs[stub] = &isa.Instr{Op: isa.Push, Size: 4, Val: uint64(i), PLT: true}
+		im.instrs[stub+4] = &isa.Instr{Op: isa.Push, Size: 4, Val: uint64(m.ID), PLT: true}
+		im.instrs[stub+8] = &isa.Instr{Op: isa.Resolve, Size: 4, PLT: true}
 
 		im.writeGOT(got, im.initialGOTWord(m, i, sym))
 	}

@@ -20,7 +20,7 @@
 //     counter — is never shared: System forks the pooled master
 //     copy-on-write (linker.Image.Fork), so each job gets memory
 //     bit-identical to a fresh link while sharing every untouched
-//     page and the whole decoded-instruction index.
+//     page and the whole decoded-instruction map.
 //   - Masters are built once per key under a per-entry singleflight,
 //     and both caches are LRU-bounded so a long-lived service's
 //     footprint tracks its working set, not its submission history.
@@ -302,10 +302,10 @@ func (p *Pool) systemFor(key ImageKey, w *workload.Workload, cfg core.Config) (*
 	e.mu.Unlock()
 
 	sys := core.NewSystemFromImage(img, cfg)
-	// Install the shared compiled trace program: the fast-path Run loop
-	// is bit-identical to the interpreted one, so pooled results stay
-	// bit-identical to unpooled — callers that want the interpreted
-	// path (A/B benchmarks) detach it with SetProgram(nil).
+	// Install the shared compiled trace program, so forks do not each
+	// compile their own.  A Program depends only on the instruction map
+	// and the line size, so pooled results stay bit-identical to
+	// unpooled ones, whose CPU compiles at its first Run.
 	if err := sys.CPU().SetProgram(e.program(cfg.Hardware.L1I.LineBytes)); err != nil {
 		return nil, false, fmt.Errorf("pool: installing compiled trace for %s/seed=%d: %w", key.Workload, key.Seed, err)
 	}

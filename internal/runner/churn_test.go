@@ -12,10 +12,11 @@ func churnSpec(workload string, seed uint64) JobSpec {
 	return JobSpec{Workload: workload, Config: Enhanced, Seed: seed, Warm: 10, Measure: 80}
 }
 
-// TestChurnWorkloadsBitIdentical extends the kernel-path A/B to the
-// churn workloads: with libraries rotating mid-job (plugin-server) and
-// guest code rewriting GOT slots (jit), counters must be bit-identical
-// across compiled vs interpreted kernels and pooled vs unpooled images.
+// TestChurnWorkloadsBitIdentical extends the pooled-vs-unpooled A/B to
+// the churn workloads: with libraries rotating mid-job (plugin-server)
+// and guest code rewriting GOT slots (jit), counters must be
+// bit-identical whether a fork starts from the pool's shared Program or
+// its CPU compiles its own, recompiling after every rotation either way.
 func TestChurnWorkloadsBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	variants := []struct {
@@ -24,8 +25,6 @@ func TestChurnWorkloadsBitIdentical(t *testing.T) {
 	}{
 		{"compiled-pooled", Options{Workers: 2}},
 		{"compiled-unpooled", Options{Workers: 2, DisablePool: true}},
-		{"interpreted-pooled", Options{Workers: 2, DisableCompiledTraces: true}},
-		{"interpreted-unpooled", Options{Workers: 2, DisableCompiledTraces: true, DisablePool: true}},
 	}
 	for _, wl := range []string{"plugin-server", "jit"} {
 		spec := churnSpec(wl, 13)

@@ -102,14 +102,6 @@ type Options struct {
 	// throughput benchmark; Pool is ignored when set.
 	DisablePool bool
 
-	// DisableCompiledTraces runs exact jobs on the interpreted
-	// per-instruction kernel loop instead of the compiled-trace fast
-	// path.  Results are bit-identical either way (the property
-	// experiments.TestGoldenCounters pins); the switch exists for A/B
-	// throughput benchmarks and as an escape hatch.  Sampled jobs
-	// ignore it — fast-forwarding requires the compiled form.
-	DisableCompiledTraces bool
-
 	// MaxBatches bounds how many batch handles are retained for
 	// lookup by ID (least recently used dropped beyond it).  Zero
 	// means DefaultMaxBatches; negative means unbounded.
@@ -825,19 +817,6 @@ func (r *Runner) execute(ctx context.Context, spec JobSpec, sp *telemetry.Span) 
 	if err != nil {
 		return nil, fmt.Errorf("runner: %s/%s: %w", spec.Workload, spec.Config, err)
 	}
-	sampled := spec.SampleWindows > 0
-	if r.pool == nil {
-		// The pool path installed the shared compiled trace program;
-		// without a pool, compile one for this job.  Exact results are
-		// bit-identical on either kernel path.
-		if !r.opts.DisableCompiledTraces || sampled {
-			if perr := sys.CPU().SetProgram(cpu.Compile(sys.Image(), cfg.Hardware.L1I.LineBytes)); perr != nil {
-				return nil, fmt.Errorf("runner: %s/%s: %w", spec.Workload, spec.Config, perr)
-			}
-		}
-	} else if r.opts.DisableCompiledTraces && !sampled {
-		sys.CPU().SetProgram(nil)
-	}
 	d := workload.NewDriver(w, sys, workload.DriverSeed(spec.Seed))
 	ph = sp.Child("warmup")
 	err = d.WarmupContext(ctx, spec.Warm)
@@ -855,7 +834,7 @@ func (r *Runner) execute(ctx context.Context, spec JobSpec, sp *telemetry.Span) 
 		Workload: w,
 	}
 	measureStart := time.Now()
-	if sampled {
+	if spec.SampleWindows > 0 {
 		// Sampled simulation: fast-forward / warm / measure per window.
 		// Counters cover only the measured excerpts (the sum of the
 		// window deltas); the interval estimates live in res.Sampled.

@@ -165,11 +165,10 @@ func TestSampledTornRecord(t *testing.T) {
 	}
 }
 
-// TestCompiledExactBitIdentical pins the tentpole's core guarantee at
-// the job level: an exact job's counters are bit-identical whether the
-// kernel replays the compiled trace or interprets instruction by
-// instruction — pooled (compiled Program cached next to the master
-// image) and unpooled (compiled per job) alike.
+// TestCompiledExactBitIdentical pins compiled-trace sharing at the job
+// level: an exact job's counters are bit-identical whether the pool
+// installs the Program cached next to the master image or the CPU
+// compiles its own at its first Run.
 func TestCompiledExactBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	spec := fastSpec(21)
@@ -179,8 +178,6 @@ func TestCompiledExactBitIdentical(t *testing.T) {
 	}{
 		{"compiled-pooled", Options{Workers: 2}},
 		{"compiled-unpooled", Options{Workers: 2, DisablePool: true}},
-		{"interpreted-pooled", Options{Workers: 2, DisableCompiledTraces: true}},
-		{"interpreted-unpooled", Options{Workers: 2, DisableCompiledTraces: true, DisablePool: true}},
 	}
 	results := make([]Result, len(variants))
 	for i, v := range variants {
@@ -200,18 +197,6 @@ func TestCompiledExactBitIdentical(t *testing.T) {
 		if results[i].PKI != results[0].PKI {
 			t.Errorf("%s PKI diverges from %s", variants[i].name, variants[0].name)
 		}
-	}
-
-	// Sampled jobs need the compiled form for fast-forward, so the
-	// kill switch must not break them.
-	r := New(Options{Workers: 2, DisableCompiledTraces: true})
-	defer r.Close()
-	res, err := r.Run(ctx, sampledSpec(21))
-	if err != nil {
-		t.Fatalf("sampled under DisableCompiledTraces: %v", err)
-	}
-	if res.Sampled == nil {
-		t.Error("sampled job under DisableCompiledTraces has no estimates")
 	}
 }
 

@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 
-	"repro/internal/cpu"
 	"repro/internal/linker"
 	"repro/internal/objfile"
 )
@@ -41,11 +40,9 @@ type ChurnPlan struct {
 func (d *Driver) Churned() int { return d.rotations }
 
 // churnTick advances the churn schedule by one request.  On a rotation
-// boundary it unloads the due slot, loads its next generation, and — if
-// a compiled program is installed — recompiles it against the new image
-// generation so compiled execution never runs a stale trace.  Callers
-// that want the interpreter A/B instead simply run without a program
-// installed (e.g. runner's DisableCompiledTraces).
+// boundary it unloads the due slot and loads its next generation; the
+// CPU recompiles against the new image generation at its next Run or
+// FastForward.
 func (d *Driver) churnTick() error {
 	p := d.w.Churn
 	if p == nil || p.Every <= 0 || len(p.Slots) == 0 {
@@ -71,11 +68,6 @@ func (d *Driver) churnTick() error {
 	opts := linker.LoadOptions{Demand: p.Demand, Write: c.LinkerStore}
 	if _, err := img.Load(slot.Gens[d.slotGen[s]], opts); err != nil {
 		return fmt.Errorf("churn: load %s gen %d: %w", slot.Name, d.slotGen[s], err)
-	}
-	if prog := c.Program(); prog != nil {
-		if err := c.SetProgram(cpu.Compile(img, prog.LineBytes())); err != nil {
-			return fmt.Errorf("churn: recompile after %s reload: %w", slot.Name, err)
-		}
 	}
 	return nil
 }

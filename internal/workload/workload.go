@@ -257,9 +257,6 @@ func (d *Driver) RunSampled(total, windows, warmup int) (*SampledRun, error) {
 // detail.  The request stream — class picks, served count, perturbation
 // schedule — is identical to RunContext's, so the measured windows are
 // genuine excerpts of the exact run.
-//
-// Fast-forwarding requires a compiled trace program on the system's CPU
-// (cpu.SetProgram); without one the first window fails.
 func (d *Driver) RunSampledContext(ctx context.Context, total, windows, warmup int) (*SampledRun, error) {
 	if windows < 1 {
 		return nil, fmt.Errorf("workload %s: sampled run needs >= 1 window, got %d", d.w.Name, windows)

@@ -347,7 +347,7 @@ func TestDriverSeedPinned(t *testing.T) {
 }
 
 // sampledSystem links w under cfg and installs a compiled trace
-// program, as the runner's sampled path does.
+// program up front, as the artifact pool does for its forks.
 func sampledSystem(t *testing.T, w *Workload, cfg core.Config) *core.System {
 	t.Helper()
 	sys, err := w.NewSystem(cfg)
@@ -443,9 +443,8 @@ func TestRunSampledDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunSampledValidation covers the parameter and precondition
-// errors: bad window counts, oversize warmup, and a CPU without a
-// compiled program (fast-forward needs one).
+// TestRunSampledValidation covers the parameter errors: bad window
+// counts, negative warmup and warmup wider than a window.
 func TestRunSampledValidation(t *testing.T) {
 	w := Memcached(1)
 	sys, err := w.NewSystem(core.Base(1))
@@ -461,9 +460,5 @@ func TestRunSampledValidation(t *testing.T) {
 	}
 	if _, err := d.RunSampled(40, 10, 5); err == nil {
 		t.Error("warmup wider than window accepted")
-	}
-	// No compiled program installed: the first fast-forward must fail.
-	if _, err := d.RunSampled(400, 4, 2); err == nil {
-		t.Error("sampled run without a compiled program succeeded")
 	}
 }

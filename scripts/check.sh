@@ -59,14 +59,13 @@ else
 	echo "WARNING: cluster benchmark failed (advisory only)" >&2
 fi
 
-# Advisory: compiled-trace speedup and sampled-estimator accuracy.
-# The accuracy metrics are deterministic (the script itself fails on
-# golden divergence or a CI violation); only the throughput ratio is
-# host-dependent, so warn instead of fail and re-run
+# Advisory: sampled-estimator accuracy.  The accuracy metrics are
+# deterministic (the script itself fails on a CI violation); only the
+# wall ratio is host-dependent, so warn instead of fail and re-run
 # `make sample-bench` on a quiet machine before trusting a
 # regression.
-if SK_RUNS=2 scripts/sample_bench.sh /tmp/BENCH_sample_ci.json; then
-	grep -E '"(compiled_speedup|rel_err_pct)"' /tmp/BENCH_sample_ci.json || true
+if scripts/sample_bench.sh /tmp/BENCH_sample_ci.json; then
+	grep '"rel_err_pct"' /tmp/BENCH_sample_ci.json || true
 else
 	echo "WARNING: sample benchmark failed (advisory only)" >&2
 fi

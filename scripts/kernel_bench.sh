@@ -2,6 +2,10 @@
 # Regenerates BENCH_kernel.json: simulated-instruction throughput of
 # the CPU kernel on the Base and Enhanced configurations
 # (BenchmarkSimulatedInstructions{Base,Enhanced} in internal/cpu).
+# The benchmark times the compiled kernel, the CPU's only execution
+# path, which compiles the image at its first Run; trees from before
+# the interpreter was deleted ran the same benchmark on the
+# interpreter, so a KB_BASELINE_REF that old compares the two kernels.
 #
 # Pass a git ref as KB_BASELINE_REF to build that ref's kernel from a
 # temporary worktree and interleave its runs with the current tree's,
