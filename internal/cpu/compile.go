@@ -54,6 +54,13 @@
 // oracle: internal/experiments' golden counters, recorded from an
 // earlier kernel.
 //
+// FastForward, sampled simulation's architectural-only skip path,
+// dispatches the same superblocks under the same fit-the-limit rule
+// (here, the step budget).  A skipped block replays only its
+// architectural work: the demand pages of its I-TLB runs and each
+// segment's trailing memory operation; its ALU and Nop instructions are
+// never visited (see ffBlock).
+//
 // A Program is built from the image's shared instruction map, which
 // forks share with their master, so one compiled Program serves every
 // fork of a pooled image (see internal/pool).
@@ -819,9 +826,14 @@ func (c *CPU) stepIdx(ci *cinstr) (nextIdx int32, nextPC uint64, halted bool, er
 // instruction been simulated in detail.
 //
 // Like Run it replays the compiled program, compiling it first when
-// needed (the threaded successor indices are what make skipping cheap),
-// and it bounds runaway execution like Run (maxInstrs 0 means the same
-// generous default).
+// needed, and it bounds runaway execution like Run (maxInstrs 0 means
+// the same generous default), counting steps instead of retired
+// instructions: a Resolve is one step.  Like Run it dispatches a
+// superblock as one unit when the whole block fits under the budget
+// (see ffBlock); control flow, Resolve and blocks that do not fit are
+// stepped one instruction at a time, so an exhausted budget names the
+// pc single-stepping would.  It stays apart from stepIdx, which would
+// otherwise need a per-instruction branch on the detailed path.
 func (c *CPU) FastForward(entry uint64, maxInstrs uint64) error {
 	c.syncChurn()
 	if maxInstrs == 0 {
@@ -836,7 +848,7 @@ func (c *CPU) FastForward(entry uint64, maxInstrs uint64) error {
 	c.sp = c.img.StackTop() - 64
 	pc := entry
 	idx := c.lookupIdx(entry)
-	code := c.prog.code
+	code, blockAt, blocks := c.prog.code, c.prog.blockAt, c.prog.blocks
 	var steps uint64
 	for {
 		if idx < 0 {
@@ -844,6 +856,14 @@ func (c *CPU) FastForward(entry uint64, maxInstrs uint64) error {
 		}
 		if steps >= maxInstrs {
 			return fmt.Errorf("cpu: fast-forward budget %d exhausted at pc %#x", maxInstrs, pc)
+		}
+		if bi := blockAt[idx]; bi >= 0 {
+			if b := &blocks[bi]; steps+uint64(b.nInstr) <= maxInstrs {
+				steps += uint64(b.nInstr)
+				c.ffBlock(b)
+				idx, pc = b.endIdx, b.endPC
+				continue
+			}
 		}
 		steps++
 		ci := &code[idx]
@@ -918,6 +938,41 @@ func (c *CPU) FastForward(entry uint64, maxInstrs uint64) error {
 	}
 }
 
+// ffBlock fast-forwards one superblock, replaying only its
+// architectural work.  Per segment, it maps the pages of the segment's
+// I-TLB runs while demand pages remain, and performs the trailing
+// memory operation: a Load's count bump, a Store's or Push's ffWrite.
+// The segment's ALU and Nop instructions are never visited.
+//
+// The I-TLB runs list every page the block's instructions overlap,
+// except that a segment's first run may be folded into an earlier
+// segment's run of the same page, which that segment already touched.
+// TouchPage is idempotent and fast-forward charges no fault, so the
+// pages left pending match single-stepping's.
+func (c *CPU) ffBlock(b *block) {
+	p := c.prog
+	for _, s := range p.segs[b.seg : b.seg+b.nSegs] {
+		if c.demand {
+			for _, r := range p.runs[s.run : s.run+s.nITLB] {
+				c.ffTouchPage(r.addr)
+			}
+		}
+		if s.memIdx < 0 {
+			continue
+		}
+		mi := &p.code[s.memIdx]
+		switch mi.in.Op {
+		case isa.Load:
+			c.bump(mi.cnt)
+		case isa.Store:
+			c.ffWrite(mi.in.EffAddr(mi.pc, c.bump(mi.cnt)), mi.in.Val)
+		case isa.Push:
+			c.sp -= 8
+			c.ffWrite(c.sp, mi.in.Val)
+		}
+	}
+}
+
 // ffWrite performs a fast-forwarded store: architectural memory only —
 // no cache, TLB or counter effects — except that the ABTB's Bloom
 // filter snoops it exactly as it snoops every retired store on the
@@ -936,9 +991,15 @@ func (c *CPU) ffWrite(addr, val uint64) {
 // without fault accounting (see FastForward).
 func (c *CPU) ffTouch(pc, size uint64) {
 	for pn := pc >> mem.PageShift; pn <= (pc+size-1)>>mem.PageShift; pn++ {
-		if c.img.TouchPage(pn) && !c.img.HasDemandPages() {
-			c.demand = false
-		}
+		c.ffTouchPage(pn)
+	}
+}
+
+// ffTouchPage maps demand page pn if it is pending, without fault
+// accounting, and disarms the check once no unmapped pages remain.
+func (c *CPU) ffTouchPage(pn uint64) {
+	if c.img.TouchPage(pn) && !c.img.HasDemandPages() {
+		c.demand = false
 	}
 }
 

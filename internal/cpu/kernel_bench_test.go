@@ -1,6 +1,7 @@
 package cpu_test
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/cpu"
@@ -46,6 +47,48 @@ func BenchmarkKernel(b *testing.B) {
 				b.ReportMetric(instrs/b.Elapsed().Seconds()/1e6, "Minstr/s")
 			})
 		}
+	}
+}
+
+// BenchmarkFastForward measures sampled simulation's skip path on the
+// same golden jobs under Enhanced: after the job's warmup, one op
+// fast-forwards the job's measured request count, drawing request
+// classes by weight from a fixed stream.  It reports requests skipped
+// per second.  Library churn, which workload.Driver schedules between
+// requests, is not replayed: the op times FastForward alone.
+//
+//	go test -run '^$' -bench FastForward ./internal/cpu/
+func BenchmarkFastForward(b *testing.B) {
+	for _, app := range runner.WorkloadNames() {
+		b.Run(app, func(b *testing.B) {
+			d, measure := kernelDriver(b, app, runner.Enhanced)
+			classes := d.Workload().Classes
+			var total float64
+			for _, cl := range classes {
+				total += cl.Weight
+			}
+			rng := rand.New(rand.NewPCG(kernelSeed, 0))
+			entries := make([]string, measure)
+			for i := range entries {
+				x := rng.Float64() * total
+				k := 0
+				for ; k < len(classes)-1 && x >= classes[k].Weight; k++ {
+					x -= classes[k].Weight
+				}
+				entries[i] = classes[k].Entry
+			}
+			c := d.System().CPU()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, e := range entries {
+					if err := c.FastForwardSymbol(e); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.N*measure)/b.Elapsed().Seconds()/1e3, "kreq/s")
+		})
 	}
 }
 

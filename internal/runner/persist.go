@@ -27,13 +27,6 @@ const (
 	kindSampled    = "sampled"
 )
 
-// timelineStoreID derives the store ID a job's timeline record lives
-// under.  The "t" prefix keeps it disjoint from job IDs (16 hex
-// chars) and batch IDs ("b" prefix), so a timeline is a separate
-// record beside its result: a torn timeline tail lost to crash
-// recovery never takes the result with it, and vice versa.
-func timelineStoreID(jobID string) string { return "t" + jobID }
-
 // persistedResult is the durable subset of a Result: everything the
 // API and batch aggregation read.  The workload bundle and the
 // trampoline trace recorder are reconstruction artifacts of the live
@@ -117,82 +110,72 @@ func decodeResult(b []byte) (*Result, error) {
 	return res, nil
 }
 
-// persistedTimeline is a job timeline's durable form.  Points are
-// uint64 deltas, which round-trip exactly through encoding/json — the
-// same discipline as counters, so a restored series is byte-identical
-// to the live run's.
-type persistedTimeline struct {
+// persistedSide is the durable form of a side record: a job's
+// timeline or its sampled estimates, stored beside (not inside) the
+// job's result under its own store ID.  A torn side record lost to
+// crash recovery never takes the result with it, and vice versa.
+// Exactly one body field is set; the other is omitted, so each kind
+// keeps its own JSON shape.  Timeline points are uint64 deltas, which
+// round-trip exactly through encoding/json, so a restored record is
+// byte-identical to the live run's.
+type persistedSide struct {
 	V    int    `json:"v"`
 	Kind string `json:"kind"`
 
-	ID     string           `json:"id"` // the owning job's ID, without the "t" prefix
-	Series *timeline.Series `json:"series"`
+	ID      string           `json:"id"` // the owning job's ID, without the store-ID prefix
+	Series  *timeline.Series `json:"series,omitempty"`
+	Sampled *SampledResult   `json:"sampled,omitempty"`
 }
 
-// encodeTimeline serialises a job's series for the store.
-func encodeTimeline(jobID string, s *timeline.Series) ([]byte, error) {
-	return json.Marshal(persistedTimeline{
-		V:      persistVersion,
-		Kind:   kindTimeline,
-		ID:     jobID,
-		Series: s,
-	})
+// sideRecord describes one kind of side record: its store-ID prefix,
+// which keeps the record disjoint from job IDs (16 hex chars) and batch
+// IDs ("b" prefix), its envelope kind, and where its value lives in a
+// Result and in the envelope.
+type sideRecord[T any] struct {
+	prefix, kind string
+	inResult     func(*Result) *T
+	body         func(*persistedSide) **T
+	empty        func(*T) bool
 }
 
-// decodeTimeline rebuilds a series from its disk form.
-func decodeTimeline(b []byte) (*timeline.Series, error) {
-	var p persistedTimeline
+var (
+	timelineRecord = sideRecord[timeline.Series]{
+		prefix: "t", kind: kindTimeline,
+		inResult: func(r *Result) *timeline.Series { return r.Timeline },
+		body:     func(p *persistedSide) **timeline.Series { return &p.Series },
+		empty:    func(s *timeline.Series) bool { return len(s.Points) == 0 },
+	}
+	sampledRecord = sideRecord[SampledResult]{
+		prefix: "s", kind: kindSampled,
+		inResult: func(r *Result) *SampledResult { return r.Sampled },
+		body:     func(p *persistedSide) **SampledResult { return &p.Sampled },
+		empty:    func(s *SampledResult) bool { return s.Windows == 0 },
+	}
+)
+
+// storeID derives the store ID of the record owned by jobID.
+func (k sideRecord[T]) storeID(jobID string) string { return k.prefix + jobID }
+
+// encode serialises v, owned by jobID, for the store.
+func (k sideRecord[T]) encode(jobID string, v *T) ([]byte, error) {
+	p := persistedSide{V: persistVersion, Kind: k.kind, ID: jobID}
+	*k.body(&p) = v
+	return json.Marshal(p)
+}
+
+// decode rebuilds a record's value from its disk form.
+func (k sideRecord[T]) decode(b []byte) (*T, error) {
+	var p persistedSide
 	if err := json.Unmarshal(b, &p); err != nil {
-		return nil, fmt.Errorf("runner: corrupt stored timeline: %w", err)
+		return nil, fmt.Errorf("runner: corrupt stored %s record: %w", k.kind, err)
 	}
-	if p.V != persistVersion || p.Kind != kindTimeline {
-		return nil, fmt.Errorf("runner: stored record is not a v%d timeline (v=%d kind=%q)", persistVersion, p.V, p.Kind)
+	if p.V != persistVersion || p.Kind != k.kind {
+		return nil, fmt.Errorf("runner: stored record is not a v%d %s record (v=%d kind=%q)", persistVersion, k.kind, p.V, p.Kind)
 	}
-	if p.Series == nil || len(p.Series.Points) == 0 {
-		return nil, fmt.Errorf("runner: stored timeline %s has no points", p.ID)
+	if v := *k.body(&p); v != nil && !k.empty(v) {
+		return v, nil
 	}
-	return p.Series, nil
-}
-
-// sampledStoreID derives the store ID a sampled job's interval
-// estimates live under.  Like timelines, the "s" prefix keeps the
-// record disjoint from job IDs and beside (not inside) the result: a
-// torn sampled tail lost to crash recovery never takes the result with
-// it, and vice versa.
-func sampledStoreID(jobID string) string { return "s" + jobID }
-
-// persistedSampled is a sampled job's durable estimate record.
-type persistedSampled struct {
-	V    int    `json:"v"`
-	Kind string `json:"kind"`
-
-	ID      string         `json:"id"` // the owning job's ID, without the "s" prefix
-	Sampled *SampledResult `json:"sampled"`
-}
-
-// encodeSampled serialises a job's interval estimates for the store.
-func encodeSampled(jobID string, s *SampledResult) ([]byte, error) {
-	return json.Marshal(persistedSampled{
-		V:       persistVersion,
-		Kind:    kindSampled,
-		ID:      jobID,
-		Sampled: s,
-	})
-}
-
-// decodeSampled rebuilds the estimates from their disk form.
-func decodeSampled(b []byte) (*SampledResult, error) {
-	var p persistedSampled
-	if err := json.Unmarshal(b, &p); err != nil {
-		return nil, fmt.Errorf("runner: corrupt stored sampled record: %w", err)
-	}
-	if p.V != persistVersion || p.Kind != kindSampled {
-		return nil, fmt.Errorf("runner: stored record is not a v%d sampled record (v=%d kind=%q)", persistVersion, p.V, p.Kind)
-	}
-	if p.Sampled == nil || p.Sampled.Windows == 0 {
-		return nil, fmt.Errorf("runner: stored sampled record %s is empty", p.ID)
-	}
-	return p.Sampled, nil
+	return nil, fmt.Errorf("runner: stored %s record %s is empty", k.kind, p.ID)
 }
 
 // persistedBatch is a completed batch's durable form: the expanded

@@ -1,0 +1,64 @@
+package runner
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/timeline"
+)
+
+// Side records as the store held them before timelines and sampled
+// estimates shared one encoder (each had its own envelope type).  The
+// shared encoder must write these bytes exactly and read them back, so
+// stores written by older builds stay readable and new records stay
+// readable by them.
+const (
+	legacyTimelineRecord = `{"v":1,"kind":"timeline","id":"0123456789abcdef","series":{"interval":4096,"base_interval":1024,"points":[{"instructions":4096,"cycles":9001,"tramp_calls":12,"tramp_skips":7,"tramp_instrs":0,"resolutions":1,"got_stores":1,"page_faults":0,"stores":33,"abtb_hits":0,"abtb_inserts":0,"abtb_flushes":0,"bloom_lookups":0,"bloom_flush_hits":0,"mispredicts":0,"l1i_misses":0,"l1d_misses":0,"l2_misses":0,"itlb_misses":0,"dtlb_misses":0},{"instructions":8192,"cycles":18400,"tramp_calls":25,"tramp_skips":0,"tramp_instrs":0,"resolutions":0,"got_stores":0,"page_faults":0,"stores":0,"abtb_hits":20,"abtb_inserts":3,"abtb_flushes":0,"bloom_lookups":0,"bloom_flush_hits":0,"mispredicts":0,"l1i_misses":0,"l1d_misses":0,"l2_misses":0,"itlb_misses":0,"dtlb_misses":0}]}}`
+	legacySampledRecord  = `{"v":1,"kind":"sampled","id":"fedcba9876543210","sampled":{"windows":4,"fast_forwarded_per_window":36,"warmup_per_window":10,"measured_per_window":4,"metrics":{"cpi":{"mean":1.0625,"ci95":0.03125},"cycles":{"mean":123456.25,"ci95":789.5},"us_per_req":{"mean":41.15208333333334,"ci95":0.26316666666666666}}}}`
+)
+
+// TestSideRecordBytesStable pins the side records' disk format: store
+// IDs keep their "t" and "s" prefixes, encoding reproduces the older
+// builds' bytes, those bytes decode to the same value, and a record of
+// one kind never decodes as the other.
+func TestSideRecordBytesStable(t *testing.T) {
+	series := &timeline.Series{Interval: 4096, BaseInterval: 1024, Points: []timeline.Point{
+		{Instructions: 4096, Cycles: 9001, TrampCalls: 12, TrampSkips: 7, Resolutions: 1, GOTStores: 1, Stores: 33},
+		{Instructions: 8192, Cycles: 18400, TrampCalls: 25, ABTBHits: 20, ABTBInserts: 3},
+	}}
+	sampled := &SampledResult{Windows: 4, FastForwarded: 36, Warmed: 10, Measured: 4, Metrics: map[string]SampledCounter{
+		"cycles":     {Mean: 123456.25, CI95: 789.5},
+		"cpi":        {Mean: 1.0625, CI95: 0.03125},
+		"us_per_req": {Mean: 41.152083333333336, CI95: 0.26316666666666666},
+	}}
+	checkSideRecord(t, timelineRecord, "0123456789abcdef", "t0123456789abcdef", series, legacyTimelineRecord)
+	checkSideRecord(t, sampledRecord, "fedcba9876543210", "sfedcba9876543210", sampled, legacySampledRecord)
+
+	if _, err := timelineRecord.decode([]byte(legacySampledRecord)); err == nil {
+		t.Error("a sampled record decoded as a timeline")
+	}
+	if _, err := sampledRecord.decode([]byte(legacyTimelineRecord)); err == nil {
+		t.Error("a timeline record decoded as sampled estimates")
+	}
+}
+
+func checkSideRecord[T any](t *testing.T, k sideRecord[T], jobID, wantStoreID string, v *T, legacy string) {
+	t.Helper()
+	if got := k.storeID(jobID); got != wantStoreID {
+		t.Errorf("%s: store ID %q, want %q", k.kind, got, wantStoreID)
+	}
+	b, err := k.encode(jobID, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(b) != legacy {
+		t.Errorf("%s: encoding changed:\ngot  %s\nwant %s", k.kind, b, legacy)
+	}
+	got, err := k.decode([]byte(legacy))
+	if err != nil {
+		t.Fatalf("%s: decoding the older build's record: %v", k.kind, err)
+	}
+	if !reflect.DeepEqual(got, v) {
+		t.Errorf("%s: decoded %+v, want %+v", k.kind, got, v)
+	}
+}

@@ -199,16 +199,17 @@ func (j *Job) Wait(ctx context.Context) (Result, error) {
 	return *j.result, nil
 }
 
-func (j *Job) complete(res *Result, err error) {
+// record stores the job's outcome, after which it reads as completed.
+// Waiters are woken separately (see Runner.finish).
+func (j *Job) record(res *Result, err error) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if err != nil {
 		j.state, j.err = StateFailed, err
 	} else {
 		j.state, j.result = StateDone, res
 	}
 	j.finished = time.Now()
-	j.mu.Unlock()
-	close(j.done)
 }
 
 // Runner executes simulation jobs on a bounded worker pool with a
@@ -740,16 +741,8 @@ func (r *Runner) finish(j *Job, res *Result, err error) {
 		// Timelines and sampled estimates are separate records beside
 		// the result: losing one to a torn tail never corrupts the
 		// others.
-		if res.Timeline != nil {
-			if b, perr := encodeTimeline(j.ID, res.Timeline); perr == nil {
-				_ = r.store.Put(timelineStoreID(j.ID), b)
-			}
-		}
-		if res.Sampled != nil {
-			if b, perr := encodeSampled(j.ID, res.Sampled); perr == nil {
-				_ = r.store.Put(sampledStoreID(j.ID), b)
-			}
-		}
+		timelineRecord.put(r, j.ID, res)
+		sampledRecord.put(r, j.ID, res)
 	}
 	if j.State() == StateRunning {
 		r.m.running.Dec()
@@ -768,11 +761,13 @@ func (r *Runner) finish(j *Job, res *Result, err error) {
 		traceResultAttrs(j.span, res)
 	}
 	j.span.End()
-	j.complete(res, err)
+	j.record(res, err)
 	// Only now that the job reads as completed does it become
 	// evictable; until here it was pinned by being absent from the
-	// retention order.
+	// retention order.  Waiters wake after the retention, so any
+	// eviction it causes has happened by the time Wait returns.
 	r.retain(j)
+	close(j.done)
 }
 
 // execute runs one simulation: generate the workload, link and build

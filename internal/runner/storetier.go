@@ -16,61 +16,57 @@ var closedChan = func() chan struct{} {
 }()
 
 // Timeline returns the phase timeline of the job with the given short
-// ID: from the in-memory result when the job completed in this
-// process, otherwise from the store record persisted beside the
-// result.  It answers false for unknown jobs, jobs that ran with
-// timelines disabled, jobs still in flight, and timeline records lost
-// to crash recovery — the result itself stays servable in every one
-// of those cases.
+// ID (see sideRecord.lookup).  It answers false for unknown jobs, jobs
+// that ran with timelines disabled, jobs still in flight, and timeline
+// records lost to crash recovery — the result itself stays servable in
+// every one of those cases.
 func (r *Runner) Timeline(id string) (*timeline.Series, bool) {
-	r.mu.Lock()
-	j, inMem := r.byID[id]
-	r.mu.Unlock()
-	if inMem {
-		if res, ok := j.Result(); ok && res.Timeline != nil {
-			return res.Timeline, true
-		}
-	}
-	if r.store == nil {
-		return nil, false
-	}
-	payload, ok, err := r.store.Get(timelineStoreID(id))
-	if !ok || err != nil {
-		return nil, false
-	}
-	s, err := decodeTimeline(payload)
-	if err != nil {
-		return nil, false
-	}
-	return s, true
+	return timelineRecord.lookup(r, id)
 }
 
 // Sampled returns the interval estimates of the sampled job with the
-// given short ID: from the in-memory result when the job completed in
-// this process, otherwise from the store record persisted beside the
-// result.  It answers false for unknown jobs, exact jobs, jobs still
-// in flight, and sampled records lost to crash recovery.
+// given short ID (see sideRecord.lookup).  It answers false for unknown
+// jobs, exact jobs, jobs still in flight, and sampled records lost to
+// crash recovery.
 func (r *Runner) Sampled(id string) (*SampledResult, bool) {
+	return sampledRecord.lookup(r, id)
+}
+
+// lookup reads the side record of the job with the given short ID
+// through both tiers: from the in-memory result when the job completed
+// in this process, otherwise from the store record persisted beside
+// the result.
+func (k sideRecord[T]) lookup(r *Runner, id string) (*T, bool) {
 	r.mu.Lock()
 	j, inMem := r.byID[id]
 	r.mu.Unlock()
 	if inMem {
-		if res, ok := j.Result(); ok && res.Sampled != nil {
-			return res.Sampled, true
+		if res, ok := j.Result(); ok && k.inResult(res) != nil {
+			return k.inResult(res), true
 		}
 	}
 	if r.store == nil {
 		return nil, false
 	}
-	payload, ok, err := r.store.Get(sampledStoreID(id))
+	payload, ok, err := r.store.Get(k.storeID(id))
 	if !ok || err != nil {
 		return nil, false
 	}
-	s, err := decodeSampled(payload)
+	v, err := k.decode(payload)
 	if err != nil {
 		return nil, false
 	}
-	return s, true
+	return v, true
+}
+
+// put writes res's record of this kind, if it has one, through to the
+// store beside the result.  Put failures are counted by the store.
+func (k sideRecord[T]) put(r *Runner, jobID string, res *Result) {
+	if v := k.inResult(res); v != nil {
+		if b, err := k.encode(jobID, v); err == nil {
+			_ = r.store.Put(k.storeID(jobID), b)
+		}
+	}
 }
 
 // restoreJobLocked looks id up in the disk store and, on a hit,
