@@ -396,48 +396,6 @@ func TestCompiledForkSharing(t *testing.T) {
 // counts legitimately differ: fast-forward does not warm caches.)
 func TestFastForwardArchEquivalence(t *testing.T) {
 	for seed := uint64(20); seed < 30; seed++ {
-		app, libs := genRandomProgram(seed)
-		opts := linker.Options{Mode: linker.BindLazy, Seed: seed}
-		imA, err := linker.Link(app, libs, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		imB, err := linker.Link(app, libs, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := DefaultConfig()
-		cfg.Seed = seed
-		detailed, ffwd := New(imA, cfg), New(imB, cfg)
-		for r := 0; r < 2; r++ {
-			if _, err := detailed.RunSymbol("main", 0); err != nil {
-				t.Fatal(err)
-			}
-			if err := ffwd.FastForwardSymbol("main"); err != nil {
-				t.Fatal(err)
-			}
-		}
-		rd, err := detailed.RunSymbol("main", 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rf, err := ffwd.RunSymbol("main", 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rd.Instructions != rf.Instructions {
-			t.Fatalf("seed %d: post-skip run retired %d instructions, want %d", seed, rf.Instructions, rd.Instructions)
-		}
-		for mi, m := range imA.Modules() {
-			mb := imB.Modules()[mi]
-			for a := m.DataBase; a < m.DataEnd; a += 8 {
-				if va, vb := imA.Memory().Read64(a), imB.Memory().Read64(a); va != vb {
-					t.Fatalf("seed %d: memory diverged at %#x in %s: %#x vs %#x", seed, a, mb.Name, va, vb)
-				}
-			}
-		}
-		if imA.Resolutions() != imB.Resolutions() {
-			t.Fatalf("seed %d: resolutions %d vs %d", seed, imA.Resolutions(), imB.Resolutions())
-		}
+		checkResumeEquivalence(t, ffCase{seed: seed, mode: linker.BindLazy, runs: 2})
 	}
 }
