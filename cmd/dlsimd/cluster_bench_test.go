@@ -13,7 +13,7 @@ import (
 	"repro/internal/runner"
 )
 
-// benchSweepJSON is the sweep both cluster-bench sides run: 12 jobs,
+// benchSweepJSON is the sweep both BenchmarkSweep sides run: 12 jobs,
 // enough to keep every worker busy without dwarfing the forwarding
 // cost being compared.
 var benchSweepJSON = []byte(`{"workload":"apache","configs":["base","enhanced"],"seeds":[1,2,3,4,5,6],"warm":5,"measure":40}`)

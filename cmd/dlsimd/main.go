@@ -225,7 +225,7 @@ func main() {
 				BreakerCooldown:  *clusterBreakerCooldown,
 				ForwardTimeout:   *clusterForwardTimeout,
 				HedgeDelay:       *clusterHedge,
-				Retry:            cluster.RetryPolicy{MaxAttempts: *clusterRetries},
+				Retry:            runner.RetryPolicy{MaxAttempts: *clusterRetries},
 				Metrics:          reg,
 				Tracer:           tracer,
 			})

@@ -149,6 +149,9 @@ func TestSubmitValidation(t *testing.T) {
 		`{"workload":"apache","config":"warp","seed":1}`,
 		`{"workload":"apache","config":"base","bogus":true}`,
 		`not json`,
+		// A scaled budget past the int range (it used to wrap and
+		// clamp to a 20-request job).
+		`{"workload":"apache","config":"base","seed":1,"scale":1e18}`,
 	}
 	for _, body := range cases {
 		if _, code := postJob(t, ts, body); code != http.StatusBadRequest {

@@ -19,9 +19,10 @@
 //     answers probes but fails requests is still routed around.
 //   - slow peers    — every hop has a `ForwardTimeout`; transient
 //     failures retry with capped exponential backoff + jitter
-//     (RetryPolicy, mirroring internal/runner's shape); optional
-//     hedged GETs start a second replica read after `HedgeDelay` and
-//     take the first success, cutting tail latency on result reads.
+//     (internal/runner's RetryPolicy under this package's defaults);
+//     optional hedged GETs start a second replica read after
+//     `HedgeDelay` and take the first success, cutting tail latency
+//     on result reads.
 //   - half-finished work — forwarding is at most one hop (a forwarded
 //     request is always served where it lands), and because IDs are
 //     content-derived, re-routing a job to a different replica
@@ -41,6 +42,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/runner"
 	"repro/internal/telemetry"
 )
 
@@ -94,8 +96,11 @@ type Options struct {
 	HedgeDelay time.Duration
 
 	// Retry governs per-peer retransmission of transiently failed
-	// forwards before failing over to the next replica.
-	Retry RetryPolicy
+	// forwards before failing over to the next replica.  Every
+	// transport error, timeout and 5xx is transient here, because
+	// content-derived IDs make re-sends idempotent.  Zero fields
+	// select 2 attempts, 10ms base, 200ms cap and 20% jitter.
+	Retry runner.RetryPolicy
 
 	// Metrics receives the dlsim_cluster_* instrument set; nil
 	// registers into a private registry.  Tracer, when non-nil,
@@ -107,6 +112,15 @@ type Options struct {
 	// Transport overrides the forwarding client's RoundTripper
 	// (tests); nil uses a dedicated transport with sane pool limits.
 	Transport http.RoundTripper
+}
+
+// defaultRetry holds the forwarding defaults for Options.Retry's zero
+// fields.
+var defaultRetry = runner.RetryPolicy{
+	MaxAttempts: 2,
+	BaseDelay:   10 * time.Millisecond,
+	MaxDelay:    200 * time.Millisecond,
+	Jitter:      0.2,
 }
 
 // peer is one member plus this node's live view of it.
@@ -143,7 +157,7 @@ type Cluster struct {
 	failThreshold int
 	forwardTO     time.Duration
 	hedgeDelay    time.Duration
-	retry         RetryPolicy
+	retry         runner.RetryPolicy
 
 	// instruments
 	forwards    *telemetry.CounterVec // peer, outcome
@@ -236,7 +250,7 @@ func New(opts Options) (*Cluster, error) {
 		failThreshold: opts.FailThreshold,
 		forwardTO:     opts.ForwardTimeout,
 		hedgeDelay:    opts.HedgeDelay,
-		retry:         opts.Retry.normalized(),
+		retry:         opts.Retry.Normalized(defaultRetry),
 
 		forwards: reg.CounterVec("dlsim_cluster_forwards_total",
 			"Forwarded requests by destination peer and outcome.", "peer", "outcome"),

@@ -52,68 +52,6 @@ const (
 // be relayed — the owner may still hold the result.
 var errPeerMiss = errors.New("cluster: replica does not hold the ID")
 
-// RetryPolicy governs per-peer retransmission of transiently failed
-// forwards, mirroring internal/runner's RetryPolicy shape (the
-// classification differs: every transport error, timeout and 5xx is
-// transient by construction here, because content-derived IDs make
-// re-sends idempotent).
-type RetryPolicy struct {
-	// MaxAttempts is the total number of attempts per peer including
-	// the first (0 = default 2; negative or 1 disables retries).
-	MaxAttempts int
-
-	// BaseDelay is the backoff before the first retry, doubling per
-	// retry (0 = default 10ms).
-	BaseDelay time.Duration
-
-	// MaxDelay caps the exponential growth (0 = default 200ms).
-	MaxDelay time.Duration
-
-	// Jitter is the fraction of each backoff randomised uniformly in
-	// [1-Jitter, 1+Jitter] (0 = default 0.2; negative disables).
-	Jitter float64
-}
-
-// normalized resolves zero fields to the defaults.
-func (p RetryPolicy) normalized() RetryPolicy {
-	if p.MaxAttempts == 0 {
-		p.MaxAttempts = 2
-	}
-	if p.MaxAttempts < 1 {
-		p.MaxAttempts = 1
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 10 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 200 * time.Millisecond
-	}
-	if p.Jitter == 0 {
-		p.Jitter = 0.2
-	}
-	if p.Jitter < 0 {
-		p.Jitter = 0
-	}
-	return p
-}
-
-// backoff returns the delay before retry number `retry` (1-based):
-// BaseDelay·2^(retry-1) with ±Jitter, hard-capped at MaxDelay (jitter
-// before clamp, like runner's fixed policy).
-func (p RetryPolicy) backoff(retry int) time.Duration {
-	d := p.BaseDelay
-	for i := 1; i < retry && d < p.MaxDelay; i++ {
-		d *= 2
-	}
-	if p.Jitter > 0 {
-		d = time.Duration(float64(d) * (1 - p.Jitter + 2*p.Jitter*rand.Float64()))
-	}
-	if d > p.MaxDelay {
-		d = p.MaxDelay
-	}
-	return d
-}
-
 // Request describes one routable API call.
 type Request struct {
 	// ID is the content-derived job or batch ID routing the request.
@@ -338,7 +276,7 @@ func (c *Cluster) tryPeer(ctx context.Context, p *peer, req Request, reqID strin
 	for attempt := 1; attempt <= c.retry.MaxAttempts; attempt++ {
 		if attempt > 1 {
 			select {
-			case <-time.After(c.retry.backoff(attempt - 1)):
+			case <-time.After(c.retry.Backoff(attempt-1, rand.Float64())):
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}

@@ -21,11 +21,10 @@ const (
 // the golden-seed, golden-scale job of every app under Base and
 // Enhanced.  Set-up (generate, link, compile, the job's warmup) runs
 // outside the timer; one op is the job's measured request window,
-// replayed from the compiled Program.  The images of the
-// BenchmarkSimulatedInstructions and BenchmarkCompute benchmarks hold
-// 177–1545 instructions and fit in the host's L1; these hold tens of
-// thousands, so the host-side layout of the kernel's data shows in
-// Minstr/s.  instrs/op is exact and does not vary between runs.
+// replayed from the compiled Program.  The images hold tens of
+// thousands of instructions, more than fits in the host's L1, so the
+// host-side layout of the kernel's data shows in Minstr/s.  instrs/op
+// is exact and does not vary between runs.
 //
 //	go test -run '^$' -bench Kernel ./internal/cpu/
 func BenchmarkKernel(b *testing.B) {

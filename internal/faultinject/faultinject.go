@@ -5,9 +5,9 @@
 // by calling Fire (or FireCtx where a context is available).  When the
 // framework is disabled — the default — a point is a single atomic
 // load, so shipping the points compiled-in is effectively free (see
-// BenchmarkFireDisabled and BENCH_fault.json).  When a point is armed,
-// Fire rolls a seeded RNG against the point's probability and, on a
-// hit, injects the configured fault:
+// BenchmarkFireDisabled).  When a point is armed, Fire rolls a seeded
+// RNG against the point's probability and, on a hit, injects the
+// configured fault:
 //
 //	Error — return an *InjectedError (classified transient, so a
 //	        retry-capable caller recovers)

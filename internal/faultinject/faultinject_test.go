@@ -178,7 +178,9 @@ func TestParseSpec(t *testing.T) {
 }
 
 // BenchmarkFireDisabled measures the compiled-in-but-disabled hot-path
-// cost of an injection point (BENCH_fault.json).
+// cost of an injection point.
+//
+//	go test -run '^$' -bench FireDisabled ./internal/faultinject/
 func BenchmarkFireDisabled(b *testing.B) {
 	Reset()
 	b.Cleanup(Reset)

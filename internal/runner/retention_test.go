@@ -21,24 +21,26 @@ func TestBackoffNeverExceedsMaxDelay(t *testing.T) {
 		policy RetryPolicy
 		// wantVaried marks policies whose deep-retry jitter floor sits
 		// below the cap, so capped delays must still vary downward.
-		// (The default policy's un-jittered deep delay overshoots the
+		// (The default policies' un-jittered deep delays overshoot the
 		// cap so far that even maximal downward jitter stays above it
 		// — every deep backoff clamps to exactly MaxDelay.)
 		wantVaried bool
 	}{
 		{"default", DefaultRetryPolicy(), false},
+		// internal/cluster's forwarding defaults.
+		{"cluster default", RetryPolicy{MaxAttempts: 2, BaseDelay: 10 * time.Millisecond, MaxDelay: 200 * time.Millisecond, Jitter: 0.2}, false},
 		{"wide jitter", RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond, Jitter: 0.9}, true},
 		{"base at cap", RetryPolicy{BaseDelay: 50 * time.Millisecond, MaxDelay: 50 * time.Millisecond, Jitter: 0.5}, true},
 		{"no jitter", RetryPolicy{BaseDelay: 5 * time.Millisecond, MaxDelay: 40 * time.Millisecond, Jitter: -1}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p := tc.policy.normalized()
+			p := tc.policy.Normalized(DefaultRetryPolicy())
 			rng := rand.New(rand.NewPCG(1, 2))
 			sawBelowCap := false
 			for retry := 1; retry <= 12; retry++ {
 				for sample := 0; sample < 200; sample++ {
-					d := p.backoff(retry, rng)
+					d := p.Backoff(retry, rng.Float64())
 					if d > p.MaxDelay {
 						t.Fatalf("retry %d: backoff %v exceeds MaxDelay %v", retry, d, p.MaxDelay)
 					}

@@ -1,56 +1,46 @@
 package runner
 
-import (
-	"math/rand/v2"
-	"time"
-)
+import "time"
 
-// RetryPolicy governs re-execution of failed job attempts.
-//
-// The zero value means "use DefaultRetryPolicy" — transient failures
-// (see IsTransient) retry up to 3 total attempts with capped
-// exponential backoff and jitter.  To disable retries entirely set
+// RetryPolicy governs re-execution of failed attempts: the runner's
+// retries of transiently failed jobs (see IsTransient) and
+// internal/cluster's retransmission of failed forwards.  Each caller
+// resolves zero fields against its own defaults (Normalized); the
+// runner's are DefaultRetryPolicy.  To disable retries entirely set
 // MaxAttempts to 1 (or any negative value).
 type RetryPolicy struct {
 	// MaxAttempts is the total number of execution attempts,
-	// including the first.  Zero selects the default (3); one or a
+	// including the first.  Zero selects the default; one or a
 	// negative value disables retries.
 	MaxAttempts int
 
 	// BaseDelay is the backoff before the first retry; each further
-	// retry doubles it.  Zero selects the default (5ms).
+	// retry doubles it.  Zero selects the default.
 	BaseDelay time.Duration
 
 	// MaxDelay caps the exponential growth.  Zero selects the
-	// default (250ms).
+	// default.
 	MaxDelay time.Duration
 
 	// Jitter is the fraction of each backoff randomised uniformly in
 	// [1-Jitter, 1+Jitter], decorrelating retry storms.  Zero selects
-	// the default (0.2); a negative value disables jitter.
+	// the default; a negative value disables jitter.
 	Jitter float64
-
-	// Classify reports whether an error is transient (retryable).
-	// Nil selects IsTransient.
-	Classify func(error) bool
 }
 
-// DefaultRetryPolicy returns the policy used for zero-value fields:
-// 3 attempts, 5ms base, 250ms cap, 20% jitter, IsTransient
-// classification.
+// DefaultRetryPolicy returns the runner's defaults for zero-value
+// fields: 3 attempts, 5ms base, 250ms cap, 20% jitter.
 func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{
 		MaxAttempts: 3,
 		BaseDelay:   5 * time.Millisecond,
 		MaxDelay:    250 * time.Millisecond,
 		Jitter:      0.2,
-		Classify:    IsTransient,
 	}
 }
 
-// normalized resolves zero fields to the defaults.
-func (p RetryPolicy) normalized() RetryPolicy {
-	def := DefaultRetryPolicy()
+// Normalized resolves zero fields to def's values.
+func (p RetryPolicy) Normalized(def RetryPolicy) RetryPolicy {
 	if p.MaxAttempts == 0 {
 		p.MaxAttempts = def.MaxAttempts
 	}
@@ -69,26 +59,22 @@ func (p RetryPolicy) normalized() RetryPolicy {
 	if p.Jitter < 0 {
 		p.Jitter = 0
 	}
-	if p.Classify == nil {
-		p.Classify = def.Classify
-	}
 	return p
 }
 
-// backoff returns the delay before retry number `retry` (1-based):
-// BaseDelay·2^(retry-1) with ±Jitter applied from the given seeded
-// stream, never exceeding MaxDelay.  MaxDelay is a hard cap: jitter is
-// applied before the final clamp, so upward jitter can never push a
+// Backoff returns the delay before retry number `retry` (1-based):
+// BaseDelay·2^(retry-1) with ±Jitter applied from u, a uniform draw
+// in [0, 1), never exceeding MaxDelay.  MaxDelay is a hard cap: jitter
+// is applied before the final clamp, so upward jitter can never push a
 // capped delay past it (it remains a *jittered* cap from below, since
 // downward jitter still shortens capped delays).
-func (p RetryPolicy) backoff(retry int, rng *rand.Rand) time.Duration {
+func (p RetryPolicy) Backoff(retry int, u float64) time.Duration {
 	d := p.BaseDelay
 	for i := 1; i < retry && d < p.MaxDelay; i++ {
 		d *= 2
 	}
-	if p.Jitter > 0 && rng != nil {
-		f := 1 - p.Jitter + 2*p.Jitter*rng.Float64()
-		d = time.Duration(float64(d) * f)
+	if p.Jitter > 0 {
+		d = time.Duration(float64(d) * (1 - p.Jitter + 2*p.Jitter*u))
 	}
 	if d > p.MaxDelay {
 		d = p.MaxDelay

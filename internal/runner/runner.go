@@ -49,10 +49,10 @@ type Options struct {
 	// retention (the pre-bound behaviour).
 	MaxRetained int
 
-	// Retry governs re-execution of failed attempts.  The zero value
-	// retries transient failures (see IsTransient) up to 3 attempts
-	// with capped exponential backoff + jitter; set MaxAttempts to 1
-	// to disable.
+	// Retry governs re-execution of failed attempts.  Only transient
+	// failures (see IsTransient) retry.  Zero fields select
+	// DefaultRetryPolicy's: up to 3 attempts with capped exponential
+	// backoff + jitter; set MaxAttempts to 1 to disable.
 	Retry RetryPolicy
 
 	// RetrySeed seeds the backoff-jitter stream; zero means 1.  The
@@ -98,8 +98,10 @@ type Options struct {
 	Pool *pool.Pool
 
 	// DisablePool turns artifact pooling off: every job generates and
-	// links from scratch, the pre-pool behaviour.  Used by the A/B
-	// throughput benchmark; Pool is ignored when set.
+	// links from scratch, the pre-pool behaviour.  It is the unpooled
+	// oracle of the bit-identity tests (pool_integration_test.go,
+	// churn_test.go, sampled_test.go): pooled results must match it
+	// exactly.  Pool is ignored when set.
 	DisablePool bool
 
 	// MaxBatches bounds how many batch handles are retained for
@@ -292,7 +294,7 @@ func New(opts Options) *Runner {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.NumCPU()
 	}
-	opts.Retry = opts.Retry.normalized()
+	opts.Retry = opts.Retry.Normalized(DefaultRetryPolicy())
 	seed := opts.RetrySeed
 	if seed == 0 {
 		seed = 1
@@ -658,7 +660,7 @@ func (r *Runner) drive(j *Job) {
 		if errors.As(err, &pe) {
 			r.m.panics.Inc()
 		}
-		if attempt >= policy.MaxAttempts || !policy.Classify(err) || r.rootCtx.Err() != nil {
+		if attempt >= policy.MaxAttempts || !IsTransient(err) || r.rootCtx.Err() != nil {
 			r.finish(j, nil, err)
 			return
 		}
@@ -668,7 +670,7 @@ func (r *Runner) drive(j *Job) {
 		r.m.running.Dec()
 		r.m.retries.Inc()
 		r.mu.Lock()
-		delay := policy.backoff(attempt, r.retryRNG)
+		delay := policy.Backoff(attempt, r.retryRNG.Float64())
 		r.mu.Unlock()
 		j.mu.Lock()
 		j.state = StateQueued

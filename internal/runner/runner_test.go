@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -48,6 +49,31 @@ func TestSpecNormalizeAndKey(t *testing.T) {
 	}
 	if IDFromKey(k1) == IDFromKey(k3) {
 		t.Error("distinct keys share an ID")
+	}
+}
+
+// TestSpecBudgetOverflowRejected pins the overflow fix: a scaled
+// budget past the int range used to wrap negative and clamp to a
+// MinMeasure job, cached under a key the caller never asked for.  It
+// is an error now, and one bad cell rejects a sweep whole.
+func TestSpecBudgetOverflowRejected(t *testing.T) {
+	for _, spec := range []JobSpec{
+		{Workload: "apache", Config: Base, Seed: 1, Scale: 1e18},
+		{Workload: "apache", Config: Base, Seed: 1, Measure: 1 << 62, Scale: 4},
+		{Workload: "apache", Config: Base, Seed: 1, Measure: math.MaxInt},
+		{Workload: "memcached", Config: Base, Seed: 1, Measure: 600, SampleWindows: 8, SampleWarmup: math.MaxInt},
+	} {
+		if n, err := spec.Normalize(); err == nil {
+			t.Errorf("%+v normalized to measure=%d, want an error", spec, n.Measure)
+		}
+	}
+	sweep := SweepSpec{Workload: "apache", Configs: []ConfigKind{Base}, Seeds: []uint64{1}, Scale: 1e18}
+	if specs, err := sweep.Expand(); err == nil {
+		t.Errorf("overflowing sweep expanded to %+v, want an error", specs)
+	}
+	// A huge budget that fits still normalises as asked.
+	if n, err := (JobSpec{Workload: "apache", Config: Base, Seed: 1, Measure: 1 << 62, Scale: 1}).Normalize(); err != nil || n.Measure != 1<<62 {
+		t.Errorf("measure=2^62 normalized to %d, %v; want 2^62", n.Measure, err)
 	}
 }
 

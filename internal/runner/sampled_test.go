@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"sort"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // sampledSpec is a cheap sampled job: enough measured requests that a
@@ -239,5 +241,63 @@ func TestBatchSampledAggregate(t *testing.T) {
 	}
 	if len(st.Timelines) != 0 {
 		t.Errorf("sampled sweep produced %d merged timelines, want 0", len(st.Timelines))
+	}
+}
+
+// TestSampledCICoversExact is the sampled estimator's accuracy gate:
+// on memcached/Base (seed 3, 600 measured requests, 8 windows of 75,
+// 16 detailed warmup and 7 measured requests each) the exact job's
+// per-request cost lies inside the sampled 95% interval.  The warmup
+// share is what keeps the cold-start bias inside the interval:
+// fast-forwarded stretches advance architectural state but not caches
+// or predictors, so each window's detailed phase starts partially cold.
+func TestSampledCICoversExact(t *testing.T) {
+	requireSampledCoversExact(t, JobSpec{Workload: "memcached", Config: Base, Seed: 3, Warm: 20, Measure: 600}, 8, 16)
+}
+
+// requireSampledCoversExact runs the exact job and its sampled
+// counterpart (the given window count and per-window warmup) on one
+// runner, and fails unless the exact job's per-request instructions,
+// cycles and us_per_req each lie inside the sampled 95% interval.
+func requireSampledCoversExact(t *testing.T, exact JobSpec, windows, warmup int) {
+	t.Helper()
+	ctx := context.Background()
+	sampled := exact
+	sampled.SampleWindows, sampled.SampleWarmup = windows, warmup
+
+	r := New(Options{Workers: 2})
+	defer r.Close()
+	eres, err := r.Run(ctx, exact)
+	if err != nil {
+		t.Fatalf("%s exact: %v", exact.Workload, err)
+	}
+	sres, err := r.Run(ctx, sampled)
+	if err != nil {
+		t.Fatalf("%s sampled: %v", exact.Workload, err)
+	}
+	if sres.Sampled == nil {
+		t.Fatalf("%s: sampled job has no estimate block", exact.Workload)
+	}
+	measure := float64(eres.Spec.Measure)
+	for _, c := range []struct {
+		name string
+		want float64
+	}{
+		{"instructions", float64(eres.Counters.Instructions) / measure},
+		{"cycles", float64(eres.Counters.Cycles) / measure},
+		{"us_per_req", core.Micros(eres.Counters.Cycles) / measure},
+	} {
+		m, ok := sres.Sampled.Metrics[c.name]
+		if !ok {
+			t.Fatalf("%s: metric %s missing", exact.Workload, c.name)
+		}
+		if m.CI95 < 0 {
+			t.Fatalf("%s: metric %s has negative half-width", exact.Workload, c.name)
+		}
+		t.Logf("%s per-request %s: exact %.4g, sampled %.4g ± %.4g", exact.Workload, c.name, c.want, m.Mean, m.CI95)
+		if c.want < m.Mean-m.CI95 || c.want > m.Mean+m.CI95 {
+			t.Errorf("%s: exact per-request %s %.4g outside sampled 95%% CI %.4g ± %.4g",
+				exact.Workload, c.name, c.want, m.Mean, m.CI95)
+		}
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/timeline"
@@ -244,7 +245,14 @@ func (j JobSpec) Normalize() (JobSpec, error) {
 	if scale <= 0 {
 		scale = 1
 	}
-	n := int(float64(out.Measure) * scale)
+	// A budget past the int range (or NaN) would wrap in the
+	// conversion below, and the clamp would then quietly turn the job
+	// into a MinMeasure one.
+	f := float64(out.Measure) * scale
+	if !(f < math.MaxInt) {
+		return JobSpec{}, fmt.Errorf("runner: measure=%d at scale=%g overflows the request budget", out.Measure, scale)
+	}
+	n := int(f)
 	if n < MinMeasure {
 		n = MinMeasure
 	}
@@ -264,9 +272,9 @@ func (j JobSpec) Normalize() (JobSpec, error) {
 		if out.SampleWarmup == 0 {
 			out.SampleWarmup = DefaultSampleWarmup
 		}
-		if perWin := out.Measure / out.SampleWindows; perWin < out.SampleWarmup+1 {
-			return JobSpec{}, fmt.Errorf("runner: measure=%d over sample_windows=%d leaves %d requests per window, need >= sample_warmup+1 = %d",
-				out.Measure, out.SampleWindows, perWin, out.SampleWarmup+1)
+		if perWin := out.Measure / out.SampleWindows; perWin <= out.SampleWarmup {
+			return JobSpec{}, fmt.Errorf("runner: measure=%d over sample_windows=%d leaves %d requests per window, need more than sample_warmup=%d",
+				out.Measure, out.SampleWindows, perWin, out.SampleWarmup)
 		}
 	}
 	if out.TimelineOff {

@@ -5,7 +5,9 @@ import (
 )
 
 // The telemetry hot path must be cheap enough to leave armed in
-// production: these micro-benches feed BENCH_obs.json (make obs-bench).
+// production: these micro-benches measure each instrument's cost.
+//
+//	go test -run '^$' -bench . ./internal/telemetry/
 
 func BenchmarkCounterInc(b *testing.B) {
 	r := NewRegistry()
