@@ -113,8 +113,7 @@ func run(wl, system, plt string, warm, requests int, seed uint64) error {
 		fmt.Printf("ABTB                %12d entries used, %d redirects, %d flushes (%d by stores)\n",
 			ab.Len(), ab.Redirects(), ab.Flushes(), ab.FlushingStores())
 	}
-	fmt.Printf("distinct trampolines %11d (lifetime %d)\n",
-		sys.Recorder().Distinct(), sys.LifetimeRecorder().Distinct())
+	fmt.Printf("distinct trampolines %11d  (lifetime, warmup included)\n", sys.LifetimeRecorder().Distinct())
 
 	fmt.Println("\nper-class latency (us):")
 	for _, cl := range w.Classes {

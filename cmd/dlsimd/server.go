@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"runtime/metrics"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -131,7 +132,10 @@ func newServer(pool *runner.Runner, cfg serverConfig) *server {
 
 // registerRuntimeGauges adds the process-level dashboard gauges:
 // build identity (a constant-1 info gauge carrying version labels,
-// the Prometheus idiom) and Go runtime health (goroutines, heap).
+// the Prometheus idiom) and Go runtime health (goroutines, heap, live
+// heap after the last GC, GC CPU time).  The memory and GC values come
+// from runtime/metrics, which does not stop the world the way
+// runtime.ReadMemStats does on every scrape and history tick.
 // Registration is idempotent, so multiple servers over one registry
 // (the loopback cluster harness) are fine.
 func registerRuntimeGauges(reg *telemetry.Registry) {
@@ -144,12 +148,27 @@ func registerRuntimeGauges(reg *telemetry.Registry) {
 		"version", "go_version").With(version, runtime.Version()).Set(1)
 	reg.GaugeFunc("dlsim_go_goroutines", "Live goroutines.",
 		func() float64 { return float64(runtime.NumGoroutine()) })
-	reg.GaugeFunc("dlsim_go_heap_bytes", "Heap bytes in use (runtime.MemStats.HeapAlloc).",
-		func() float64 {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			return float64(ms.HeapAlloc)
-		})
+	reg.GaugeFunc("dlsim_go_heap_bytes", "Heap bytes in use: live objects and dead ones not yet swept (/memory/classes/heap/objects:bytes).",
+		runtimeMetric("/memory/classes/heap/objects:bytes"))
+	reg.GaugeFunc("dlsim_go_heap_live_bytes", "Heap bytes the last GC marked live (/gc/heap/live:bytes).",
+		runtimeMetric("/gc/heap/live:bytes"))
+	reg.CounterFunc("dlsim_go_gc_cpu_seconds_total", "Estimated CPU time spent in GC (/cpu/classes/gc/total:cpu-seconds).",
+		runtimeMetric("/cpu/classes/gc/total:cpu-seconds"))
+}
+
+// runtimeMetric returns a reader of one runtime/metrics value.
+func runtimeMetric(name string) func() float64 {
+	return func() float64 {
+		s := []metrics.Sample{{Name: name}}
+		metrics.Read(s)
+		switch s[0].Value.Kind() {
+		case metrics.KindUint64:
+			return float64(s[0].Value.Uint64())
+		case metrics.KindFloat64:
+			return s[0].Value.Float64()
+		}
+		return 0
+	}
 }
 
 // startDrain stops admission: /readyz reports 503 (so load balancers

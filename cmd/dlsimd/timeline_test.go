@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -255,9 +256,18 @@ func TestRuntimeGauges(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	text := string(body)
-	for _, want := range []string{"dlsim_build_info{", "dlsim_go_goroutines", "dlsim_go_heap_bytes"} {
+	for _, want := range []string{"dlsim_build_info{", "dlsim_go_goroutines", "dlsim_go_heap_bytes",
+		"dlsim_go_heap_live_bytes", "# TYPE dlsim_go_gc_cpu_seconds_total counter"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	// The runtime/metrics readers must find their metrics: a renamed
+	// or misspelled one reads as KindBad, which the gauge turns into 0.
+	runtime.GC()
+	for _, name := range []string{"/memory/classes/heap/objects:bytes", "/gc/heap/live:bytes"} {
+		if v := runtimeMetric(name)(); v <= 0 {
+			t.Errorf("%s reads %v", name, v)
 		}
 	}
 	// The go_version label must carry a real toolchain version.

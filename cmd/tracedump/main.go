@@ -194,11 +194,12 @@ func run(wl string, requests, top int, seed uint64) error {
 	fmt.Println("\nABTB working set (LRU stack-distance analysis):")
 	fmt.Printf("%-10s %s\n", "entries", "calls skipped")
 	sizes := []int{4, 16, 64, 256, 1024, 4096}
-	curve := rec.SkipCurveFromDistances(sizes)
+	sum := rec.Summary()
+	curve := sum.SkipCurve(sizes)
 	for i, n := range sizes {
 		fmt.Printf("%-10d %.1f%%\n", n, curve[i]*100)
 	}
 	fmt.Printf("\nworking sets: 75%% of skippable calls fit in %d entries; 99%% in %d\n",
-		rec.WorkingSet(0.75), rec.WorkingSet(0.99))
+		sum.WorkingSet(0.75), sum.WorkingSet(0.99))
 	return nil
 }

@@ -119,15 +119,14 @@ func Patched(seed uint64) Config {
 
 // System is a linked image executing on a configured CPU.
 type System struct {
-	cfg     Config
-	img     *linker.Image
-	cpu     *cpu.CPU
-	rec     *trace.Recorder // measurement window
-	lifeRec *trace.Recorder // whole process lifetime
+	cfg Config
+	img *linker.Image
+	cpu *cpu.CPU
+	rec *trace.Recorder // whole process lifetime
 }
 
 // NewSystem links the program under the configuration and prepares a
-// CPU with attached trampoline-trace recorders.  NewSystem does not
+// CPU with an attached trampoline-trace recorder.  NewSystem does not
 // mutate app or libs, so concurrent NewSystem calls — even over the
 // same objects — are safe; the returned System itself must be driven
 // from a single goroutine.
@@ -148,24 +147,9 @@ func NewSystem(app *objfile.Object, libs []*objfile.Object, cfg Config) (*System
 // driving the System mutates the image's memory and resolution
 // counter.
 func NewSystemFromImage(img *linker.Image, cfg Config) *System {
-	s := &System{
-		cfg:     cfg,
-		img:     img,
-		cpu:     cpu.New(img, cfg.Hardware),
-		rec:     trace.NewRecorder(0),
-		lifeRec: trace.NewRecorder(0),
-	}
-	s.attachRecorders()
+	s := &System{cfg: cfg, img: img, cpu: cpu.New(img, cfg.Hardware), rec: trace.NewRecorder()}
+	s.rec.Attach(s.cpu)
 	return s
-}
-
-// attachRecorders fans the CPU's library-call trace point out to both
-// the windowed and the lifetime recorder.
-func (s *System) attachRecorders() {
-	s.cpu.TraceLibCall = func(slot uint64) {
-		s.rec.Record(slot)
-		s.lifeRec.Record(slot)
-	}
 }
 
 // Config returns the system's configuration.
@@ -177,14 +161,11 @@ func (s *System) Image() *linker.Image { return s.img }
 // CPU returns the processor model.
 func (s *System) CPU() *cpu.CPU { return s.cpu }
 
-// Recorder returns the measurement-window trace recorder.
-func (s *System) Recorder() *trace.Recorder { return s.rec }
-
-// LifetimeRecorder returns the recorder covering the whole process
-// lifetime including warmup.  The paper's pintool counted distinct
-// trampolines over entire multi-hour runs (Table 3, Figures 4-5);
-// experiments use this recorder for those artefacts.
-func (s *System) LifetimeRecorder() *trace.Recorder { return s.lifeRec }
+// LifetimeRecorder returns the trampoline-trace recorder, which covers
+// the whole process lifetime including warmup.  The paper's pintool
+// counted distinct trampolines over entire multi-hour runs (Table 3,
+// Figures 4-5); experiments use this recorder for those artefacts.
+func (s *System) LifetimeRecorder() *trace.Recorder { return s.rec }
 
 // RunOnce executes the entry symbol to completion and returns its
 // cycle and instruction cost.
@@ -206,13 +187,9 @@ func (s *System) Warmup(entry string, n int) error {
 	return nil
 }
 
-// ResetStats clears measurement counters and opens a fresh recorder
-// window; the lifetime recorder keeps accumulating.
-func (s *System) ResetStats() {
-	s.cpu.ResetStats()
-	s.rec = trace.NewRecorder(0)
-	s.attachRecorders()
-}
+// ResetStats clears measurement counters; the lifetime recorder keeps
+// accumulating.
+func (s *System) ResetStats() { s.cpu.ResetStats() }
 
 // MeasureRequests executes the entry symbol n times, returning the
 // per-request latencies in microseconds.

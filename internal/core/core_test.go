@@ -108,9 +108,9 @@ func TestMeasureRequests(t *testing.T) {
 	if sample.Mean() <= 0 {
 		t.Error("non-positive latency")
 	}
-	// Recorder window covers the measured requests.
-	if s.Recorder().Total() != 6*20 {
-		t.Errorf("recorder total = %d, want 120", s.Recorder().Total())
+	// The recorder covers the warmup and the measured requests.
+	if got := s.LifetimeRecorder().Total(); got != 6*(3+20) {
+		t.Errorf("recorder total = %d, want %d", got, 6*(3+20))
 	}
 }
 
@@ -234,10 +234,10 @@ func TestSystemAccessors(t *testing.T) {
 	if _, err := s.RunOnce("main"); err != nil {
 		t.Fatal(err)
 	}
-	// Lifetime recorder spans warmup + measurement; window does not.
-	if s.LifetimeRecorder().Total() <= s.Recorder().Total() {
-		t.Errorf("lifetime %d <= window %d",
-			s.LifetimeRecorder().Total(), s.Recorder().Total())
+	// The lifetime recorder spans warmup + measurement: ResetStats
+	// clears the counters, not the recorder.
+	if got, calls := s.LifetimeRecorder().Total(), s.Counters().TrampCalls; got <= calls {
+		t.Errorf("lifetime recorder total %d <= measured window's %d calls", got, calls)
 	}
 	pki := s.PKI()
 	if pki.TrampInstrs < 0 {

@@ -21,9 +21,10 @@ const (
 
 // pooledWorkload fetches the generated bundle for (name, s.Seed)
 // through the runner's artifact pool, generating it at most once per
-// suite no matter how many ablations share the workload.  When the
-// suite's runner has pooling disabled it falls back to direct
-// generation, the historical behaviour.
+// suite no matter how many ablations and figures share the workload
+// (results keep no workload, so the CDF figures read their request
+// classes from here too).  When the suite's runner has pooling
+// disabled it falls back to direct generation.
 func (s *Suite) pooledWorkload(name string, gen func(uint64) *workload.Workload) *workload.Workload {
 	if p := s.pool.ArtifactPool(); p != nil {
 		w, _ := p.Workload(name, gen, s.Seed)

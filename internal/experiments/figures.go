@@ -25,11 +25,7 @@ func (s *Suite) Figure4() ([]Figure4Series, error) {
 		if err != nil {
 			return nil, err
 		}
-		ranked := rd.baseRec.Ranked()
-		counts := make([]uint64, len(ranked))
-		for i, tc := range ranked {
-			counts[i] = tc.Count
-		}
+		counts := append([]uint64(nil), rd.baseTramps.Counts...)
 		out = append(out, Figure4Series{Workload: name, Counts: counts})
 	}
 	return out, nil
@@ -71,7 +67,7 @@ type Figure5Series struct {
 
 // Figure5 reproduces Figure 5: the percentage of library-call
 // trampolines skipped as a function of ABTB size, computed
-// analytically from one LRU stack-distance pass over the recorded
+// analytically from the LRU stack-distance histogram of the
 // trampoline stream (equivalent to replaying an LRU table of each
 // size; the equivalence is property-tested in the trace package).
 func (s *Suite) Figure5() ([]Figure5Series, error) {
@@ -81,7 +77,7 @@ func (s *Suite) Figure5() ([]Figure5Series, error) {
 		if err != nil {
 			return nil, err
 		}
-		curve := rd.baseRec.SkipCurveFromDistances(Figure5Sizes)
+		curve := rd.baseTramps.SkipCurve(Figure5Sizes)
 		pct := make([]float64, len(curve))
 		for i, c := range curve {
 			pct[i] = c * 100
@@ -126,8 +122,9 @@ func (s *Suite) cdfPairs(workloadName string, points int) ([]CDFPair, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]CDFPair, 0, len(rd.w.Classes))
-	for _, c := range rd.w.Classes {
+	w := s.pooledWorkload(workloadName, rd.spec.Gen)
+	out := make([]CDFPair, 0, len(w.Classes))
+	for _, c := range w.Classes {
 		bs := rd.baseSamp[c.Name].TrimOutliers(99.9)
 		es := rd.enhSamp[c.Name].TrimOutliers(99.9)
 		out = append(out, CDFPair{

@@ -26,7 +26,6 @@ import (
 	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // WorkloadSpec binds a workload generator to its measurement budget.
@@ -82,11 +81,10 @@ func (s *Suite) Runner() *runner.Runner { return s.pool }
 // runData is one workload's matched Base/Enhanced measurement pair.
 type runData struct {
 	spec WorkloadSpec
-	w    *workload.Workload
 
 	baseSamp, enhSamp map[string]*stats.Sample // per request class, µs
 	baseCnt, enhCnt   cpu.Counters
-	baseRec           *trace.Recorder
+	baseTramps        trace.Summary // Base's lifetime trampoline stream
 }
 
 func (s *Suite) measure(spec WorkloadSpec) int {
@@ -128,13 +126,12 @@ func (s *Suite) run(name string) (*runData, error) {
 	base, enh := results[0], results[1]
 
 	rd := &runData{
-		spec:     s.specOf(name),
-		w:        base.Workload,
-		baseSamp: base.Samples,
-		enhSamp:  enh.Samples,
-		baseCnt:  base.Counters,
-		enhCnt:   enh.Counters,
-		baseRec:  base.Trace,
+		spec:       s.specOf(name),
+		baseSamp:   base.Samples,
+		enhSamp:    enh.Samples,
+		baseCnt:    base.Counters,
+		enhCnt:     enh.Counters,
+		baseTramps: base.Trampolines,
 	}
 
 	s.mu.Lock()

@@ -71,7 +71,7 @@ func (s *Suite) Table3() ([]Table3Row, error) {
 	for _, rd := range rds {
 		out = append(out, Table3Row{
 			Workload:      rd.spec.Name,
-			Distinct:      rd.baseRec.Distinct(),
+			Distinct:      rd.baseTramps.Distinct,
 			PaperDistinct: paperTable3[rd.spec.Name],
 		})
 	}

@@ -21,9 +21,15 @@
 //     copy-on-write (linker.Image.Fork), so each job gets memory
 //     bit-identical to a fresh link while sharing every untouched
 //     page and the whole decoded-instruction map.
-//   - Masters are built once per key under a per-entry singleflight,
-//     and both caches are LRU-bounded so a long-lived service's
-//     footprint tracks its working set, not its submission history.
+//   - Masters are built once per key under a per-entry singleflight.
+//     Each master image, with its compiled Programs, lives inside the
+//     entry of the workload it was linked from, and one LRU over
+//     workload entries bounds both: evicting a workload drops its
+//     images with it, so no image outlives its workload and nothing is
+//     kept that a later job could not fork.  The LRU evicts while it
+//     holds more workloads than MaxWorkloads or more images than
+//     MaxImages, so a long-lived service's footprint tracks its
+//     working set, not its submission history.
 //
 // Because a forked image starts bit-identical to a fresh link and all
 // microarchitectural state (CPU, caches, TLBs, ABTB) is constructed
@@ -56,9 +62,11 @@ const (
 
 // Options configures a Pool.
 type Options struct {
-	// MaxWorkloads / MaxImages bound the two caches (least recently
-	// used entries are dropped beyond them).  Zero means the defaults;
-	// negative means unbounded.
+	// MaxWorkloads bounds the cached workload bundles and MaxImages
+	// the master images linked from them, summed over all bundles.
+	// Beyond either bound the least recently used bundle is dropped
+	// together with its images.  Zero means the defaults; negative
+	// means unbounded.
 	MaxWorkloads int
 	MaxImages    int
 
@@ -73,33 +81,27 @@ type WorkloadKey struct {
 	Seed     uint64
 }
 
-// ImageKey identifies one linked master image: the generated bundle
-// plus everything that determines the link product.  linker.Options
-// is comparable by value, so the key captures binding mode, ASLR,
-// layout seed, ifunc level and PLT flavour.
-type ImageKey struct {
-	WorkloadKey
-	Linking linker.Options
-}
-
-// workloadEntry is one cached bundle; built once via its sync.Once.
+// workloadEntry is one cached bundle and the master images linked from
+// it, keyed by linker.Options (comparable by value, so the key captures
+// binding mode, ASLR, layout seed, ifunc level and PLT flavour).  The
+// bundle is built once via the sync.Once; elem and images are guarded
+// by Pool.mu and never change once the entry has left the pool.
 type workloadEntry struct {
-	once sync.Once
-	w    *workload.Workload
-	elem *list.Element // position in the workload LRU (guarded by Pool.mu)
+	once   sync.Once
+	w      *workload.Workload
+	elem   *list.Element // position in the LRU
+	images map[linker.Options]*imageEntry
 }
 
-// imageEntry is one cached master image.  mu serialises Fork calls on
-// the master (the first fork freezes its pages); once guards the
-// build.
+// imageEntry is one master image.  mu serialises Fork calls on the
+// master (the first fork freezes its pages); once guards the build.
 type imageEntry struct {
 	once    sync.Once
 	mu      sync.Mutex
 	img     *linker.Image
 	bytes   uint64
-	evicted bool // guarded by mu; stops byte accounting after eviction
+	evicted bool // guarded by mu; set once the entry is out of the pool, stopping byte accounting
 	err     error
-	elem    *list.Element // position in the image LRU (guarded by Pool.mu)
 
 	// progs caches compiled trace programs for this master, keyed by
 	// L1I line size (the only hardware parameter baked into the
@@ -134,17 +136,16 @@ func (e *imageEntry) program(lineBytes int) *cpu.Program {
 	return p
 }
 
-// Pool caches generated workloads and linked master images.  All
-// methods are safe for concurrent use.
+// Pool caches generated workloads and the master images linked from
+// them.  All methods are safe for concurrent use.
 type Pool struct {
 	maxWorkloads int
 	maxImages    int
 
 	mu        sync.Mutex
 	workloads map[WorkloadKey]*workloadEntry
-	images    map[ImageKey]*imageEntry
-	wlLRU     *list.List // of WorkloadKey, front = oldest
-	imgLRU    *list.List // of ImageKey, front = oldest
+	lru       *list.List // of WorkloadKey, front = least recently used
+	images    int        // master images held, summed over workloads
 
 	m poolMetrics
 }
@@ -188,9 +189,7 @@ func New(opts Options) *Pool {
 		maxWorkloads: maxW,
 		maxImages:    maxI,
 		workloads:    make(map[WorkloadKey]*workloadEntry),
-		images:       make(map[ImageKey]*imageEntry),
-		wlLRU:        list.New(),
-		imgLRU:       list.New(),
+		lru:          list.New(),
 		m: poolMetrics{
 			reg:            reg,
 			workloadHits:   reg.Counter("dlsim_pool_workload_hits_total", "Workload generations served from the artifact pool."),
@@ -217,13 +216,13 @@ func (p *Pool) Workload(name string, gen func(uint64) *workload.Workload, seed u
 	key := WorkloadKey{Workload: name, Seed: seed}
 	p.mu.Lock()
 	e, hit := p.workloads[key]
-	if !hit {
+	if hit {
+		p.lru.MoveToBack(e.elem)
+	} else {
 		e = &workloadEntry{}
 		p.workloads[key] = e
-		e.elem = p.wlLRU.PushBack(key)
+		e.elem = p.lru.PushBack(key)
 		p.evictLocked()
-	} else if e.elem != nil {
-		p.wlLRU.MoveToBack(e.elem)
 	}
 	p.mu.Unlock()
 
@@ -238,43 +237,46 @@ func (p *Pool) Workload(name string, gen func(uint64) *workload.Workload, seed u
 
 // System builds a private simulation system for (name, seed) under
 // cfg: the workload comes from the bundle cache, the image from the
-// master-image cache (linked on first use), and the returned System
-// wraps a copy-on-write fork of the master, so its GOT, data, stack
-// and hardware state are exclusively the caller's.  The second return
-// is the shared workload bundle; imageHit reports whether the link
-// step was skipped.
+// bundle's master images (linked on first use), and the returned
+// System wraps a copy-on-write fork of the master, so its GOT, data,
+// stack and hardware state are exclusively the caller's.  The second
+// return is the shared workload bundle; imageHit reports whether the
+// link step was skipped.
 func (p *Pool) System(name string, gen func(uint64) *workload.Workload, seed uint64, cfg core.Config) (*core.System, *workload.Workload, bool, error) {
 	w, _ := p.Workload(name, gen, seed)
-	sys, hit, err := p.systemFor(ImageKey{WorkloadKey{name, seed}, cfg.Linking}, w, cfg)
+	sys, hit, err := p.ImageSystem(name, seed, w, cfg)
 	return sys, w, hit, err
 }
 
 // ImageSystem is System for callers that already fetched the bundle
 // via Workload (the runner times the two cache steps under separate
-// trace spans).  w must be the bundle cached under (name, seed).
+// trace spans).  w must be the bundle cached under (name, seed).  If
+// that bundle has left the pool since, the master is linked for this
+// call alone and not cached: it would otherwise outlive its workload.
 func (p *Pool) ImageSystem(name string, seed uint64, w *workload.Workload, cfg core.Config) (*core.System, bool, error) {
-	return p.systemFor(ImageKey{WorkloadKey{name, seed}, cfg.Linking}, w, cfg)
-}
-
-// systemFor serves cfg from the image cache, linking the master on
-// first use.
-func (p *Pool) systemFor(key ImageKey, w *workload.Workload, cfg core.Config) (*core.System, bool, error) {
+	var e *imageEntry
+	hit := false
 	p.mu.Lock()
-	e, hit := p.images[key]
-	if !hit {
-		e = &imageEntry{}
-		p.images[key] = e
-		e.elem = p.imgLRU.PushBack(key)
-		p.evictLocked()
-	} else if e.elem != nil {
-		p.imgLRU.MoveToBack(e.elem)
+	if we, ok := p.workloads[WorkloadKey{Workload: name, Seed: seed}]; !ok {
+		e = &imageEntry{evicted: true} // never pooled: no bytes to account
+	} else {
+		p.lru.MoveToBack(we.elem)
+		if e, hit = we.images[cfg.Linking]; !hit {
+			e = &imageEntry{}
+			if we.images == nil {
+				we.images = make(map[linker.Options]*imageEntry, 1)
+			}
+			we.images[cfg.Linking] = e
+			p.images++
+			p.evictLocked()
+		}
 	}
 	p.mu.Unlock()
 
 	e.once.Do(func() {
 		img, err := linker.Link(w.App, w.Libs, cfg.Linking)
 		if err != nil {
-			e.err = fmt.Errorf("pool: linking %s/seed=%d: %w", key.Workload, key.Seed, err)
+			e.err = fmt.Errorf("pool: linking %s/seed=%d: %w", name, seed, err)
 			return
 		}
 		e.img = img
@@ -307,41 +309,34 @@ func (p *Pool) systemFor(key ImageKey, w *workload.Workload, cfg core.Config) (*
 	// and the line size, so pooled results stay bit-identical to
 	// unpooled ones, whose CPU compiles at its first Run.
 	if err := sys.CPU().SetProgram(e.program(cfg.Hardware.L1I.LineBytes)); err != nil {
-		return nil, false, fmt.Errorf("pool: installing compiled trace for %s/seed=%d: %w", key.Workload, key.Seed, err)
+		return nil, false, fmt.Errorf("pool: installing compiled trace for %s/seed=%d: %w", name, seed, err)
 	}
 	return sys, hit, nil
 }
 
-// evictLocked drops least-recently-used entries beyond the bounds and
-// refreshes the size gauges.  Caller holds p.mu.  Entries still being
-// built or forked elsewhere stay valid for their holders: eviction
-// only unlinks them from the cache, it cannot invalidate outstanding
-// forks (which keep the shared page layer alive independently).
+// evictLocked drops least-recently-used workloads, each with its
+// master images, while either bound is exceeded, and refreshes the
+// size gauges.  Caller holds p.mu.  Entries still being built or
+// forked elsewhere stay valid for their holders: eviction only unlinks
+// them from the cache, it cannot invalidate outstanding forks (which
+// keep the shared page layer alive independently).
 func (p *Pool) evictLocked() {
-	if p.maxWorkloads > 0 {
-		for p.wlLRU.Len() > p.maxWorkloads {
-			key := p.wlLRU.Remove(p.wlLRU.Front()).(WorkloadKey)
-			p.workloads[key].elem = nil
-			delete(p.workloads, key)
-			p.m.evictions.Inc()
+	for p.maxWorkloads > 0 && p.lru.Len() > p.maxWorkloads || p.maxImages > 0 && p.images > p.maxImages {
+		key := p.lru.Remove(p.lru.Front()).(WorkloadKey)
+		e := p.workloads[key]
+		delete(p.workloads, key)
+		for _, img := range e.images {
+			img.mu.Lock() // bytes is updated under img.mu on the fork path
+			p.m.imageBytes.Add(-int64(img.bytes))
+			img.bytes = 0
+			img.evicted = true
+			img.mu.Unlock()
 		}
+		p.images -= len(e.images)
+		p.m.evictions.Add(uint64(1 + len(e.images)))
 	}
-	if p.maxImages > 0 {
-		for p.imgLRU.Len() > p.maxImages {
-			key := p.imgLRU.Remove(p.imgLRU.Front()).(ImageKey)
-			e := p.images[key]
-			e.elem = nil
-			delete(p.images, key)
-			e.mu.Lock() // bytes is updated under e.mu on the fork path
-			p.m.imageBytes.Add(-int64(e.bytes))
-			e.bytes = 0
-			e.evicted = true
-			e.mu.Unlock()
-			p.m.evictions.Inc()
-		}
-	}
-	p.m.workloads.Set(int64(p.wlLRU.Len()))
-	p.m.images.Set(int64(p.imgLRU.Len()))
+	p.m.workloads.Set(int64(p.lru.Len()))
+	p.m.images.Set(int64(p.images))
 }
 
 // Stats is a point-in-time snapshot of pool effectiveness.

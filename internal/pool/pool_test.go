@@ -127,8 +127,9 @@ func TestImageKeyedByLinkOptions(t *testing.T) {
 	}
 }
 
-// TestLRUEviction: the image bound evicts the least recently used
-// master, and a re-request relinks it.
+// TestLRUEviction: the workload bound evicts the least recently used
+// bundle together with its master images, the image ceiling evicts
+// whole bundles too, and a re-request regenerates and relinks.
 func TestLRUEviction(t *testing.T) {
 	p := New(Options{MaxImages: 2, MaxWorkloads: 2})
 	for _, seed := range []uint64{1, 2, 3} { // seeds give distinct link layouts
@@ -140,8 +141,8 @@ func TestLRUEviction(t *testing.T) {
 	if st.Images != 2 || st.Workloads != 2 {
 		t.Errorf("cached images=%d workloads=%d, want 2/2", st.Images, st.Workloads)
 	}
-	if st.Evictions == 0 {
-		t.Error("no evictions recorded past the bound")
+	if st.Evictions != 2 {
+		t.Errorf("evictions = %d, want 2 (seed 1's bundle and its image)", st.Evictions)
 	}
 	// Seed 1 was evicted; using it again is a miss that still works.
 	_, _, hit, err := p.System("memcached", workload.Memcached, 1, core.Base(1))
@@ -151,9 +152,31 @@ func TestLRUEviction(t *testing.T) {
 	if hit {
 		t.Error("evicted master reported as hit")
 	}
+	if st := p.Stats(); st.WorkloadMisses != 4 {
+		t.Errorf("workload misses = %d, want 4: an evicted bundle must be regenerated", st.WorkloadMisses)
+	}
+
+	// The image ceiling: two link products per seed, three images
+	// allowed.  Seed 2's second image exceeds the ceiling, so the least
+	// recently used bundle (seed 1) leaves with both its images.
+	p = New(Options{MaxImages: 3, MaxWorkloads: 8})
+	for _, seed := range []uint64{1, 2} {
+		for _, cfg := range []core.Config{core.Base(seed), core.Static(seed)} {
+			if _, _, _, err := p.System("memcached", workload.Memcached, seed, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if st := p.Stats(); st.Images != 2 || st.Workloads != 1 || st.Evictions != 3 {
+		t.Errorf("images=%d workloads=%d evictions=%d, want 2/1/3", st.Images, st.Workloads, st.Evictions)
+	}
+	if _, hit := p.Workload("memcached", workload.Memcached, 1); hit {
+		t.Error("seed 1's bundle survived the eviction of its images")
+	}
 }
 
-// TestUnboundedWhenNegative: negative bounds disable eviction.
+// TestUnboundedWhenNegative: negative bounds disable eviction, and an
+// unbounded image count still follows the workload bound.
 func TestUnboundedWhenNegative(t *testing.T) {
 	p := New(Options{MaxImages: -1, MaxWorkloads: -1})
 	for _, seed := range []uint64{1, 2, 3, 4} {
@@ -163,5 +186,123 @@ func TestUnboundedWhenNegative(t *testing.T) {
 	}
 	if st := p.Stats(); st.Images != 4 || st.Evictions != 0 {
 		t.Errorf("images=%d evictions=%d, want 4/0", st.Images, st.Evictions)
+	}
+
+	p = New(Options{MaxImages: -1, MaxWorkloads: 2})
+	for _, seed := range []uint64{1, 2, 3, 4} {
+		if _, _, _, err := p.System("memcached", workload.Memcached, seed, core.Base(seed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := p.Stats(); st.Images != 2 || st.Workloads != 2 {
+		t.Errorf("images=%d workloads=%d, want 2/2: images must leave with their workloads", st.Images, st.Workloads)
+	}
+}
+
+// TestEvictionUnderConcurrency: requesters cycle through more distinct
+// (workload, seed) keys than the bounds hold while forkers keep
+// building systems from bundles they fetched earlier, so entries are
+// evicted while other goroutines fork them, and ImageSystem often runs
+// after its bundle has left the pool.  Every system must still run
+// bit-identical to a fresh link, and afterwards the pool must hold no
+// image outside a cached workload and account exactly the bytes of the
+// images it holds.  Run with -race.
+func TestEvictionUnderConcurrency(t *testing.T) {
+	const seeds, rounds = 5, 3
+	cfgs := func(seed uint64) []core.Config { return []core.Config{core.Base(seed), core.Static(seed)} }
+	fresh := make(map[uint64][]cpu.Counters)
+	for seed := uint64(1); seed <= seeds; seed++ {
+		for _, cfg := range cfgs(seed) {
+			w := workload.Memcached(seed)
+			sys, err := w.NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh[seed] = append(fresh[seed], drive(t, w, sys, seed, 2, 6))
+		}
+	}
+	check := func(w *workload.Workload, sys *core.System, seed uint64, i int) {
+		if got := drive(t, w, sys, seed, 2, 6); got != fresh[seed][i] {
+			t.Errorf("seed %d config %d: counters diverge from a fresh link", seed, i)
+		}
+	}
+
+	p := New(Options{MaxWorkloads: 2, MaxImages: 3})
+
+	// The deterministic case first: the bundle is fetched, evicted by
+	// two newer keys, and only then handed to ImageSystem.
+	w1, _ := p.Workload("memcached", workload.Memcached, 1)
+	for _, seed := range []uint64{2, 3} {
+		if _, _, _, err := p.System("memcached", workload.Memcached, seed, core.Base(seed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := p.Stats()
+	sys, hit, err := p.ImageSystem("memcached", 1, w1, core.Base(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(w1, sys, 1, 0)
+	if after := p.Stats(); hit || after.Images != before.Images || after.Workloads != before.Workloads ||
+		after.ImageBytes != before.ImageBytes {
+		t.Errorf("ImageSystem on an evicted bundle: hit=%v, stats %+v -> %+v, want a private link that caches nothing", hit, before, after)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for k := uint64(0); k < seeds; k++ {
+					seed := 1 + (k+uint64(g))%seeds
+					i := (g + r) % 2
+					if g%2 == 0 {
+						// Requester: fetch and link in one call.
+						sys, w, _, err := p.System("memcached", workload.Memcached, seed, cfgs(seed)[i])
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						check(w, sys, seed, i)
+						continue
+					}
+					// Forker: fetch the bundle, let the others churn the
+					// LRU, then fork from it twice.
+					w, _ := p.Workload("memcached", workload.Memcached, seed)
+					for rep := 0; rep < 2; rep++ {
+						sys, _, err := p.ImageSystem("memcached", seed, w, cfgs(seed)[i])
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						check(w, sys, seed, i)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	images, bytes := 0, int64(0)
+	for _, e := range p.workloads {
+		images += len(e.images)
+		for _, img := range e.images {
+			img.mu.Lock()
+			bytes += int64(img.bytes)
+			img.mu.Unlock()
+		}
+	}
+	if images != p.images || p.lru.Len() != len(p.workloads) {
+		t.Errorf("pool holds %d images in %d workloads, counts %d images and %d LRU entries",
+			images, len(p.workloads), p.images, p.lru.Len())
+	}
+	if len(p.workloads) > 2 || images > 3 {
+		t.Errorf("pool holds %d workloads and %d images past the bounds 2/3", len(p.workloads), images)
+	}
+	if got := p.m.imageBytes.Value(); got != bytes {
+		t.Errorf("image_bytes gauge = %d, cached images hold %d", got, bytes)
 	}
 }

@@ -344,9 +344,12 @@ func (b *Batch) Status() BatchStatus {
 }
 
 // DefaultMaxBatches is the batch retention bound applied when
-// Options.MaxBatches is zero.  A batch handle is a slice of job
-// pointers, so retention is cheap; the bound exists so an eternal
-// service's batch index cannot grow with its history.
+// Options.MaxBatches is zero.  A batch handle keeps its jobs, and so
+// their Results, alive past the job cache's MaxRetained bound; a
+// Result holds counters, latency samples and a trampoline summary
+// (tens of KiB for the largest apps), never a workload or an image.
+// The bound exists so an eternal service's batch index cannot grow
+// with its history.
 const DefaultMaxBatches = 256
 
 // SubmitBatch expands the sweep and submits every job, returning the

@@ -4,7 +4,6 @@ import (
 	"strconv"
 
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // metrics is the runner's instrument set on a telemetry registry.
@@ -149,12 +148,5 @@ func traceResultAttrs(sp *telemetry.Span, res *Result) {
 	}
 	sp.SetAttr("instructions", strconv.FormatUint(res.Counters.Instructions, 10))
 	sp.SetAttr("tramp_skips", strconv.FormatUint(res.Counters.TrampSkips, 10))
-	sp.SetAttr("distinct_trampolines", strconv.Itoa(traceDistinct(res.Trace)))
-}
-
-func traceDistinct(rec *trace.Recorder) int {
-	if rec == nil {
-		return 0
-	}
-	return rec.Distinct()
+	sp.SetAttr("distinct_trampolines", strconv.Itoa(res.DistinctTrampolines()))
 }

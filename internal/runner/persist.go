@@ -9,6 +9,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/stats"
 	"repro/internal/timeline"
+	"repro/internal/trace"
 )
 
 // Disk forms of completed work, stored as JSON payloads in the
@@ -28,10 +29,10 @@ const (
 )
 
 // persistedResult is the durable subset of a Result: everything the
-// API and batch aggregation read.  The workload bundle and the
-// trampoline trace recorder are reconstruction artifacts of the live
-// run and are not persisted; their API-visible summaries
-// (distinct trampolines, total library calls) are.
+// API and batch aggregation read.  Of the trampoline summary only the
+// API-visible numbers (distinct trampolines, total library calls) are
+// persisted; the ranked counts and the stack-distance histogram serve
+// the in-process experiment suite alone.
 type persistedResult struct {
 	V    int    `json:"v"`
 	Kind string `json:"kind"`
@@ -77,8 +78,8 @@ func encodeResult(res *Result) ([]byte, error) {
 }
 
 // decodeResult rebuilds a Result from its disk form.  The result is
-// marked Restored: its Workload and Trace are nil, and the trampoline
-// summary comes from the persisted fields.
+// marked Restored, and its trampoline summary carries only the
+// persisted distinct count and call total.
 func decodeResult(b []byte) (*Result, error) {
 	var p persistedResult
 	if err := json.Unmarshal(b, &p); err != nil {
@@ -98,8 +99,7 @@ func decodeResult(b []byte) (*Result, error) {
 		MeasureWall: time.Duration(p.MeasureWallNS),
 		Wall:        time.Duration(p.SetupWallNS + p.MeasureWallNS),
 		Restored:    true,
-		distinct:    p.DistinctTrampolines,
-		libCalls:    p.LibCalls,
+		Trampolines: trace.Summary{Distinct: p.DistinctTrampolines, Calls: p.LibCalls},
 	}
 	for class, xs := range p.Classes {
 		s := &stats.Sample{}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/timeline"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // Result is the typed outcome of one completed job.
@@ -16,9 +15,9 @@ import (
 // A Result is immutable after the job completes: the Runner shares one
 // Result value between every submitter of the same spec, and its
 // samples are pre-sorted so that concurrent percentile reads are safe.
-// Callers must not Add observations to its samples or Record into its
-// trace; derive fresh samples (TrimOutliers, AddAll into a new Sample)
-// for any further aggregation.
+// Callers must not Add observations to its samples or modify its
+// trampoline summary; derive fresh samples (TrimOutliers, AddAll into a
+// new Sample) for any further aggregation.
 type Result struct {
 	// Spec is the normalized job spec (defaults resolved, scale
 	// folded into Measure).
@@ -38,13 +37,15 @@ type Result struct {
 	// the measured window.
 	Samples map[string]*stats.Sample
 
-	// Trace is the lifetime trampoline recorder (warmup included),
-	// the paper's whole-run pintool view (Table 3, Figures 4-5).
-	Trace *trace.Recorder
-
-	// Workload is the generated application bundle the job simulated;
-	// its Classes describe the request mix behind Samples.
-	Workload *workload.Workload
+	// Trampolines summarises the run's lifetime trampoline stream
+	// (warmup included), the paper's whole-run pintool view: the
+	// distinct count (Table 3), the ranked call counts (Figure 4) and
+	// the LRU stack-distance histogram (Figure 5).  A Result keeps no
+	// reference to the generated workload, the linked image or the
+	// recorder, so a retained Result costs a few numbers per distinct
+	// trampoline.  A restored result carries only Distinct and Calls,
+	// the two persisted fields.
+	Trampolines trace.Summary
 
 	// Timeline is the job's phase-resolved counter series over the
 	// measurement window (nil when the spec disabled collection).
@@ -78,38 +79,19 @@ type Result struct {
 	CacheHit bool
 
 	// Restored reports that this result was reloaded from the disk
-	// store rather than computed in this process.  The workload
-	// bundle and the trampoline trace recorder are not persisted, so
-	// Workload and Trace are nil on a restored result; their
-	// API-visible summaries are carried in the fields behind
-	// DistinctTrampolines and LibCalls instead.  Counters, PKI and
-	// Samples are bit-identical to the original run's.
+	// store rather than computed in this process.  Counters, PKI and
+	// Samples are bit-identical to the original run's; of Trampolines
+	// only Distinct and Calls are persisted.
 	Restored bool
-
-	// Persisted trampoline summary, set only on restored results.
-	distinct int
-	libCalls uint64
 }
 
 // DistinctTrampolines returns the number of distinct trampolines the
-// run recorded — from the live trace recorder, or from the persisted
-// summary on a restored result.
-func (r *Result) DistinctTrampolines() int {
-	if r.Trace != nil {
-		return r.Trace.Distinct()
-	}
-	return r.distinct
-}
+// run called.
+func (r *Result) DistinctTrampolines() int { return r.Trampolines.Distinct }
 
 // LibCalls returns the total trampoline-routed library calls over the
-// run's lifetime — from the live trace recorder, or from the
-// persisted summary on a restored result.
-func (r *Result) LibCalls() uint64 {
-	if r.Trace != nil {
-		return r.Trace.Total()
-	}
-	return r.libCalls
-}
+// run's lifetime.
+func (r *Result) LibCalls() uint64 { return r.Trampolines.Calls }
 
 // freeze pre-sorts every sample so later concurrent reads (Percentile,
 // Values, CDF) never mutate shared state.

@@ -6,10 +6,13 @@ import (
 	"os"
 	"runtime"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/pool"
+	"repro/internal/workload"
 )
 
 // TestBackoffNeverExceedsMaxDelay pins the clamp-after-jitter fix:
@@ -226,11 +229,63 @@ func TestRetentionSoak(t *testing.T) {
 
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	// Unbounded retention of ~1500 results (counters, samples, traces,
-	// generated workloads) costs hundreds of MiB; a bounded cache of
-	// 64 stays well under this ceiling.
+	// A retained result holds counters, samples and a trampoline
+	// summary, so a bounded cache of 64 stays well under this ceiling;
+	// the map sizes above are the exact bound.
 	const heapCeiling = 192 << 20
 	if growth := int64(after.HeapAlloc) - int64(before.HeapAlloc); growth > heapCeiling {
 		t.Errorf("heap grew %d bytes over the soak, want <= %d", growth, int64(heapCeiling))
+	}
+}
+
+// TestBatchHandlesPinNoWorkloads: a batch handle keeps its jobs'
+// results long after the job cache has evicted them, so anything a
+// Result points at lives as long as the handle.  Fresh-seed batches on
+// a runner that retains one job, over a pool that holds one workload,
+// must leave every earlier generated bundle unreachable while all the
+// handles stay retained, and the pool must hold master images only for
+// the workload it still caches.
+func TestBatchHandlesPinNoWorkloads(t *testing.T) {
+	const batches = 4
+	p := pool.New(pool.Options{MaxWorkloads: 1})
+	r := New(Options{Workers: 2, MaxRetained: 1, Pool: p})
+	defer r.Close()
+	ctx := context.Background()
+
+	var freed atomic.Int32
+	handles := make([]*Batch, 0, batches)
+	for i := 0; i < batches; i++ {
+		seed := uint64(700 + i)
+		b, _, err := r.SubmitBatch(SweepSpec{Workload: "memcached", Configs: []ConfigKind{Base, Enhanced},
+			Seeds: []uint64{seed}, Warm: 5, Measure: 25})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+		w, hit := p.Workload("memcached", workload.Memcached, seed)
+		if !hit {
+			t.Fatalf("batch %d: the pool does not hold the bundle its jobs just ran", i)
+		}
+		runtime.SetFinalizer(w, func(*workload.Workload) { freed.Add(1) })
+		handles = append(handles, b)
+	}
+
+	// The pool still caches the last bundle; the earlier ones must go.
+	for deadline := time.Now().Add(10 * time.Second); freed.Load() < batches-1 && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := freed.Load(); got < batches-1 {
+		t.Errorf("%d of %d earlier workload bundles collected; retained batch handles pin the rest", got, batches-1)
+	}
+	if st := p.Stats(); st.Workloads != 1 || st.Images != 1 {
+		t.Errorf("pool holds %d workloads and %d images, want 1 and 1", st.Workloads, st.Images)
+	}
+	for i, b := range handles {
+		if st := b.Status(); st.Done != 2 || len(st.Aggregate) != 2 {
+			t.Errorf("batch %d: done=%d aggregates=%d, want 2 and 2", i, st.Done, len(st.Aggregate))
+		}
 	}
 }

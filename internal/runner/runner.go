@@ -823,13 +823,7 @@ func (r *Runner) execute(ctx context.Context, spec JobSpec, sp *telemetry.Span) 
 	}
 	setupWall := time.Since(setupStart)
 	key, _ := spec.Key()
-	res := &Result{
-		Spec:     spec,
-		Key:      key,
-		ID:       IDFromKey(key),
-		Trace:    sys.LifetimeRecorder(),
-		Workload: w,
-	}
+	res := &Result{Spec: spec, Key: key, ID: IDFromKey(key)}
 	measureStart := time.Now()
 	if spec.SampleWindows > 0 {
 		// Sampled simulation: fast-forward / warm / measure per window.
@@ -876,6 +870,7 @@ func (r *Runner) execute(ctx context.Context, spec JobSpec, sp *telemetry.Span) 
 		}
 	}
 	res.MeasureWall = time.Since(measureStart)
+	res.Trampolines = sys.LifetimeRecorder().Summary()
 	res.SetupWall = setupWall
 	res.Wall = setupWall + res.MeasureWall
 	res.freeze()

@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -181,7 +182,7 @@ func inlineRun(t *testing.T, spec JobSpec) Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Result{Counters: sys.Counters(), Samples: samp, Trace: sys.LifetimeRecorder()}
+	return Result{Counters: sys.Counters(), Samples: samp, Trampolines: sys.LifetimeRecorder().Summary()}
 }
 
 // TestDeterminismUnderParallelism is the DESIGN.md determinism
@@ -210,11 +211,9 @@ func TestDeterminismUnderParallelism(t *testing.T) {
 			t.Errorf("%s/%s: parallel counters differ from sequential:\n got %+v\nwant %+v",
 				spec.Workload, spec.Config, got.Counters, seq.Counters)
 		}
-		if got.Trace.Total() != seq.Trace.Total() || got.Trace.Distinct() != seq.Trace.Distinct() {
-			t.Errorf("%s/%s: trace totals differ: got (%d,%d) want (%d,%d)",
-				spec.Workload, spec.Config,
-				got.Trace.Total(), got.Trace.Distinct(),
-				seq.Trace.Total(), seq.Trace.Distinct())
+		if !reflect.DeepEqual(got.Trampolines, seq.Trampolines) {
+			t.Errorf("%s/%s: trampoline summaries differ:\n got %+v\nwant %+v",
+				spec.Workload, spec.Config, got.Trampolines, seq.Trampolines)
 		}
 		for class, want := range seq.Samples {
 			gotS, ok := got.Samples[class]

@@ -182,6 +182,13 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.register(name, help, kindGauge, nil, nil, fn)
 }
 
+// CounterFunc registers a counter whose cumulative value is computed
+// by fn at exposition time (e.g. a runtime total).  Re-registering the
+// same name keeps the first function.
+func (r *Registry) CounterFunc(name, help string, fn func() float64) {
+	r.register(name, help, kindCounter, nil, nil, fn)
+}
+
 // Histogram returns the named unlabelled histogram over the given
 // ascending bucket upper bounds (an implicit +Inf bucket is appended),
 // registering it on first use.

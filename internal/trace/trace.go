@@ -1,7 +1,8 @@
 // Package trace is the simulator's counterpart of the paper's pintool
-// (§4.3): it records the stream of library-function calls (by PLT
-// trampoline address), aggregates per-trampoline frequencies, and
-// replays the stream through idealised ABTB models of varying size.
+// (§4.3): it follows the stream of library-function calls (by PLT
+// trampoline address) and summarises it as the program runs, keeping
+// per-trampoline frequencies and the LRU stack-distance histogram from
+// which the skip ratio of an idealised ABTB of any size follows.
 //
 // Three artefacts come from here: Table 3 (distinct trampolines),
 // Figure 4 (trampoline frequency vs. rank), and Figure 5 (fraction of
@@ -14,52 +15,66 @@ import (
 	"repro/internal/cpu"
 )
 
-// Recorder accumulates the trampoline call stream of one CPU.
+// Recorder summarises the trampoline call stream of one CPU while it
+// runs.  It keeps a move-to-front stack holding each distinct
+// trampoline once, most recently called first.  A call's position in
+// that stack is its LRU stack distance (Mattson et al.): one plus the
+// number of distinct trampolines called since the previous call
+// through the same one.  An access hits a fully-associative LRU table
+// of N entries exactly when its stack distance is at most N, so the
+// histogram of distances built call by call yields the entire Figure 5
+// curve, and its knees are the "ABTB working sets" the paper reads out
+// of the figure (§5.3).
+//
+// The recorder's state grows with the number of distinct trampolines,
+// never with the number of calls: it keeps no call log, and nothing
+// proportional to the call count is left to do when the run ends.
 type Recorder struct {
-	maxEvents int
-	seq       []uint64
-	truncated bool
-	freq      map[uint64]uint64
-	total     uint64
+	slots  []uint64 // distinct trampolines, most recently called first
+	counts []uint64 // counts[i] is the call count of slots[i]
+	dist   []uint64 // dist[d] is the number of calls at stack distance d >= 1
+	total  uint64
 }
 
-// NewRecorder returns a recorder keeping at most maxEvents sequence
-// entries (0 means a 4M default).  Frequency counts are always exact
-// regardless of sequence truncation.
-func NewRecorder(maxEvents int) *Recorder {
-	if maxEvents <= 0 {
-		maxEvents = 4 << 20
-	}
-	return &Recorder{
-		maxEvents: maxEvents,
-		freq:      make(map[uint64]uint64),
-	}
-}
+// NewRecorder returns an empty recorder.
+func NewRecorder() *Recorder { return &Recorder{} }
 
 // Attach hooks the recorder into the CPU's library-call trace point.
 func (r *Recorder) Attach(c *cpu.CPU) {
 	c.TraceLibCall = r.Record
 }
 
-// Record logs one library call through the trampoline at slot.
+// Record accounts one library call through the trampoline at slot.
 func (r *Recorder) Record(slot uint64) {
 	r.total++
-	r.freq[slot]++
-	if len(r.seq) < r.maxEvents {
-		r.seq = append(r.seq, slot)
-	} else {
-		r.truncated = true
+	for i, s := range r.slots {
+		if s == slot {
+			n := r.counts[i] + 1
+			copy(r.slots[1:i+1], r.slots[:i])
+			copy(r.counts[1:i+1], r.counts[:i])
+			r.slots[0], r.counts[0] = slot, n
+			r.dist[i+1]++
+			return
+		}
 	}
+	// First call through this trampoline: infinite stack distance.  The
+	// stack deepens by one, and so does the largest possible distance.
+	if r.dist == nil {
+		r.dist = []uint64{0}
+	}
+	r.slots = append(r.slots, 0)
+	r.counts = append(r.counts, 0)
+	copy(r.slots[1:], r.slots)
+	copy(r.counts[1:], r.counts)
+	r.slots[0], r.counts[0] = slot, 1
+	r.dist = append(r.dist, 0)
 }
 
 // Total returns the number of library calls recorded.
 func (r *Recorder) Total() uint64 { return r.total }
 
 // Distinct returns the number of distinct trampolines seen (Table 3).
-func (r *Recorder) Distinct() int { return len(r.freq) }
-
-// Truncated reports whether the sequence buffer overflowed.
-func (r *Recorder) Truncated() bool { return r.truncated }
+func (r *Recorder) Distinct() int { return len(r.slots) }
 
 // TrampCount is one trampoline's call count.
 type TrampCount struct {
@@ -67,12 +82,12 @@ type TrampCount struct {
 	Count uint64
 }
 
-// Ranked returns per-trampoline counts sorted by descending count
-// (Figure 4's x-axis is the rank in this order).
+// Ranked returns per-trampoline counts sorted by descending count, ties
+// by ascending slot (Figure 4's x-axis is the rank in this order).
 func (r *Recorder) Ranked() []TrampCount {
-	out := make([]TrampCount, 0, len(r.freq))
-	for s, c := range r.freq {
-		out = append(out, TrampCount{Slot: s, Count: c})
+	out := make([]TrampCount, len(r.slots))
+	for i, s := range r.slots {
+		out[i] = TrampCount{Slot: s, Count: r.counts[i]}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Count != out[j].Count {
@@ -83,99 +98,85 @@ func (r *Recorder) Ranked() []TrampCount {
 	return out
 }
 
-// SkipRatio replays the recorded call stream through an idealised
-// fully-associative, LRU-replaced ABTB with the given entry count and
-// returns the fraction of calls that would skip their trampoline (hit
-// the table).  The first call to each trampoline always misses
-// (nothing is mapped yet), matching the hardware's behaviour after the
-// initial resolution settles.
-func (r *Recorder) SkipRatio(entries int) float64 {
-	if entries <= 0 || len(r.seq) == 0 {
-		return 0
+// Summary copies out what the artefacts read of the stream so far.
+func (r *Recorder) Summary() Summary {
+	ranked := r.Ranked()
+	counts := make([]uint64, len(ranked))
+	for i, tc := range ranked {
+		counts[i] = tc.Count
 	}
-	lru := newLRU(entries)
-	hits := 0
-	for _, s := range r.seq {
-		if lru.touch(s) {
-			hits++
-		}
-	}
-	return float64(hits) / float64(len(r.seq))
+	return Summary{Distinct: len(r.slots), Calls: r.total, Counts: counts, Dist: append([]uint64(nil), r.dist...)}
 }
 
-// SkipCurve evaluates SkipRatio at each size, producing Figure 5's
-// series for one workload.
-func (r *Recorder) SkipCurve(sizes []int) []float64 {
+// Summary is a trampoline stream reduced to what Table 3 and Figures 4
+// and 5 read: a few numbers per distinct trampoline and no call log.
+type Summary struct {
+	// Distinct is the number of distinct trampolines called (Table 3)
+	// and Calls the number of library calls through them.
+	Distinct int
+	Calls    uint64
+
+	// Counts holds the per-trampoline call counts in descending order
+	// (Figure 4: the index is the rank).
+	Counts []uint64
+
+	// Dist is the LRU stack-distance histogram (Figure 5): Dist[d]
+	// calls were at stack distance d >= 1, and the Distinct first calls
+	// are cold.  Its length is Distinct+1, the largest possible
+	// distance plus one; nil when no call was recorded.  Counts and
+	// Dist are nil on a summary restored from the result store.
+	Dist []uint64
+}
+
+// SkipCurve returns, for each ABTB size, the fraction of calls that
+// would skip their trampoline in an idealised fully-associative,
+// LRU-replaced ABTB of that many entries: an access hits an N-entry
+// LRU table iff its stack distance is <= N.  The first call to each
+// trampoline always misses (nothing is mapped yet), matching the
+// hardware's behaviour after the initial resolution settles.
+func (s Summary) SkipCurve(sizes []int) []float64 {
 	out := make([]float64, len(sizes))
+	if len(s.Dist) == 0 {
+		return out // no calls, or a summary restored without its histogram
+	}
+	// Cumulative hits by table size.
+	cum := make([]uint64, len(s.Dist))
+	var running uint64
+	for d := 1; d < len(s.Dist); d++ {
+		running += s.Dist[d]
+		cum[d] = running
+	}
+	total := float64(s.Calls)
 	for i, n := range sizes {
-		out[i] = r.SkipRatio(n)
+		if n <= 0 {
+			continue
+		}
+		if n >= len(cum) {
+			n = len(cum) - 1
+		}
+		out[i] = float64(cum[n]) / total
 	}
 	return out
 }
 
-// lru is a fixed-capacity LRU set over uint64 keys with O(1) touch.
-type lru struct {
-	cap  int
-	m    map[uint64]*node
-	head *node // most recent
-	tail *node // least recent
-}
-
-type node struct {
-	key        uint64
-	prev, next *node
-}
-
-func newLRU(capacity int) *lru {
-	return &lru{cap: capacity, m: make(map[uint64]*node, capacity)}
-}
-
-// touch inserts or refreshes key, returning whether it was present.
-func (l *lru) touch(key uint64) bool {
-	if n, ok := l.m[key]; ok {
-		l.moveToFront(n)
-		return true
+// WorkingSet returns the smallest fully-associative table size whose
+// skip ratio reaches frac of the skip ratio of an unbounded table —
+// the paper's "ABTB working set" reading of Figure 5's knees.
+func (s Summary) WorkingSet(frac float64) int {
+	var total uint64
+	for d := 1; d < len(s.Dist); d++ {
+		total += s.Dist[d]
 	}
-	n := &node{key: key}
-	l.m[key] = n
-	l.pushFront(n)
-	if len(l.m) > l.cap {
-		evict := l.tail
-		l.unlink(evict)
-		delete(l.m, evict.key)
+	if total == 0 {
+		return 0
 	}
-	return false
-}
-
-func (l *lru) pushFront(n *node) {
-	n.next = l.head
-	if l.head != nil {
-		l.head.prev = n
+	target := uint64(frac * float64(total))
+	var running uint64
+	for d := 1; d < len(s.Dist); d++ {
+		running += s.Dist[d]
+		if running >= target {
+			return d
+		}
 	}
-	l.head = n
-	if l.tail == nil {
-		l.tail = n
-	}
-}
-
-func (l *lru) unlink(n *node) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		l.head = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		l.tail = n.prev
-	}
-	n.prev, n.next = nil, nil
-}
-
-func (l *lru) moveToFront(n *node) {
-	if l.head == n {
-		return
-	}
-	l.unlink(n)
-	l.pushFront(n)
+	return len(s.Dist) - 1
 }

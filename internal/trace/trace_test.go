@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -10,8 +11,117 @@ import (
 	"repro/internal/objfile"
 )
 
+// stream feeds calls to a Recorder and keeps them for the reference
+// replay below.
+type stream struct {
+	rec *Recorder
+	seq []uint64
+}
+
+func newStream() *stream { return &stream{rec: NewRecorder()} }
+
+func (s *stream) call(slot uint64) {
+	s.rec.Record(slot)
+	s.seq = append(s.seq, slot)
+}
+
+// skipRatio is the reference implementation of Figure 5: it replays
+// the call stream through an idealised fully-associative,
+// LRU-replaced ABTB with the given entry count and returns the
+// fraction of calls that hit the table.  The first call to each
+// trampoline always misses.
+func skipRatio(seq []uint64, entries int) float64 {
+	if entries <= 0 || len(seq) == 0 {
+		return 0
+	}
+	l := newLRU(entries)
+	hits := 0
+	for _, s := range seq {
+		if l.touch(s) {
+			hits++
+		}
+	}
+	return float64(hits) / float64(len(seq))
+}
+
+// skipCurve evaluates skipRatio at each size.
+func skipCurve(seq []uint64, sizes []int) []float64 {
+	out := make([]float64, len(sizes))
+	for i, n := range sizes {
+		out[i] = skipRatio(seq, n)
+	}
+	return out
+}
+
+// lru is a fixed-capacity LRU set over uint64 keys with O(1) touch.
+type lru struct {
+	cap  int
+	m    map[uint64]*node
+	head *node // most recent
+	tail *node // least recent
+}
+
+type node struct {
+	key        uint64
+	prev, next *node
+}
+
+func newLRU(capacity int) *lru {
+	return &lru{cap: capacity, m: make(map[uint64]*node, capacity)}
+}
+
+// touch inserts or refreshes key, returning whether it was present.
+func (l *lru) touch(key uint64) bool {
+	if n, ok := l.m[key]; ok {
+		l.moveToFront(n)
+		return true
+	}
+	n := &node{key: key}
+	l.m[key] = n
+	l.pushFront(n)
+	if len(l.m) > l.cap {
+		evict := l.tail
+		l.unlink(evict)
+		delete(l.m, evict.key)
+	}
+	return false
+}
+
+func (l *lru) pushFront(n *node) {
+	n.next = l.head
+	if l.head != nil {
+		l.head.prev = n
+	}
+	l.head = n
+	if l.tail == nil {
+		l.tail = n
+	}
+}
+
+func (l *lru) unlink(n *node) {
+	if n.prev != nil {
+		n.prev.next = n.next
+	} else {
+		l.head = n.next
+	}
+	if n.next != nil {
+		n.next.prev = n.prev
+	} else {
+		l.tail = n.prev
+	}
+	n.prev, n.next = nil, nil
+}
+
+func (l *lru) moveToFront(n *node) {
+	if l.head == n {
+		return
+	}
+	l.unlink(n)
+	l.pushFront(n)
+}
+
 func TestRecorderCounts(t *testing.T) {
-	r := NewRecorder(0)
+	r := NewRecorder()
 	for i := 0; i < 5; i++ {
 		r.Record(100)
 	}
@@ -29,18 +139,23 @@ func TestRecorderCounts(t *testing.T) {
 	if ranked[1].Count != 1 {
 		t.Errorf("Ranked[1] = %v", ranked[1])
 	}
+	s := r.Summary()
+	if s.Distinct != 2 || s.Calls != 6 || len(s.Counts) != 2 || s.Counts[0] != 5 || s.Counts[1] != 1 {
+		t.Errorf("Summary = %+v", s)
+	}
 }
 
 func TestRankedDescending(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 0))
-		r := NewRecorder(0)
+		r := NewRecorder()
 		for i := 0; i < 500; i++ {
 			r.Record(rng.Uint64() % 20)
 		}
 		ranked := r.Ranked()
 		for i := 1; i < len(ranked); i++ {
-			if ranked[i].Count > ranked[i-1].Count {
+			if ranked[i].Count > ranked[i-1].Count ||
+				ranked[i].Count == ranked[i-1].Count && ranked[i].Slot < ranked[i-1].Slot {
 				return false
 			}
 		}
@@ -51,55 +166,90 @@ func TestRankedDescending(t *testing.T) {
 	}
 }
 
-func TestTruncation(t *testing.T) {
-	r := NewRecorder(3)
-	for i := uint64(0); i < 10; i++ {
-		r.Record(i)
+// TestRecorderExactPast4MCalls feeds a stream longer than the 4M-call
+// log an offline analysis would keep, whose working set grows after
+// the first 4M calls.  The online summary must match the reference
+// replay of the whole stream, not of its first 4M calls.
+func TestRecorderExactPast4MCalls(t *testing.T) {
+	const prefix, tail = 1 << 22, 600_000
+	sizes := []int{4, 16, 40}
+	calls := func(yield func(uint64)) {
+		rng := rand.New(rand.NewPCG(4, 4))
+		for i := 0; i < prefix; i++ {
+			yield(rng.Uint64() % 8)
+		}
+		for i := 0; i < tail; i++ {
+			yield(rng.Uint64() % 48)
+		}
 	}
-	if !r.Truncated() {
-		t.Error("not truncated")
+	r := NewRecorder()
+	calls(r.Record)
+
+	lrus := make([]*lru, len(sizes))
+	hits := make([]int, len(sizes))
+	for i, n := range sizes {
+		lrus[i] = newLRU(n)
 	}
-	if r.Total() != 10 || r.Distinct() != 10 {
-		t.Error("freq counting must be exact despite truncation")
+	calls(func(slot uint64) {
+		for i, l := range lrus {
+			if l.touch(slot) {
+				hits[i]++
+			}
+		}
+	})
+
+	s := r.Summary()
+	if s.Calls != prefix+tail || s.Distinct != 48 {
+		t.Fatalf("Calls = %d, Distinct = %d, want %d and 48", s.Calls, s.Distinct, prefix+tail)
+	}
+	curve := s.SkipCurve(sizes)
+	for i, n := range sizes {
+		want := float64(hits[i]) / float64(prefix+tail)
+		if math.Abs(curve[i]-want) > 1e-12 {
+			t.Errorf("size %d: summary skips %.6f, replay %.6f", n, curve[i], want)
+		}
+	}
+	// The 8-key prefix alone would put the 16-entry table near 100%.
+	if curve[1] > 0.99 {
+		t.Errorf("16-entry skip ratio %.4f ignores the calls past 4M", curve[1])
 	}
 }
 
 func TestSkipRatioSmallWorkingSet(t *testing.T) {
-	r := NewRecorder(0)
+	s := newStream()
 	// 4 trampolines round-robin, 100 rounds.
 	for round := 0; round < 100; round++ {
-		for s := uint64(0); s < 4; s++ {
-			r.Record(s)
+		for k := uint64(0); k < 4; k++ {
+			s.call(k)
 		}
 	}
-	// Size >= 4: everything but the 4 cold misses hits.
+	// Size >= 4: everything but the 4 cold misses hits.  Size 3 with a
+	// cyclic pattern of 4: LRU always evicts the next needed entry —
+	// zero hits.
 	want := float64(400-4) / 400
-	if got := r.SkipRatio(4); got != want {
-		t.Errorf("SkipRatio(4) = %v, want %v", got, want)
-	}
-	if got := r.SkipRatio(1000); got != want {
-		t.Errorf("SkipRatio(1000) = %v, want %v", got, want)
-	}
-	// Size 3 with a cyclic pattern of 4: LRU always evicts the next
-	// needed entry — zero hits.
-	if got := r.SkipRatio(3); got != 0 {
-		t.Errorf("SkipRatio(3) = %v, want 0 (LRU worst case)", got)
-	}
-	if got := r.SkipRatio(0); got != 0 {
-		t.Errorf("SkipRatio(0) = %v", got)
+	sizes := []int{4, 1000, 3, 0}
+	wants := []float64{want, want, 0, 0}
+	ref := skipCurve(s.seq, sizes)
+	got := s.rec.Summary().SkipCurve(sizes)
+	for i, n := range sizes {
+		if ref[i] != wants[i] {
+			t.Errorf("replay at %d = %v, want %v", n, ref[i], wants[i])
+		}
+		if got[i] != wants[i] {
+			t.Errorf("SkipCurve at %d = %v, want %v", n, got[i], wants[i])
+		}
 	}
 }
 
 func TestSkipCurveMonotone(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 5))
-	r := NewRecorder(0)
+	r := NewRecorder()
 	for i := 0; i < 20000; i++ {
 		// Zipf-ish: favour low slots.
-		s := uint64(rng.ExpFloat64() * 30)
-		r.Record(s)
+		r.Record(uint64(rng.ExpFloat64() * 30))
 	}
 	sizes := []int{1, 2, 4, 8, 16, 32, 64, 128}
-	curve := r.SkipCurve(sizes)
+	curve := r.Summary().SkipCurve(sizes)
 	for i := 1; i < len(curve); i++ {
 		if curve[i] < curve[i-1] {
 			t.Errorf("skip curve not monotone at %d: %v < %v", sizes[i], curve[i], curve[i-1])
@@ -144,7 +294,7 @@ func TestAttachEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := cpu.New(im, cpu.DefaultConfig())
-	r := NewRecorder(0)
+	r := NewRecorder()
 	r.Attach(c)
 	for i := 0; i < 5; i++ {
 		if _, err := c.RunSymbol("main", 0); err != nil {
@@ -158,7 +308,7 @@ func TestAttachEndToEnd(t *testing.T) {
 		t.Errorf("Distinct = %d, want 3", r.Distinct())
 	}
 	// Steady state: each trampoline hits after its first call.
-	if got := r.SkipRatio(16); got != float64(15-3)/15 {
-		t.Errorf("SkipRatio = %v", got)
+	if got := r.Summary().SkipCurve([]int{16}); got[0] != float64(15-3)/15 {
+		t.Errorf("SkipCurve(16) = %v", got)
 	}
 }
