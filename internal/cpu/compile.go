@@ -1,10 +1,11 @@
 // Compiled traces: the CPU's execution kernel.  Compile makes one pass
-// over a linked image and lowers its decoded-instruction map into a
-// dense, branch-threaded instruction array that Run replays, so the
-// work that never changes for a given image is done once instead of
-// at every retired instruction:
+// over a linked image's code (its live modules' code slices, walked in
+// address order) and lowers it into a dense, branch-threaded
+// instruction array that Run replays, so the work that never changes
+// for a given image is done once instead of at every retired
+// instruction:
 //
-//   - Instructions are stored in one dense array sorted by PC, and
+//   - Instructions are stored in one dense array in PC order, and
 //     every statically known successor (fall-through, direct call/jump
 //     target) is pre-resolved to an array index, so sequential and
 //     direct-branch execution never consults a PC map.
@@ -61,14 +62,15 @@
 // segment's trailing memory operation; its ALU and Nop instructions are
 // never visited (see ffBlock).
 //
-// A Program is built from the image's shared instruction map, which
-// forks share with their master, so one compiled Program serves every
-// fork of a pooled image (see internal/pool).
+// A Program is built from the image's module code, which forks share
+// with their master, so one compiled Program serves every fork of a
+// pooled image (see internal/pool).
 package cpu
 
 import (
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"repro/internal/isa"
 	"repro/internal/linker"
@@ -146,6 +148,12 @@ type idxPage [mem.PageSize]int32
 // concurrent use by any number of CPUs running forks of the image it
 // was compiled from.
 type Program struct {
+	// mods are the image's live modules at compile time, in address
+	// order: the code the program was compiled from.  Forks share
+	// them and churn replaces them, so SetProgram compares them by
+	// identity.
+	mods []*linker.Module
+
 	code []cinstr
 	// blockAt[i] is the index in blocks of the superblock starting at
 	// code[i], or -1.  Kept apart from code so that dispatching a
@@ -162,6 +170,17 @@ type Program struct {
 
 // Instructions returns the number of compiled instructions.
 func (p *Program) Instructions() int { return len(p.code) }
+
+// Bytes returns the heap the program holds: its flat slices and its
+// index pages.
+func (p *Program) Bytes() uint64 {
+	return uint64(cap(p.code))*uint64(unsafe.Sizeof(cinstr{})) +
+		uint64(cap(p.blockAt))*4 +
+		uint64(cap(p.blocks))*uint64(unsafe.Sizeof(block{})) +
+		uint64(cap(p.segs))*uint64(unsafe.Sizeof(seg{})) +
+		uint64(cap(p.runs))*uint64(unsafe.Sizeof(crun{})) +
+		uint64(len(p.pages))*uint64(unsafe.Sizeof(idxPage{}))
+}
 
 // LineBytes returns the L1I line size the program was compiled for.
 func (p *Program) LineBytes() int { return p.lineBytes }
@@ -257,10 +276,12 @@ func batchable(op isa.Op) bool {
 	return false
 }
 
-// Compile lowers the image's instruction map into a Program whose
-// fetch runs are pre-computed for the given L1I line size.  The image's
-// instruction map is read but never mutated, and because forks share
-// that map one Program serves the master and every fork.
+// Compile lowers the image's code into a Program whose fetch runs are
+// pre-computed for the given L1I line size.  It walks the live modules
+// in address order straight into the code array: their ranges are
+// disjoint and each module's code ascends by PC, so the array is in PC
+// order with no sort.  The code is read but never mutated, and because
+// forks share it one Program serves the master and every fork.
 func Compile(img *linker.Image, l1iLineBytes int) *Program {
 	if l1iLineBytes <= 0 || l1iLineBytes&(l1iLineBytes-1) != 0 {
 		panic(fmt.Sprintf("cpu: compile with invalid L1I line size %d", l1iLineBytes))
@@ -270,38 +291,44 @@ func Compile(img *linker.Image, l1iLineBytes int) *Program {
 		lineShift++
 	}
 
-	instrs := img.Instructions()
-	pcs := make([]uint64, 0, len(instrs))
-	for pc := range instrs {
-		pcs = append(pcs, pc)
+	mods := img.CodeModules()
+	n := 0
+	for _, m := range mods {
+		n += len(m.Code())
 	}
-	slices.Sort(pcs)
-
 	p := &Program{
-		code:      make([]cinstr, len(pcs)),
-		blockAt:   make([]int32, len(pcs)),
+		mods:      slices.Clone(mods),
+		code:      make([]cinstr, 0, n),
+		blockAt:   make([]int32, n),
 		pages:     make(map[uint64]*idxPage),
 		lineBytes: l1iLineBytes,
 		gen:       img.Generation(),
 	}
-	for i, pc := range pcs {
-		p.code[i] = cinstr{in: *instrs[pc], pc: pc, next: -1, tgt: -1, trampIdx: -1, cnt: -1}
-		p.blockAt[i] = -1
-		switch p.code[i].in.Op {
-		case isa.Load, isa.Store, isa.JmpCond:
-			p.code[i].cnt = int32(p.counters)
-			p.counters++
-		}
-		pn := pc >> mem.PageShift
-		pg := p.pages[pn]
-		if pg == nil {
-			pg = new(idxPage)
-			for j := range pg {
-				pg[j] = -1
+	var pg *idxPage
+	pn := ^uint64(0)
+	for _, m := range mods {
+		for _, pl := range m.Code() {
+			i := int32(len(p.code))
+			ci := cinstr{in: pl.Instr, pc: pl.PC, next: -1, tgt: -1, trampIdx: -1, cnt: -1}
+			switch ci.in.Op {
+			case isa.Load, isa.Store, isa.JmpCond:
+				ci.cnt = int32(p.counters)
+				p.counters++
 			}
-			p.pages[pn] = pg
+			p.code = append(p.code, ci)
+			p.blockAt[i] = -1
+			if pl.PC>>mem.PageShift != pn {
+				pn = pl.PC >> mem.PageShift
+				if pg = p.pages[pn]; pg == nil {
+					pg = new(idxPage)
+					for j := range pg {
+						pg[j] = -1
+					}
+					p.pages[pn] = pg
+				}
+			}
+			pg[pl.PC&(mem.PageSize-1)] = i
 		}
-		pg[pc&(mem.PageSize-1)] = int32(i)
 	}
 
 	indexOf := func(pc uint64) int32 {
@@ -451,9 +478,11 @@ func (p *Program) addRun(last int, addr uint64, shift uint, n *int32) int {
 // SetProgram installs a compiled program in place of the one Run would
 // compile itself; the pool uses it to share one Program among every
 // fork of a master image.  The program must have been compiled from the
-// CPU's image — or from any image sharing its instruction map, i.e. the
-// pooled master this image was forked from — at the image's current
-// generation, for the same L1I line size.
+// very module code the CPU's image holds (the image itself or the
+// master it was forked from), at the image's current generation, for
+// the same L1I line size.  The code is compared by identity, so an
+// image of another layout is refused even when it holds as many
+// instructions.
 func (c *CPU) SetProgram(p *Program) error {
 	if p == nil {
 		return fmt.Errorf("cpu: nil program")
@@ -465,8 +494,8 @@ func (c *CPU) SetProgram(p *Program) error {
 		return fmt.Errorf("cpu: program compiled against image generation %d, image is at %d (library churn since compile)",
 			p.gen, c.img.Generation())
 	}
-	if len(p.code) != len(c.img.Instructions()) {
-		return fmt.Errorf("cpu: program has %d instructions, image has %d", len(p.code), len(c.img.Instructions()))
+	if !slices.Equal(p.mods, c.img.CodeModules()) {
+		return fmt.Errorf("cpu: program compiled from other code than the image's (not this image or the master it was forked from)")
 	}
 	c.install(p)
 	return nil

@@ -223,14 +223,14 @@ func TestSwitchesKeepCounts(t *testing.T) {
 }
 
 // checkThreading compiles img and checks the program against the
-// image's instruction map, independently of execution: the code array
-// is the map in PC order; next and tgt index the instruction at
-// pc+Size and Target, and are -1 only when there is none; a direct
-// call carries its target's trampoline index; counter slots belong
-// exactly to Loads, Stores and JmpConds and are dense and unique; and
-// lookupIdx agrees with the map at every byte of every instruction,
-// and misses on a code-free page that shares the memo slot of the page
-// it just looked up.
+// image's module code, independently of execution: the code array
+// holds every live module's instructions in PC order; next and tgt
+// index the instruction at pc+Size and Target, and are -1 only when
+// there is none; a direct call carries its target's trampoline index;
+// counter slots belong exactly to Loads, Stores and JmpConds and are
+// dense and unique; and lookupIdx agrees with the module code at every
+// byte of every instruction, and misses on a code-free page that
+// shares the memo slot of the page it just looked up.
 func checkThreading(t *testing.T, label string, img *linker.Image) {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -239,14 +239,25 @@ func checkThreading(t *testing.T, label string, img *linker.Image) {
 	if err := c.SetProgram(p); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	instrs := img.Instructions()
+	instrs := make(map[uint64]isa.Instr)
+	for _, m := range img.Modules() {
+		if m.Dead() {
+			continue
+		}
+		for _, pl := range m.Code() {
+			if _, dup := instrs[pl.PC]; dup {
+				t.Fatalf("%s: two live instructions at %#x", label, pl.PC)
+			}
+			instrs[pl.PC] = pl.Instr
+		}
+	}
 	if len(p.code) != len(instrs) {
 		t.Fatalf("%s: %d compiled instructions, image has %d", label, len(p.code), len(instrs))
 	}
 	index := make(map[uint64]int32, len(p.code))
 	for i := range p.code {
 		ci := &p.code[i]
-		if in, ok := instrs[ci.pc]; !ok || *in != ci.in {
+		if in, ok := instrs[ci.pc]; !ok || in != ci.in {
 			t.Fatalf("%s: code[%d] at %#x does not match the image", label, i, ci.pc)
 		}
 		if i > 0 && p.code[i-1].pc >= ci.pc {

@@ -4,7 +4,9 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/linker"
 	"repro/internal/runner"
 	"repro/internal/workload"
 )
@@ -118,4 +120,45 @@ func kernelDriver(b *testing.B, app string, kind runner.ConfigKind) (*workload.D
 		b.Fatal(err)
 	}
 	return d, spec.Measure
+}
+
+// BenchmarkLinkCompile measures an image's set-up for a fresh
+// (workload, seed): linker.Link alone, and Link followed by Compile,
+// cycling over the bundles of three seeds under Enhanced.  This is the
+// work a pool miss does before a job's first request.
+//
+//	go test -run '^$' -bench LinkCompile -benchtime 40x ./internal/cpu/
+func BenchmarkLinkCompile(b *testing.B) {
+	for _, app := range runner.WorkloadNames() {
+		ws, _ := runner.WorkloadByName(app)
+		var bundles []*workload.Workload
+		var cfgs []core.Config
+		for seed := uint64(1); seed <= 3; seed++ {
+			cfg, err := runner.Enhanced.Config(seed)
+			if err != nil {
+				b.Fatal(err)
+			}
+			bundles = append(bundles, ws.Gen(seed))
+			cfgs = append(cfgs, cfg)
+		}
+		for _, compile := range []bool{false, true} {
+			name := app + "/link"
+			if compile {
+				name += "+compile"
+			}
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					w, cfg := bundles[i%len(bundles)], cfgs[i%len(cfgs)]
+					img, err := linker.Link(w.App, w.Libs, cfg.Linking)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if compile {
+						cpu.Compile(img, cfg.Hardware.L1I.LineBytes)
+					}
+				}
+			})
+		}
+	}
 }

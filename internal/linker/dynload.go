@@ -15,8 +15,10 @@
 //     because every ABTB entry's GOT address was inserted into the
 //     Bloom alongside it.
 //   - Every mutation bumps the image generation, which makes any
-//     compiled Program built against the old instruction map stale: a
-//     CPU recompiles at its next run (see cpu.Compile).
+//     compiled Program built against the old code stale: a CPU
+//     recompiles at its next run (see cpu.Compile).  Load adds a new
+//     module with its own code slice and Unload drops the module's
+//     slice; neither edits another module's code.
 //   - Unload tombstones other modules' GOT slots that point into the
 //     dead module back to their lazy re-entry values, so the next call
 //     re-resolves through PLT0 instead of branching into freed code.
@@ -38,6 +40,7 @@ package linker
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -74,25 +77,20 @@ func (im *Image) churnSupported(op string) error {
 	return nil
 }
 
-// privatize deep-copies the index structures Fork shares between a
-// master image and its clones, so a churn mutation on this image
-// cannot corrupt siblings.  Decoded instructions and Module records
-// are themselves immutable once published (churn replaces whole map
-// entries / table slots, never mutates in place), so only the
-// containers are copied.
+// privatize copies the index structures Fork shares between a master
+// image and its clones, so a churn mutation on this image cannot
+// corrupt siblings.  Module records and their code are immutable once
+// published (churn replaces whole table slots, never mutates a module
+// in place), so only the containers are copied: the module tables and
+// symbol maps, never an instruction.
 func (im *Image) privatize() {
 	if !im.shared {
 		return
 	}
 	im.shared = false
 
-	instrs := make(map[uint64]*isa.Instr, len(im.instrs))
-	for pc, in := range im.instrs {
-		instrs[pc] = in
-	}
-	im.instrs = instrs
-
-	im.modules = append([]*Module(nil), im.modules...)
+	im.modules = slices.Clone(im.modules)
+	im.live = slices.Clone(im.live)
 	im.pltSlotRanges = append([]pltSlotRange(nil), im.pltSlotRanges...)
 	im.trampAddrs = append([]uint64(nil), im.trampAddrs...)
 
@@ -107,12 +105,6 @@ func (im *Image) privatize() {
 		funcName[a] = s
 	}
 	im.funcName = funcName
-
-	trampolineSym := make(map[uint64]string, len(im.trampolineSym))
-	for a, s := range im.trampolineSym {
-		trampolineSym[a] = s
-	}
-	im.trampolineSym = trampolineSym
 }
 
 // lazyGOTWord returns import slot i's lazy re-entry value: the address
@@ -137,7 +129,7 @@ func (im *Image) findModule(name string) *Module {
 }
 
 // Unload removes a library from the live image, as dlclose would:
-// its instructions and symbols disappear, its PLT slots leave the
+// its code and symbols disappear, its PLT slots leave the
 // trampoline index, and every live GOT slot still pointing into its
 // text is tombstoned back to the lazy re-entry value through the
 // store callback (so a snooping ABTB flushes any mapping it cached
@@ -184,14 +176,9 @@ func (im *Image) Unload(name string, write StoreFunc) error {
 		}
 	}
 
-	// Drop the module's instructions (text + PLT + ARM stubs) and its
-	// pending demand pages; they share no page with data or other
-	// modules.
-	for pc := range im.instrs {
-		if pc >= m.Base && pc < m.PLTEnd {
-			delete(im.instrs, pc)
-		}
-	}
+	// Drop the module's pending demand pages; its text and PLT share
+	// no page with data or other modules.  Its code leaves with the
+	// module (below).
 	for pn := m.Base >> mem.PageShift; pn <= (m.PLTEnd-1)>>mem.PageShift; pn++ {
 		delete(im.demandPages, pn)
 	}
@@ -206,9 +193,6 @@ func (im *Image) Unload(name string, write StoreFunc) error {
 		if addr >= m.Base && addr < m.TextEnd {
 			delete(im.funcName, addr)
 		}
-	}
-	for i := range m.imports {
-		delete(im.trampolineSym, m.PLTSlotAddr(i))
 	}
 
 	// Remove its slot range from the dense trampoline index.  The
@@ -225,10 +209,13 @@ func (im *Image) Unload(name string, write StoreFunc) error {
 	}
 
 	// Tombstone the module table entry, preserving geometry for span
-	// reuse.  The shared entry is never mutated in place.
+	// reuse, and drop its code.  The shared entry is never mutated in
+	// place.
 	dead := *m
 	dead.dead = true
+	dead.code = nil
 	im.modules[m.ID] = &dead
+	im.live = slices.DeleteFunc(im.live, func(x *Module) bool { return x == m })
 	return nil
 }
 
@@ -314,6 +301,7 @@ func (im *Image) Load(o *objfile.Object, opts LoadOptions) (*Module, error) {
 	} else {
 		im.modules = append(im.modules, m)
 	}
+	im.addLive(m)
 
 	if err := im.emitModule(m, o); err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/objfile"
 )
@@ -100,18 +101,70 @@ func TestUnloadErrors(t *testing.T) {
 	}
 }
 
+// TestReloadReusesAddressRange also checks the code across the
+// churn: Unload leaves no instruction or trampoline of the module
+// visible and touches no other module's code, and a reload at the same
+// base serves the new build's instructions and trampolines.
 func TestReloadReusesAddressRange(t *testing.T) {
 	im := mustLink(t, Options{Mode: BindLazy, Seed: 9})
 	old := im.findModule("libx")
 	oldBase, oldID, oldSpan := old.Base, old.ID, old.span
+	oldCode := old.Code()
+	parseAddr, _ := im.Symbol("parse")
 	nTramp := len(im.TrampolineAddrs())
+	nLive := im.Trampolines()
+	slot := old.PLTSlotAddr(0)
+	others := map[*Module][]Placed{}
+	for _, m := range im.CodeModules() {
+		if m != old {
+			others[m] = m.Code()
+		}
+	}
+	sameOthers := func(label string) {
+		t.Helper()
+		for m, code := range others {
+			if c := m.Code(); im.Modules()[m.ID] != m || &c[0] != &code[0] || len(c) != len(code) {
+				t.Errorf("%s: module %s's code replaced", label, m.Name)
+			}
+		}
+	}
 
 	if err := im.Unload("libx", nil); err != nil {
 		t.Fatal(err)
 	}
+	for _, p := range oldCode {
+		if in, ok := im.InstrAt(p.PC); ok {
+			t.Fatalf("InstrAt(%#x) = %+v in the unloaded module", p.PC, in)
+		}
+	}
+	if c := im.Modules()[oldID].Code(); c != nil {
+		t.Errorf("unloaded module still holds %d instructions", len(c))
+	}
+	checkCode(t, "after unload", im)
+	sameOthers("after unload")
+	if sym := im.TrampolineSym(slot); sym != "" {
+		t.Errorf("TrampolineSym(%#x) = %q in the unloaded module", slot, sym)
+	}
+	if got, want := im.Trampolines(), nLive-len(old.Imports()); got != want {
+		t.Errorf("Trampolines = %d after unload, want %d", got, want)
+	}
+
 	m, err := im.Load(libxGen(1), LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	checkCode(t, "after reload", im)
+	sameOthers("after reload")
+	if sym := im.TrampolineSym(m.PLTSlotAddr(0)); sym != "write" {
+		t.Errorf("TrampolineSym(%#x) = %q after the reload, want the new build's \"write\"", m.PLTSlotAddr(0), sym)
+	}
+	if got := im.Trampolines(); got != nLive {
+		t.Errorf("Trampolines = %d after the reload, want %d", got, nLive)
+	}
+	// parse was ALU×3, Call write, Ret; the new build is ALU, Call
+	// write, Ret, so the reused address parse+4 now holds the call.
+	if in, ok := im.InstrAt(parseAddr + isa.SizeALU); !ok || in.Op != isa.Call {
+		t.Errorf("InstrAt(parse+4) = %+v, %v after the reload; want the new build's Call", in, ok)
 	}
 	if m.Base != oldBase || m.ID != oldID || m.span != oldSpan {
 		t.Errorf("reload got base=%#x id=%d span=%d, want reuse of base=%#x id=%d span=%d",

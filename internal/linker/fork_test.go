@@ -1,6 +1,7 @@
 package linker
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -66,13 +67,18 @@ func TestForkIsolatesMutableState(t *testing.T) {
 }
 
 // TestForkChurnIsolation: runtime Load/Unload in one fork privatizes
-// every shared index first, so churned instruction pages, symbols,
-// module tombstones and demand-page state never leak into the master
-// or a sibling — and the master remains fit to mint further forks.
+// every shared index first, so churned code, symbols, module
+// tombstones and demand-page state never leak into the master or a
+// sibling, the master's code slices stay shared and untouched, and the
+// master remains fit to mint further forks.
 func TestForkChurnIsolation(t *testing.T) {
 	master := mustLink(t, Options{Mode: BindLazy, Seed: 3})
 	a := master.Fork()
 	b := master.Fork()
+	code := map[*Module][]Placed{}
+	for _, m := range master.CodeModules() {
+		code[m] = slices.Clone(m.Code())
+	}
 
 	parseAddr, _ := master.Symbol("parse")
 	app := master.Modules()[0]
@@ -110,6 +116,25 @@ func TestForkChurnIsolation(t *testing.T) {
 			t.Errorf("%s: generation = %d, want 0", name, g)
 		}
 	}
+	for name, im := range map[string]*Image{"master": master, "sibling": b} {
+		if len(im.CodeModules()) != len(code) {
+			t.Fatalf("%s: %d live modules, want %d", name, len(im.CodeModules()), len(code))
+		}
+		for _, m := range im.CodeModules() {
+			want, ok := code[m]
+			if !ok {
+				t.Fatalf("%s: module %s replaced", name, m.Name)
+			}
+			if c := m.Code(); &c[0] != &master.Modules()[m.ID].Code()[0] || !slices.Equal(c, want) {
+				t.Errorf("%s: module %s's code not the master's untouched slice", name, m.Name)
+			}
+		}
+		checkCode(t, name, im)
+	}
+	if m := a.findModule("libx"); m == nil || code[m] != nil {
+		t.Error("churned fork's libx is not a new module")
+	}
+	checkCode(t, "churned fork", a)
 	if a.Generation() != 2 {
 		t.Errorf("churned fork generation = %d, want 2", a.Generation())
 	}

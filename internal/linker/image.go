@@ -1,7 +1,9 @@
 package linker
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -13,7 +15,7 @@ import (
 // Everything Link produced is immutable afterwards except two things:
 // the data memory (GOT words rebound by the lazy resolver, workload
 // data stores, stack) and the lazy-resolution counter.  Fork therefore
-// shares the decoded instructions, module map, symbol tables, dense
+// shares the modules and their code, symbol tables, dense
 // trampoline index and patch statistics with the parent, forks the
 // memory copy-on-write (see mem.Memory.Fork), and gives the clone a
 // zeroed resolution counter.  The clone's initial memory contents —
@@ -53,32 +55,57 @@ func (im *Image) Fork() *Image {
 func (im *Image) Generation() uint64 { return im.generation }
 
 // SharedBytes returns the size in bytes of the image's copy-on-write
-// page layer plus its privately written pages — the resident data
-// footprint one pooled master contributes (the instruction map is a
-// shared Go object and not counted).
+// page layer plus its privately written pages: the resident data
+// footprint one pooled master contributes.  Its code is counted apart,
+// by CodeBytes.
 func (im *Image) SharedBytes() uint64 {
 	return uint64(im.memory.PagesShared())*mem.PageSize + im.memory.FootprintBytes()
 }
 
-// InstrAt returns the decoded instruction at pc.
+// CodeBytes returns the size in bytes of the live modules' code
+// slices, which the image shares with every fork.
+func (im *Image) CodeBytes() uint64 {
+	var n uint64
+	for _, m := range im.live {
+		n += uint64(cap(m.code)) * placedBytes
+	}
+	return n
+}
+
+// InstrAt returns the decoded instruction at pc: the live module whose
+// code range holds pc, then a binary search of its code.  The
+// instruction is shared with every fork; the caller must not mutate
+// it.
 func (im *Image) InstrAt(pc uint64) (*isa.Instr, bool) {
-	in, ok := im.instrs[pc]
-	return in, ok
+	for _, m := range im.live {
+		if pc >= m.Base && pc < m.codeEnd() {
+			i, ok := slices.BinarySearchFunc(m.code, pc, func(p Placed, pc uint64) int {
+				return cmp.Compare(p.PC, pc)
+			})
+			if !ok {
+				return nil, false
+			}
+			return &m.code[i].Instr, true
+		}
+	}
+	return nil, false
 }
 
 // Memory returns the image's data memory (GOT, data regions, stack).
 func (im *Image) Memory() *mem.Memory { return im.memory }
 
-// Instructions returns the image's full decoded-instruction map, keyed
-// by virtual address.  The trace compiler walks it once to build its
-// dense branch-threaded program; iteration order is unspecified, so
-// callers sort.  The map is shared with the image (and with every
-// fork, which is why one compiled program serves all forks of a pooled
-// master) and must not be mutated.
-func (im *Image) Instructions() map[uint64]*isa.Instr { return im.instrs }
-
-// Modules returns the linked modules in load order (executable first).
+// Modules returns the linked modules in load order (executable first),
+// unloaded ones included.
 func (im *Image) Modules() []*Module { return im.modules }
+
+// CodeModules returns the live modules in ascending base-address
+// order.  Their ranges are disjoint and each module's code ascends by
+// PC, so concatenating their Code slices gives the image's code in PC
+// order: the trace compiler's input.  Forks share the modules, and
+// churn replaces the modules it touches, so the slice also identifies
+// the code a Program was compiled from.  The caller must not mutate
+// it.
+func (im *Image) CodeModules() []*Module { return im.live }
 
 // Symbol returns the resolved address of a global function symbol.
 func (im *Image) Symbol(name string) (uint64, bool) {
@@ -103,10 +130,7 @@ func (im *Image) Patch() PatchStats { return im.patch }
 // the test that classifies a retired instruction as trampoline code
 // (Table 2's "instructions in trampoline PKI").
 func (im *Image) InPLT(addr uint64) bool {
-	for _, m := range im.modules {
-		if m.dead {
-			continue // stale geometry may overlap a reloaded module
-		}
+	for _, m := range im.live {
 		if m.PLTBase != 0 && addr >= m.PLTBase && addr < m.PLTEnd {
 			return true
 		}
@@ -117,11 +141,30 @@ func (im *Image) InPLT(addr uint64) bool {
 // TrampolineSym returns the imported symbol whose trampoline starts at
 // addr ("" if addr is not a PLT slot start).  Distinct-trampoline
 // counting (Table 3) keys on these addresses.
-func (im *Image) TrampolineSym(addr uint64) string { return im.trampolineSym[addr] }
+func (im *Image) TrampolineSym(addr uint64) string {
+	for _, m := range im.live {
+		if m.PLTBase == 0 || addr < m.PLTSlotAddr(0) {
+			continue
+		}
+		off := addr - m.PLTSlotAddr(0)
+		if i := off / PLTSlotBytes; off%PLTSlotBytes == 0 && i < uint64(len(m.imports)) {
+			return m.imports[i]
+		}
+	}
+	return ""
+}
 
-// Trampolines returns the total number of PLT slots in the image
-// (excluding the PLT0 stubs).
-func (im *Image) Trampolines() int { return len(im.trampolineSym) }
+// Trampolines returns the total number of PLT slots in the live
+// modules (excluding the PLT0 stubs).
+func (im *Image) Trampolines() int {
+	n := 0
+	for _, m := range im.live {
+		if m.PLTBase != 0 {
+			n += len(m.imports)
+		}
+	}
+	return n
+}
 
 // pltSlotRange is one module's contiguous PLT slot region in the
 // dense trampoline numbering.
@@ -155,10 +198,7 @@ func (im *Image) TrampolineAddrs() []uint64 { return im.trampAddrs }
 // ModuleOf returns the module whose text/PLT/data span contains addr,
 // or nil.
 func (im *Image) ModuleOf(addr uint64) *Module {
-	for _, m := range im.modules {
-		if m.dead {
-			continue
-		}
+	for _, m := range im.live {
 		if addr >= m.Base && addr < m.DataEnd {
 			return m
 		}
@@ -234,15 +274,8 @@ func (im *Image) BindAll() int {
 // way the paper's applications do.
 func (im *Image) TextBytes() uint64 {
 	var n uint64
-	for _, m := range im.modules {
-		if m.dead {
-			continue
-		}
-		end := m.TextEnd
-		if m.PLTEnd > end {
-			end = m.PLTEnd
-		}
-		n += end - m.Base
+	for _, m := range im.live {
+		n += m.codeEnd() - m.Base
 	}
 	return n
 }

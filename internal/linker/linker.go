@@ -19,13 +19,21 @@
 //     which text pages were written, feeding the §5.5 copy-on-write
 //     memory accounting.
 //
-// The linked Image holds decoded instructions by virtual address, the
-// initialised data memory (GOT contents, function-pointer slots), the
-// module map (text/PLT/GOT ranges), and the lazy-binding resolver.
+// The linked Image holds the module map (text/PLT/GOT ranges), the
+// initialised data memory (GOT contents, function-pointer slots), and
+// the lazy-binding resolver.  Each Module owns its decoded code as one
+// pointer-free slice in ascending address order (text, then PLT slots,
+// then ARM stubs), so the image's code is the concatenation of its live
+// modules' slices in base-address order: InstrAt is a module lookup
+// plus a binary search, the trace compiler walks the slices with no map
+// and no sort, Unload drops one slice, and forks share every slice.
 package linker
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"unsafe"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -109,7 +117,17 @@ const (
 	gotReserved  = 3 // got[0..2]: link map, resolver, spare
 )
 
-// Module describes one linked module's address ranges.
+// Placed is one decoded instruction at its virtual address.
+type Placed struct {
+	PC uint64
+	isa.Instr
+}
+
+// placedBytes is the size of one Placed in a module's code slice.
+const placedBytes = uint64(unsafe.Sizeof(Placed{}))
+
+// Module describes one linked module's address ranges and owns its
+// code.
 type Module struct {
 	Name string
 	ID   int
@@ -127,6 +145,12 @@ type Module struct {
 	regionAddr map[string]uint64 // data region name -> address
 	funcAddr   map[string]uint64 // local function -> entry address
 
+	// code is the module's decoded instructions in ascending PC order:
+	// text, then the PLT (PLT0 and slots), then ARM lazy stubs.  It is
+	// immutable once the module is published: forks share it, and
+	// churn replaces whole modules instead of editing it.
+	code []Placed
+
 	// span is the virtual size reserved for the module at placement
 	// (moduleSize at link or load time).  Runtime reloads of a module
 	// with the same name reuse its base address when the new build
@@ -141,6 +165,13 @@ type Module struct {
 
 // Dead reports whether the module has been unloaded.
 func (m *Module) Dead() bool { return m.dead }
+
+// Code returns the module's decoded instructions in ascending PC order
+// (nil once unloaded).  The caller must not mutate the slice.
+func (m *Module) Code() []Placed { return m.code }
+
+// codeEnd returns one past the module's last code byte (text or PLT).
+func (m *Module) codeEnd() uint64 { return max(m.TextEnd, m.PLTEnd) }
 
 // PLTSlotAddr returns the address of import slot i's trampoline (the
 // JmpMem instruction).
@@ -168,14 +199,12 @@ type PatchStats struct {
 type Image struct {
 	opts Options
 
-	instrs   map[uint64]*isa.Instr
 	memory   *mem.Memory
-	modules  []*Module
+	modules  []*Module         // by module ID, dead ones included
+	live     []*Module         // live modules in ascending base-address order
 	symbols  map[string]uint64 // global function symbols
 	funcName map[uint64]string
-
-	trampolineSym map[uint64]string // PLT slot addr -> symbol it calls
-	stackTop      uint64
+	stackTop uint64
 
 	// Dense trampoline index, built once at the end of linking.  Each
 	// module's PLT slot region maps its slots to consecutive integers,
@@ -195,16 +224,15 @@ type Image struct {
 	resolutions  uint64
 
 	// Runtime-loading state (see dynload.go).  generation counts
-	// Load/Unload mutations so cached derivations of the instruction
-	// index (the compiled Program) can detect staleness.  shared marks
-	// an image whose index structures are aliased with a fork; the
-	// first churn operation deep-copies them (privatize).  dynNext is
-	// the deterministic bump allocator for libraries loaded at runtime
-	// into fresh address ranges.  runtimeWrite, when set, routes
-	// linker-performed GOT/data stores through the CPU so a live ABTB
-	// snoops them like any retired store.  demandPages is the set of
-	// text pages mapped on demand: still unmapped, faulting on first
-	// instruction fetch.
+	// Load/Unload mutations so cached derivations of the code (the
+	// compiled Program) can detect staleness.  shared marks an image
+	// whose index structures are aliased with a fork; the first churn
+	// operation copies them (privatize).  dynNext is the deterministic
+	// bump allocator for libraries loaded at runtime into fresh address
+	// ranges.  runtimeWrite, when set, routes linker-performed GOT/data
+	// stores through the CPU so a live ABTB snoops them like any
+	// retired store.  demandPages is the set of text pages mapped on
+	// demand: still unmapped, faulting on first instruction fetch.
 	generation   uint64
 	shared       bool
 	dynNext      uint64
@@ -239,12 +267,10 @@ func Link(exe *objfile.Object, libs []*objfile.Object, opts Options) (*Image, er
 	}
 
 	im := &Image{
-		opts:          opts,
-		instrs:        make(map[uint64]*isa.Instr),
-		memory:        mem.New(),
-		symbols:       make(map[string]uint64),
-		funcName:      make(map[uint64]string),
-		trampolineSym: make(map[uint64]string),
+		opts:     opts,
+		memory:   mem.New(),
+		symbols:  make(map[string]uint64),
+		funcName: make(map[uint64]string),
 	}
 	im.patch.PagesByModule = make(map[string]int)
 
@@ -272,6 +298,7 @@ func Link(exe *objfile.Object, libs []*objfile.Object, opts Options) (*Image, er
 		m.span = size
 		placeModule(m, o, withPLT, opts.PLT == PLTARM)
 		im.modules = append(im.modules, m)
+		im.addLive(m)
 
 		for _, f := range o.Funcs() {
 			addr := m.funcAddr[f.Name]
@@ -334,6 +361,14 @@ func Link(exe *objfile.Object, libs []*objfile.Object, opts Options) (*Image, er
 
 	im.buildTrampolineIndex()
 	return im, nil
+}
+
+// addLive inserts m into the address-ordered live-module list.
+func (im *Image) addLive(m *Module) {
+	i, _ := slices.BinarySearchFunc(im.live, m.Base, func(x *Module, base uint64) int {
+		return cmp.Compare(x.Base, base)
+	})
+	im.live = slices.Insert(im.live, i, m)
 }
 
 // buildTrampolineIndex constructs the dense trampoline index.
@@ -422,17 +457,31 @@ func bodySize(f *objfile.Func) uint64 {
 
 func align(x, a uint64) uint64 { return (x + a - 1) &^ (a - 1) }
 
-// emitModule materialises one module's instructions, PLT, and GOT.
+// emitModule materialises one module's code (text, then PLT) and GOT.
 func (im *Image) emitModule(m *Module, o *objfile.Object) error {
 	importSlot := make(map[string]int, len(m.imports))
 	for i, sym := range m.imports {
 		importSlot[sym] = i
 	}
 
+	n := 0
+	for _, f := range o.Funcs() {
+		n += len(f.Body)
+	}
+	switch {
+	case im.opts.Mode == BindStatic:
+	case im.opts.PLT == PLTARM:
+		n += 6 * len(m.imports) // three per slot, three per stub
+	default:
+		n += 2 + 3*len(m.imports) // PLT0, then three per slot
+	}
+	m.code = make([]Placed, 0, n)
+
+	var addrs []uint64
 	for _, f := range o.Funcs() {
 		// Pre-compute each body instruction's address for branch
 		// displacement resolution.
-		addrs := make([]uint64, len(f.Body)+1)
+		addrs = slices.Grow(addrs[:0], len(f.Body)+1)[:len(f.Body)+1]
 		pc := m.funcAddr[f.Name]
 		for i, in := range f.Body {
 			addrs[i] = pc
@@ -441,7 +490,7 @@ func (im *Image) emitModule(m *Module, o *objfile.Object) error {
 		addrs[len(f.Body)] = pc
 
 		for i, t := range f.Body {
-			in := &isa.Instr{
+			in := isa.Instr{
 				Op:   t.Op,
 				Size: isa.DefaultSize(t.Op),
 				Bias: t.Bias,
@@ -492,7 +541,7 @@ func (im *Image) emitModule(m *Module, o *objfile.Object) error {
 			if err := in.Validate(); err != nil {
 				return fmt.Errorf("linker: %s:%s[%d]: %w", o.Name(), f.Name, i, err)
 			}
-			im.instrs[addrs[i]] = in
+			m.code = append(m.code, Placed{PC: addrs[i], Instr: in})
 		}
 	}
 
@@ -531,8 +580,9 @@ func (im *Image) callTarget(m *Module, o *objfile.Object, importSlot map[string]
 	}
 }
 
-// emitPLT materialises the module's PLT slots and initial GOT
-// contents, in the configured trampoline flavour.
+// emitPLT appends the module's PLT to its code, in address order, and
+// writes the initial GOT contents, in the configured trampoline
+// flavour.
 func (im *Image) emitPLT(m *Module) {
 	if im.opts.PLT == PLTARM {
 		im.emitARMPLT(m)
@@ -540,20 +590,25 @@ func (im *Image) emitPLT(m *Module) {
 	}
 	// PLT0: push module id; invoke the resolver.
 	plt0 := m.PLTBase
-	im.instrs[plt0] = &isa.Instr{Op: isa.Push, Size: isa.SizePush, Val: uint64(m.ID), PLT: true}
-	im.instrs[plt0+isa.SizePush] = &isa.Instr{Op: isa.Resolve, Size: isa.SizeJmpMem, PLT: true}
+	m.addPLT(plt0, isa.Instr{Op: isa.Push, Size: isa.SizePush, Val: uint64(m.ID)})
+	m.addPLT(plt0+isa.SizePush, isa.Instr{Op: isa.Resolve, Size: isa.SizeJmpMem})
 
 	for i, sym := range m.imports {
 		slot := m.PLTSlotAddr(i)
 		got := m.GOTSlotAddr(i)
 		// jmp *(got); push reloc; jmp plt0
-		im.instrs[slot] = &isa.Instr{Op: isa.JmpMem, Size: isa.SizeJmpMem, Mem: got, PLT: true}
-		im.instrs[slot+isa.SizeJmpMem] = &isa.Instr{Op: isa.Push, Size: isa.SizePush, Val: uint64(i), PLT: true}
-		im.instrs[slot+isa.SizeJmpMem+isa.SizePush] = &isa.Instr{Op: isa.Jmp, Size: isa.SizeJmp, Target: plt0, PLT: true}
-		im.trampolineSym[slot] = sym
+		m.addPLT(slot, isa.Instr{Op: isa.JmpMem, Size: isa.SizeJmpMem, Mem: got})
+		m.addPLT(slot+isa.SizeJmpMem, isa.Instr{Op: isa.Push, Size: isa.SizePush, Val: uint64(i)})
+		m.addPLT(slot+isa.SizeJmpMem+isa.SizePush, isa.Instr{Op: isa.Jmp, Size: isa.SizeJmp, Target: plt0})
 
 		im.writeGOT(got, im.initialGOTWord(m, i, sym))
 	}
+}
+
+// addPLT appends one PLT-section instruction at pc to the module's code.
+func (m *Module) addPLT(pc uint64, in isa.Instr) {
+	in.PLT = true
+	m.code = append(m.code, Placed{PC: pc, Instr: in})
 }
 
 // initialGOTWord returns the load-time value of import slot i's GOT
@@ -569,23 +624,23 @@ func (im *Image) initialGOTWord(m *Module, i int, sym string) uint64 {
 // emitARMPLT materialises ARM-flavoured trampolines (paper Fig. 2b):
 // two address-forming adds and an `ldr pc, [got]`, all 4-byte
 // instructions.  Lazy binding goes through a per-import stub (push
-// reloc; push module; resolve) after the slots.
+// reloc; push module; resolve), emitted after all the slots because
+// the stubs follow them in the address space.
 func (im *Image) emitARMPLT(m *Module) {
-	stubBase := m.PLTBase + uint64(len(m.imports)+1)*PLTSlotBytes
 	for i, sym := range m.imports {
 		slot := m.PLTSlotAddr(i)
 		got := m.GOTSlotAddr(i)
-		im.instrs[slot] = &isa.Instr{Op: isa.ALU, Size: 4, PLT: true}
-		im.instrs[slot+4] = &isa.Instr{Op: isa.ALU, Size: 4, PLT: true}
-		im.instrs[slot+8] = &isa.Instr{Op: isa.JmpMem, Size: 4, Mem: got, PLT: true}
-		im.trampolineSym[slot] = sym
-
-		stub := stubBase + uint64(i)*armStubBytes
-		im.instrs[stub] = &isa.Instr{Op: isa.Push, Size: 4, Val: uint64(i), PLT: true}
-		im.instrs[stub+4] = &isa.Instr{Op: isa.Push, Size: 4, Val: uint64(m.ID), PLT: true}
-		im.instrs[stub+8] = &isa.Instr{Op: isa.Resolve, Size: 4, PLT: true}
+		m.addPLT(slot, isa.Instr{Op: isa.ALU, Size: 4})
+		m.addPLT(slot+4, isa.Instr{Op: isa.ALU, Size: 4})
+		m.addPLT(slot+8, isa.Instr{Op: isa.JmpMem, Size: 4, Mem: got})
 
 		im.writeGOT(got, im.initialGOTWord(m, i, sym))
+	}
+	for i := range m.imports {
+		stub := im.lazyGOTWord(m, i)
+		m.addPLT(stub, isa.Instr{Op: isa.Push, Size: 4, Val: uint64(i)})
+		m.addPLT(stub+4, isa.Instr{Op: isa.Push, Size: 4, Val: uint64(m.ID)})
+		m.addPLT(stub+8, isa.Instr{Op: isa.Resolve, Size: 4})
 	}
 }
 

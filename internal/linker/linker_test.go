@@ -1,6 +1,7 @@
 package linker
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -452,12 +453,80 @@ func TestModuleOfAndLinkerData(t *testing.T) {
 	}
 }
 
+// TestEveryEmittedInstructionValidates also pins the code
+// representation, in every binding mode and PLT style: each module's
+// code ascends by PC without overlap and lies inside its text or PLT
+// range, the live modules ascend by base address, and InstrAt agrees
+// with the module code at every byte of it.
 func TestEveryEmittedInstructionValidates(t *testing.T) {
 	for _, mode := range []BindingMode{BindLazy, BindNow, BindStatic, BindPatched} {
-		im := mustLink(t, Options{Mode: mode})
-		for pc, in := range im.instrs {
-			if err := in.Validate(); err != nil {
-				t.Errorf("%v: instr at %#x invalid: %v", mode, pc, err)
+		for _, plt := range []PLTStyle{PLTx86, PLTARM} {
+			label := fmt.Sprintf("%v/%v", mode, plt)
+			im := mustLink(t, Options{Mode: mode, PLT: plt})
+			checkCode(t, label, im)
+			for _, m := range im.CodeModules() {
+				for _, p := range m.Code() {
+					if err := p.Validate(); err != nil {
+						t.Errorf("%s: instr at %#x invalid: %v", label, p.PC, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkCode checks im's code representation: live modules ascend by
+// base, each module's code ascends by PC without overlap inside its
+// text or PLT range, and InstrAt returns the module's own element at
+// every instruction start and misses at every other byte of the code
+// range.
+func checkCode(t *testing.T, label string, im *Image) {
+	t.Helper()
+	var prevEnd uint64
+	for _, m := range im.CodeModules() {
+		if m.Dead() {
+			t.Errorf("%s: dead module %s among the live", label, m.Name)
+		}
+		if m.Base < prevEnd {
+			t.Errorf("%s: module %s at %#x below the previous module's code end %#x", label, m.Name, m.Base, prevEnd)
+		}
+		prevEnd = m.codeEnd()
+		code := m.Code()
+		if len(code) == 0 {
+			t.Errorf("%s: module %s has no code", label, m.Name)
+			continue
+		}
+		next := m.Base
+		for i := range code {
+			p := &code[i]
+			end := p.PC + uint64(p.Size)
+			inText := p.PC >= m.Base && end <= m.TextEnd
+			inPLT := m.PLTBase != 0 && p.PC >= m.PLTBase && end <= m.PLTEnd
+			if !inText && !inPLT || p.PLT != inPLT {
+				t.Fatalf("%s: %s code[%d] [%#x, %#x) PLT=%v outside its section (text [%#x, %#x), PLT [%#x, %#x))",
+					label, m.Name, i, p.PC, end, p.PLT, m.Base, m.TextEnd, m.PLTBase, m.PLTEnd)
+			}
+			if p.PC < next {
+				t.Fatalf("%s: %s code[%d] at %#x overlaps or precedes the previous instruction (ends %#x)", label, m.Name, i, p.PC, next)
+			}
+			for a := next; a < p.PC; a++ {
+				if in, ok := im.InstrAt(a); ok {
+					t.Fatalf("%s: InstrAt(%#x) = %+v between instructions", label, a, in)
+				}
+			}
+			if in, ok := im.InstrAt(p.PC); !ok || in != &p.Instr {
+				t.Fatalf("%s: InstrAt(%#x) = %v, %v; want the module's code[%d]", label, p.PC, in, ok, i)
+			}
+			for a := p.PC + 1; a < end; a++ {
+				if in, ok := im.InstrAt(a); ok {
+					t.Fatalf("%s: InstrAt(%#x) = %+v inside the instruction at %#x", label, a, in, p.PC)
+				}
+			}
+			next = end
+		}
+		for a := next; a < m.codeEnd(); a++ {
+			if in, ok := im.InstrAt(a); ok {
+				t.Fatalf("%s: InstrAt(%#x) = %+v past %s's last instruction", label, a, in, m.Name)
 			}
 		}
 	}

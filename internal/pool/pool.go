@@ -20,7 +20,7 @@
 //     counter — is never shared: System forks the pooled master
 //     copy-on-write (linker.Image.Fork), so each job gets memory
 //     bit-identical to a fresh link while sharing every untouched
-//     page and the whole decoded-instruction map.
+//     page and every module's code.
 //   - Masters are built once per key under a per-entry singleflight.
 //     Each master image, with its compiled Programs, lives inside the
 //     entry of the workload it was linked from, and one LRU over
@@ -50,11 +50,13 @@ import (
 	"repro/internal/workload"
 )
 
-// Defaults for the LRU bounds.  A workload bundle is a few MB of
-// generated objects; a master image's COW layer is mostly its
-// pre-touched data pages.  The defaults comfortably hold the whole
-// evaluation matrix (4 workloads × a handful of seeds and link modes)
-// while bounding adversarial many-seed traffic.
+// Defaults for the LRU bounds.  A workload bundle is several MB of
+// generated objects, and each master image linked from it holds a few
+// MB more in code, compiled Program and COW pages: at seed 1 an apache
+// bundle is 5.1 MB generated, 2.5 MB image and 5.0 MB Program.  The
+// defaults comfortably hold the whole evaluation matrix (4 workloads ×
+// a handful of seeds and link modes) while bounding adversarial
+// many-seed traffic.
 const (
 	DefaultMaxWorkloads = 32
 	DefaultMaxImages    = 128
@@ -105,8 +107,8 @@ type imageEntry struct {
 
 	// progs caches compiled trace programs for this master, keyed by
 	// L1I line size (the only hardware parameter baked into the
-	// compiled form).  Forks share the master's decoded-instruction
-	// index, so one Program drives every system built from this entry
+	// compiled form).  Forks share the master's module code, so one
+	// Program drives every system built from this entry
 	// (cpu.TestCompiledForkSharing); compilation happens once per
 	// (image, line size), off every job's hot path.  Guarded by
 	// progMu, separate from mu so compilation never blocks forks.
@@ -136,6 +138,18 @@ func (e *imageEntry) program(lineBytes int) *cpu.Program {
 	return p
 }
 
+// residentBytes returns the heap the entry holds for its master: the
+// master's copy-on-write pages and code, and its compiled Programs.
+func (e *imageEntry) residentBytes() uint64 {
+	e.progMu.Lock()
+	defer e.progMu.Unlock()
+	b := e.img.SharedBytes() + e.img.CodeBytes()
+	for _, p := range e.progs {
+		b += p.Bytes()
+	}
+	return b
+}
+
 // Pool caches generated workloads and the master images linked from
 // them.  All methods are safe for concurrent use.
 type Pool struct {
@@ -159,7 +173,7 @@ type Pool struct {
 //	dlsim_pool_evictions_total        counter  entries dropped by the LRU bounds
 //	dlsim_pool_workloads              gauge    cached workload bundles
 //	dlsim_pool_images                 gauge    cached master images
-//	dlsim_pool_image_bytes            gauge    resident master memory (COW layers)
+//	dlsim_pool_image_bytes            gauge    resident master memory (COW pages, code, Programs)
 type poolMetrics struct {
 	reg            *telemetry.Registry
 	workloadHits   *telemetry.Counter
@@ -199,7 +213,7 @@ func New(opts Options) *Pool {
 			evictions:      reg.Counter("dlsim_pool_evictions_total", "Artifact-pool entries dropped by the LRU bounds."),
 			workloads:      reg.Gauge("dlsim_pool_workloads", "Workload bundles cached in the artifact pool."),
 			images:         reg.Gauge("dlsim_pool_images", "Master images cached in the artifact pool."),
-			imageBytes:     reg.Gauge("dlsim_pool_image_bytes", "Resident bytes of pooled master images' COW page layers."),
+			imageBytes:     reg.Gauge("dlsim_pool_image_bytes", "Resident bytes of pooled master images: copy-on-write pages, module code and compiled Programs."),
 		},
 	}
 }
@@ -293,22 +307,24 @@ func (p *Pool) ImageSystem(name string, seed uint64, w *workload.Workload, cfg c
 		p.m.imageMisses.Inc()
 	}
 
+	// The shared compiled trace program, so forks do not each compile
+	// their own.  A Program depends only on the module code and the
+	// line size, so pooled results stay bit-identical to unpooled ones,
+	// whose CPU compiles at its first Run.
+	prog := e.program(cfg.Hardware.L1I.LineBytes)
+
 	// Serialise forks of this master: the first fork freezes its
 	// written pages, later forks just share the base layer.
 	e.mu.Lock()
 	img := e.img.Fork()
-	if b := e.img.SharedBytes(); !e.evicted && b != e.bytes {
+	if b := e.residentBytes(); !e.evicted && b != e.bytes {
 		p.m.imageBytes.Add(int64(b) - int64(e.bytes))
 		e.bytes = b
 	}
 	e.mu.Unlock()
 
 	sys := core.NewSystemFromImage(img, cfg)
-	// Install the shared compiled trace program, so forks do not each
-	// compile their own.  A Program depends only on the instruction map
-	// and the line size, so pooled results stay bit-identical to
-	// unpooled ones, whose CPU compiles at its first Run.
-	if err := sys.CPU().SetProgram(e.program(cfg.Hardware.L1I.LineBytes)); err != nil {
+	if err := sys.CPU().SetProgram(prog); err != nil {
 		return nil, false, fmt.Errorf("pool: installing compiled trace for %s/seed=%d: %w", name, seed, err)
 	}
 	return sys, hit, nil
@@ -348,7 +364,7 @@ type Stats struct {
 	Evictions      uint64 `json:"evictions"`
 	Workloads      int    `json:"workloads"`
 	Images         int    `json:"images"`
-	ImageBytes     int64  `json:"image_bytes"`
+	ImageBytes     int64  `json:"image_bytes"` // masters' COW pages, module code and compiled Programs
 }
 
 // Stats reads the pool's instruments.

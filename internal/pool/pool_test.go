@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -304,5 +305,36 @@ func TestEvictionUnderConcurrency(t *testing.T) {
 	}
 	if got := p.m.imageBytes.Value(); got != bytes {
 		t.Errorf("image_bytes gauge = %d, cached images hold %d", got, bytes)
+	}
+}
+
+// TestImageBytesTracksRetainedHeap: the image-bytes gauge counts what
+// the pool holds for a master (its copy-on-write pages, its module code
+// and its compiled Program), so for one pooled firefox master it lands
+// within a factor of 2 of the heap the pool retains for it.  The bundle
+// is pooled before the baseline, so only the master is measured.
+func TestImageBytesTracksRetainedHeap(t *testing.T) {
+	const seed = 1
+	w := workload.Firefox(seed)
+	p := New(Options{})
+	p.Workload("firefox", func(uint64) *workload.Workload { return w }, seed)
+
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	if _, _, err := p.ImageSystem("firefox", seed, w, core.Enhanced(seed)); err != nil {
+		t.Fatal(err)
+	}
+	retained := float64(heap()) - float64(before)
+	gauge := float64(p.Stats().ImageBytes)
+	runtime.KeepAlive(p)
+	t.Logf("gauge %.0f bytes, retained heap %.0f bytes", gauge, retained)
+	if gauge < retained/2 || gauge > retained*2 {
+		t.Errorf("dlsim_pool_image_bytes = %.0f, want within a factor of 2 of the %.0f bytes retained", gauge, retained)
 	}
 }
