@@ -4,11 +4,16 @@ GO ?= go
 
 all: check
 
-# Tier-1 verification: formatting, vet, build, full test suite.
+# Tier-1 verification: formatting, vet, build, full test suite.  The
+# bench/ module is separate, so root ./... never builds it: vet it and
+# run its unit tests too (-short skips the daemon-launching smoke
+# tests, which `go -C bench test .` runs).
 check: fmt
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test -short ./...
 
 # Formatting gate: fails listing any file gofmt would rewrite.
 fmt:

@@ -200,7 +200,6 @@ func TestChaosKillAndFaultsPreserveDeterminism(t *testing.T) {
 		// Hangs must resolve quickly: the per-hop timeout is the only
 		// thing that unblocks a hung forward.
 		co.ForwardTimeout = 300 * time.Millisecond
-		co.HedgeDelay = 50 * time.Millisecond
 	})
 
 	// Compute the batch ID up front so the kill targets the owner.

@@ -25,7 +25,7 @@
 // Usage:
 //
 //	dlsimd [-addr :8344] [-workers N] [-job-timeout 5m] [-max-queue N]
-//	       [-max-retained N] [-retries N] [-request-timeout 30s]
+//	       [-max-retained N] [-max-batches N] [-retries N] [-request-timeout 30s]
 //	       [-drain-timeout 30s] [-trace-buffer N] [-debug-addr :8345]
 //	       [-store-dir DIR] [-store-max-bytes N]
 //	       [-metrics-history 5s] [-metrics-history-points N]
@@ -82,7 +82,7 @@
 //	                     phases with generate/link/warmup/measure steps
 //	GET  /v1/stats       pool depth, cache hits/misses, retries/panics/
 //	                     shed counters, job latency, and (in cluster
-//	                     mode) per-peer forward/failover/hedge counts
+//	                     mode) per-peer forward and failover counts
 //	GET  /v1/metrics/history  short-horizon time series of every scalar
 //	                     instrument, snapshotted every -metrics-history
 //	                     period into a bounded ring
@@ -157,7 +157,6 @@ func main() {
 	clusterBreakerThreshold := flag.Int("cluster-breaker-threshold", 5, "consecutive forward failures that open a peer's circuit breaker")
 	clusterBreakerCooldown := flag.Duration("cluster-breaker-cooldown", 2*time.Second, "open-breaker cooldown before a half-open trial")
 	clusterForwardTimeout := flag.Duration("cluster-forward-timeout", 5*time.Second, "per-hop timeout for forwarded requests")
-	clusterHedge := flag.Duration("cluster-hedge-delay", 0, "hedged-GET delay: race the next replica if the owner hasn't answered a result read in this long (0 disables)")
 	clusterRetries := flag.Int("cluster-retries", 0, "max forward attempts per peer before failing over (0 = default 2)")
 	historyInterval := flag.Duration("metrics-history", telemetry.DefaultHistoryInterval, "metrics-history snapshot period behind GET /v1/metrics/history (0 disables the ring)")
 	historyPoints := flag.Int("metrics-history-points", 0, "metrics-history ring capacity in snapshots (0 = default 720: one hour at the default period)")
@@ -224,7 +223,6 @@ func main() {
 				BreakerThreshold: *clusterBreakerThreshold,
 				BreakerCooldown:  *clusterBreakerCooldown,
 				ForwardTimeout:   *clusterForwardTimeout,
-				HedgeDelay:       *clusterHedge,
 				Retry:            runner.RetryPolicy{MaxAttempts: *clusterRetries},
 				Metrics:          reg,
 				Tracer:           tracer,

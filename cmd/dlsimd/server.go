@@ -47,9 +47,9 @@ type serverConfig struct {
 
 	// cluster, when non-nil, enables sharded multi-node mode: job and
 	// batch requests are consistent-hash-routed by their
-	// content-derived IDs, with health-checked failover, per-peer
-	// circuit breakers and optional hedged result reads (see
-	// internal/cluster).  Nil serves everything locally.
+	// content-derived IDs, with health-checked failover and per-peer
+	// circuit breakers (see internal/cluster).  Nil serves everything
+	// locally.
 	cluster *cluster.Cluster
 
 	// history, when non-nil, is the metrics-history ring behind GET
@@ -343,7 +343,7 @@ func (s *server) setRetryAfter(w http.ResponseWriter) {
 // idempotent).  A forwarded request stamped with the failover marker
 // reached a non-owner because the ID's owner was bypassed, so it
 // reports FailedOver: a local GET miss must then answer retryable
-// (clusterMiss), never 404 — the owner may still hold the result.
+// (notHeld's 503), never 404 — the owner may still hold the result.
 func (s *server) routeCluster(w http.ResponseWriter, r *http.Request, req cluster.Request) cluster.Outcome {
 	cl := s.cfg.cluster
 	if cl == nil {
@@ -355,19 +355,89 @@ func (s *server) routeCluster(w http.ResponseWriter, r *http.Request, req cluste
 	return cl.Route(w, r, req)
 }
 
-// clusterMiss answers a local lookup miss after a failed-over GET: the
-// ID's owner is unreachable and may still hold the result, so a 404
-// would overclaim.  503 + Retry-After tells the client to come back
-// once the owner returns (or a resubmission has recomputed the ID
-// elsewhere — either way the ID itself stays valid).  The miss marker
-// tells a forwarding peer this is "replica doesn't hold it", not a
-// node fault: it keeps walking the ring instead of relaying or
-// tripping the breaker.
-func (s *server) clusterMiss(w http.ResponseWriter, r *http.Request, kind, id string) {
-	s.setRetryAfter(w)
-	w.Header().Set(cluster.MissHeader, "1")
-	writeError(w, r, http.StatusServiceUnavailable,
-		"%s %q: owner peer unreachable and no local copy; retry, or resubmit to recompute", kind, id)
+// notHeld answers a GET for an ID this node holds nothing for.
+// After a failover (failedOver) the ID's owner was bypassed and may
+// still hold the result, so a 404 would overclaim: 503 + Retry-After
+// tells the client to come back once the owner returns (or a
+// resubmission has recomputed the ID elsewhere — either way the ID
+// itself stays valid), and the miss marker tells a forwarding peer
+// this is "replica doesn't hold it", not a node fault, so it keeps
+// walking the ring instead of relaying or tripping the breaker.
+// Otherwise an ID the retention bounds dropped recently answers 410
+// Gone (resubmitting recomputes it) and any other ID 404.  kind names
+// what was looked up ("job", "batch" or "timeline"); a timeline's
+// 410 and 404 speak of its job.
+func (s *server) notHeld(w http.ResponseWriter, r *http.Request, failedOver bool, kind, id string) {
+	noun, dropped := "job", "the result cache; resubmit its spec"
+	if kind == "batch" {
+		noun, dropped = "batch", "batch retention; resubmit its sweep"
+	}
+	switch {
+	case failedOver:
+		s.setRetryAfter(w)
+		w.Header().Set(cluster.MissHeader, "1")
+		writeError(w, r, http.StatusServiceUnavailable,
+			"%s %q: owner peer unreachable and no local copy; retry, or resubmit to recompute", kind, id)
+	case s.pool.Evicted(id):
+		writeError(w, r, http.StatusGone, "%s %q evicted from %s to recompute", noun, id, dropped)
+	default:
+		writeError(w, r, http.StatusNotFound, "no %s %q", noun, id)
+	}
+}
+
+// admit runs the steps every submission shares before its spec is
+// looked at: the draining 503, the dlsimd.submit fault point, and a
+// strict decode of the body into spec ("invalid <kind> spec" on
+// failure).  It reports false once it has answered the client.
+func (s *server) admit(w http.ResponseWriter, r *http.Request, kind string, spec any) bool {
+	if s.draining.Load() {
+		writeError(w, r, http.StatusServiceUnavailable, "draining: not accepting new jobs")
+		return false
+	}
+	if err := faultinject.FireCtx(r.Context(), "dlsimd.submit"); err != nil {
+		writeError(w, r, http.StatusInternalServerError, "%v", err)
+		return false
+	}
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(spec); err != nil {
+		writeError(w, r, http.StatusBadRequest, "invalid %s spec: %v", kind, err)
+		return false
+	}
+	return true
+}
+
+// forwardSubmit routes a submission by its content-derived ID,
+// forwarding spec as the body, and reports whether the client has been
+// answered (a peer's response relayed, or a marshalling failure).
+func (s *server) forwardSubmit(w http.ResponseWriter, r *http.Request, id, path string, spec any) bool {
+	body, err := json.Marshal(spec)
+	if err != nil {
+		writeError(w, r, http.StatusInternalServerError, "%v", err)
+		return true
+	}
+	return s.routeCluster(w, r, cluster.Request{ID: id, Method: http.MethodPost, Path: path, Body: body}).Handled
+}
+
+// answerSubmit answers a local submission: the runner's refusal mapped
+// to its status (429 + Retry-After when admission control sheds, 503
+// after shutdown, 400 for anything else, such as a bad spec), or the
+// response resp builds, with 202 for new work and 200 when the
+// submission reused known work.
+func (s *server) answerSubmit(w http.ResponseWriter, r *http.Request, err error, reused bool, resp func() any) {
+	switch {
+	case errors.Is(err, runner.ErrQueueFull):
+		s.setRetryAfter(w)
+		writeError(w, r, http.StatusTooManyRequests, "%v", err)
+	case errors.Is(err, runner.ErrRunnerClosed):
+		writeError(w, r, http.StatusServiceUnavailable, "%v", err)
+	case err != nil:
+		writeError(w, r, http.StatusBadRequest, "%v", err)
+	case reused:
+		writeJSON(w, http.StatusOK, resp())
+	default:
+		writeJSON(w, http.StatusAccepted, resp())
+	}
 }
 
 // submitResponse answers POST /v1/jobs.
@@ -385,19 +455,8 @@ type submitResponse struct {
 // 400 for a bad spec, 429 (+ Retry-After) when admission control
 // sheds, 503 while draining or after shutdown.
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, r, http.StatusServiceUnavailable, "draining: not accepting new jobs")
-		return
-	}
-	if err := faultinject.FireCtx(r.Context(), "dlsimd.submit"); err != nil {
-		writeError(w, r, http.StatusInternalServerError, "%v", err)
-		return
-	}
 	var spec runner.JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, r, http.StatusBadRequest, "invalid job spec: %v", err)
+	if !s.admit(w, r, "job", &spec) {
 		return
 	}
 	if s.cfg.cluster != nil {
@@ -410,44 +469,14 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		key, _ := norm.Key()
-		body, err := json.Marshal(norm)
-		if err != nil {
-			writeError(w, r, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		if out := s.routeCluster(w, r, cluster.Request{
-			ID:     runner.IDFromKey(key),
-			Method: http.MethodPost,
-			Path:   "/v1/jobs",
-			Body:   body,
-		}); out.Handled {
+		if s.forwardSubmit(w, r, runner.IDFromKey(key), "/v1/jobs", norm) {
 			return
 		}
 		spec = norm
 	}
 	job, reused, err := s.pool.Submit(spec)
-	switch {
-	case errors.Is(err, runner.ErrQueueFull):
-		s.setRetryAfter(w)
-		writeError(w, r, http.StatusTooManyRequests, "%v", err)
-		return
-	case errors.Is(err, runner.ErrRunnerClosed):
-		writeError(w, r, http.StatusServiceUnavailable, "%v", err)
-		return
-	case err != nil:
-		writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	status := http.StatusAccepted
-	if reused {
-		status = http.StatusOK
-	}
-	writeJSON(w, status, submitResponse{
-		ID:     job.ID,
-		Key:    job.Key,
-		State:  job.State(),
-		Cached: reused,
-		Spec:   job.Spec,
+	s.answerSubmit(w, r, err, reused, func() any {
+		return submitResponse{ID: job.ID, Key: job.Key, State: job.State(), Cached: reused, Spec: job.Spec}
 	})
 }
 
@@ -465,19 +494,8 @@ type batchSubmitResponse struct {
 // instead of enqueueing anything; job-level dedup against prior
 // non-batch traffic applies regardless.
 func (s *server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, r, http.StatusServiceUnavailable, "draining: not accepting new jobs")
-		return
-	}
-	if err := faultinject.FireCtx(r.Context(), "dlsimd.submit"); err != nil {
-		writeError(w, r, http.StatusInternalServerError, "%v", err)
-		return
-	}
 	var sweep runner.SweepSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sweep); err != nil {
-		writeError(w, r, http.StatusBadRequest, "invalid sweep spec: %v", err)
+	if !s.admit(w, r, "sweep", &sweep) {
 		return
 	}
 	if s.cfg.cluster != nil {
@@ -488,42 +506,13 @@ func (s *server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 			writeError(w, r, http.StatusBadRequest, "%v", err)
 			return
 		}
-		body, err := json.Marshal(sweep)
-		if err != nil {
-			writeError(w, r, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		if out := s.routeCluster(w, r, cluster.Request{
-			ID:     id,
-			Method: http.MethodPost,
-			Path:   "/v1/batches",
-			Body:   body,
-		}); out.Handled {
+		if s.forwardSubmit(w, r, id, "/v1/batches", sweep) {
 			return
 		}
 	}
 	batch, reused, err := s.pool.SubmitBatch(sweep)
-	switch {
-	case errors.Is(err, runner.ErrQueueFull):
-		s.setRetryAfter(w)
-		writeError(w, r, http.StatusTooManyRequests, "%v", err)
-		return
-	case errors.Is(err, runner.ErrRunnerClosed):
-		writeError(w, r, http.StatusServiceUnavailable, "%v", err)
-		return
-	case err != nil:
-		writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	status := http.StatusAccepted
-	if reused {
-		status = http.StatusOK
-	}
-	writeJSON(w, status, batchSubmitResponse{
-		ID:     batch.ID,
-		Total:  len(batch.Specs),
-		Cached: reused,
-		Specs:  batch.Specs,
+	s.answerSubmit(w, r, err, reused, func() any {
+		return batchSubmitResponse{ID: batch.ID, Total: len(batch.Specs), Cached: reused, Specs: batch.Specs}
 	})
 }
 
@@ -536,26 +525,13 @@ func (s *server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 // underlying jobs remain individually addressable via /v1/jobs/{id}.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	out := s.routeCluster(w, r, cluster.Request{
-		ID:     id,
-		Method: http.MethodGet,
-		Path:   "/v1/batches/" + id,
-		Hedge:  true,
-	})
+	out := s.routeCluster(w, r, cluster.Request{ID: id, Method: http.MethodGet, Path: "/v1/batches/" + id})
 	if out.Handled {
 		return
 	}
 	batch, ok := s.pool.Batch(id)
 	if !ok {
-		if out.FailedOver {
-			s.clusterMiss(w, r, "batch", id)
-			return
-		}
-		if s.pool.Evicted(id) {
-			writeError(w, r, http.StatusGone, "batch %q evicted from batch retention; resubmit its sweep to recompute", id)
-			return
-		}
-		writeError(w, r, http.StatusNotFound, "no batch %q", id)
+		s.notHeld(w, r, out.FailedOver, "batch", id)
 		return
 	}
 	writeJSON(w, http.StatusOK, batch.Status())
@@ -568,17 +544,6 @@ type classJSON struct {
 	P50US  float64 `json:"p50_us"`
 	P95US  float64 `json:"p95_us"`
 	P99US  float64 `json:"p99_us"`
-}
-
-// sampledJSON is the wire form of a sampled job's interval
-// estimates: the window geometry plus each metric's per-request mean
-// and 95% confidence half-width.  Exact jobs omit the block entirely.
-type sampledJSON struct {
-	Windows       int                              `json:"windows"`
-	FastForwarded int                              `json:"fast_forwarded_per_window"`
-	Warmed        int                              `json:"warmup_per_window"`
-	Measured      int                              `json:"measured_per_window"`
-	Metrics       map[string]runner.SampledCounter `json:"metrics"`
 }
 
 // resultJSON is the wire form of a completed job's Result.
@@ -613,7 +578,7 @@ type resultJSON struct {
 	// with sample_windows > 0; nil (omitted) on exact jobs.  For such
 	// jobs Instructions/Cycles/PKI above cover only the measured
 	// window excerpts, not the fast-forwarded stretches between them.
-	Sampled *sampledJSON `json:"sampled,omitempty"`
+	Sampled *runner.SampledResult `json:"sampled,omitempty"`
 }
 
 // jobResponse answers GET /v1/jobs/{id}.
@@ -634,29 +599,15 @@ type jobResponse struct {
 // memory forgot them — answer 404.
 func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	out := s.routeCluster(w, r, cluster.Request{
-		ID:     id,
-		Method: http.MethodGet,
-		Path:   "/v1/jobs/" + id,
-		Hedge:  true,
-	})
+	out := s.routeCluster(w, r, cluster.Request{ID: id, Method: http.MethodGet, Path: "/v1/jobs/" + id})
 	if out.Handled {
 		return
 	}
+	// pool.Job reads through the local store, so a miss here is final
+	// for this node.
 	job, ok := s.pool.Job(id)
 	if !ok {
-		if out.FailedOver {
-			// The owner may still hold this result; the local store
-			// read-through (inside pool.Job) was the second chance and
-			// it missed, so answer retryable rather than 404/410.
-			s.clusterMiss(w, r, "job", id)
-			return
-		}
-		if s.pool.Evicted(id) {
-			writeError(w, r, http.StatusGone, "job %q evicted from the result cache; resubmit its spec to recompute", id)
-			return
-		}
-		writeError(w, r, http.StatusNotFound, "no job %q", id)
+		s.notHeld(w, r, out.FailedOver, "job", id)
 		return
 	}
 	resp := jobResponse{
@@ -675,7 +626,7 @@ func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 			// sampled record persists beside the result (like a
 			// timeline), so read it through the store.
 			if sr, ok := s.pool.Sampled(job.ID); ok {
-				resp.Result.Sampled = marshalSampled(sr)
+				resp.Result.Sampled = sr
 			}
 		}
 	}
@@ -702,11 +653,11 @@ func wantCSV(r *http.Request) bool {
 // handleJobTimeline serves a completed job's phase-resolved counter
 // series (JSON by default, CSV via Accept/?format=csv).  Fetches are
 // cluster-routed exactly like the job itself — consistent-hash owner,
-// hedged read, ring failover — and the requested format travels in
-// the forwarded path, since peers never see the client's Accept
-// header.  Jobs that ran with timelines disabled, jobs still in
-// flight, and series records lost to crash recovery answer 404 while
-// the result itself stays servable.
+// ring failover — and the requested format travels in the forwarded
+// path, since peers never see the client's Accept header.  Jobs that
+// ran with timelines disabled, jobs still in flight, and series
+// records lost to crash recovery answer 404 while the result itself
+// stays servable.
 func (s *server) handleJobTimeline(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	csvOut := wantCSV(r)
@@ -714,42 +665,31 @@ func (s *server) handleJobTimeline(w http.ResponseWriter, r *http.Request) {
 	if csvOut {
 		path += "?format=csv"
 	}
-	out := s.routeCluster(w, r, cluster.Request{
-		ID:     id,
-		Method: http.MethodGet,
-		Path:   path,
-		Hedge:  true,
-	})
+	out := s.routeCluster(w, r, cluster.Request{ID: id, Method: http.MethodGet, Path: path})
 	if out.Handled {
 		return
 	}
 	series, ok := s.pool.Timeline(id)
 	if !ok {
-		if out.FailedOver {
-			// The owner may still hold the series; answer retryable.
-			s.clusterMiss(w, r, "timeline", id)
-			return
+		// After a failover the owner may still hold the series; otherwise
+		// a job known here says why it has none.
+		var job *runner.Job
+		if !out.FailedOver {
+			job, _ = s.pool.Job(id)
 		}
-		if job, known := s.pool.Job(id); known {
-			switch {
-			case job.State() == runner.StateQueued || job.State() == runner.StateRunning:
-				writeError(w, r, http.StatusNotFound,
-					"job %q has no timeline yet (state %s); poll /v1/jobs/%s until done", id, job.State(), id)
-			case job.Spec.TimelineOff:
-				writeError(w, r, http.StatusNotFound,
-					"job %q ran with timelines disabled (timeline_off); resubmit without it to collect one", id)
-			default:
-				writeError(w, r, http.StatusNotFound,
-					"no timeline for job %q (failed job, or its series record did not survive)", id)
-			}
-			return
+		switch {
+		case job == nil:
+			s.notHeld(w, r, out.FailedOver, "timeline", id)
+		case job.State() == runner.StateQueued || job.State() == runner.StateRunning:
+			writeError(w, r, http.StatusNotFound,
+				"job %q has no timeline yet (state %s); poll /v1/jobs/%s until done", id, job.State(), id)
+		case job.Spec.TimelineOff:
+			writeError(w, r, http.StatusNotFound,
+				"job %q ran with timelines disabled (timeline_off); resubmit without it to collect one", id)
+		default:
+			writeError(w, r, http.StatusNotFound,
+				"no timeline for job %q (failed job, or its series record did not survive)", id)
 		}
-		if s.pool.Evicted(id) {
-			writeError(w, r, http.StatusGone,
-				"job %q evicted from the result cache; resubmit its spec to recompute", id)
-			return
-		}
-		writeError(w, r, http.StatusNotFound, "no job %q", id)
 		return
 	}
 	if csvOut {
@@ -873,6 +813,7 @@ func marshalResult(res *runner.Result) *resultJSON {
 		DistinctTrampolines: res.DistinctTrampolines(),
 		LibCalls:            res.LibCalls(),
 		Classes:             make(map[string]classJSON, len(res.Samples)),
+		Sampled:             res.Sampled,
 	}
 	out.PKI.TrampInstrs = res.PKI.TrampInstrs
 	out.PKI.L1IMisses = res.PKI.L1IMisses
@@ -883,22 +824,7 @@ func marshalResult(res *runner.Result) *resultJSON {
 	for class, sample := range res.Samples {
 		out.Classes[class] = summariseClass(sample)
 	}
-	if res.Sampled != nil {
-		out.Sampled = marshalSampled(res.Sampled)
-	}
 	return out
-}
-
-// marshalSampled flattens a sampled job's interval estimates into
-// their wire form.
-func marshalSampled(sr *runner.SampledResult) *sampledJSON {
-	return &sampledJSON{
-		Windows:       sr.Windows,
-		FastForwarded: sr.FastForwarded,
-		Warmed:        sr.Warmed,
-		Measured:      sr.Measured,
-		Metrics:       sr.Metrics,
-	}
 }
 
 func summariseClass(s *stats.Sample) classJSON {
@@ -930,8 +856,8 @@ type statsResponse struct {
 	// ArtifactPool is the artifact pool's gauge set (workload/image
 	// hits, resident bytes); Store the disk tier's (entries,
 	// segments, bytes, hit rate); Cluster the routing tier's (per-peer
-	// health, breaker state and forward outcomes, plus failover and
-	// hedge totals).  Each is omitted when its tier is disabled.
+	// health, breaker state and forward outcomes, plus the failover
+	// total).  Each is omitted when its tier is disabled.
 	ArtifactPool *pool.Stats     `json:"pool,omitempty"`
 	Store        *storeStatsJSON `json:"store,omitempty"`
 	Cluster      *cluster.Stats  `json:"cluster,omitempty"`

@@ -67,19 +67,15 @@ func (b *breaker) allow() bool {
 	return true
 }
 
-// canForward reports whether a forward could proceed right now,
-// WITHOUT consuming the half-open trial slot.  Candidate selection
-// (e.g. picking a hedge peer that may never be contacted) must use
-// this; allow() is reserved for the moment a request actually
-// launches, so an unused selection can never strand the breaker with
-// a trial that nobody resolves.
-func (b *breaker) canForward() bool {
+// release hands back a half-open trial whose forward the caller
+// abandoned before the peer answered: the peer was not judged, so the
+// next forward may try it (allow refuses while a trial is in flight).
+// Like a pre-open forward that resolves late, it cannot tell a trial
+// it claimed from a later one.
+func (b *breaker) release() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.openedAt.IsZero() {
-		return true
-	}
-	return b.now().Sub(b.openedAt) >= b.cooldown && !b.trial
+	b.trial = false
 }
 
 // success records a successful forward: any state resets to closed.

@@ -19,10 +19,9 @@
 //     answers probes but fails requests is still routed around.
 //   - slow peers    — every hop has a `ForwardTimeout`; transient
 //     failures retry with capped exponential backoff + jitter
-//     (internal/runner's RetryPolicy under this package's defaults);
-//     optional hedged GETs start a second replica read after
-//     `HedgeDelay` and take the first success, cutting tail latency
-//     on result reads.
+//     (internal/runner's RetryPolicy under this package's defaults).
+//     A forward that the caller's own context ends (client gone,
+//     request timeout) charges no peer and stops the walk.
 //   - half-finished work — forwarding is at most one hop (a forwarded
 //     request is always served where it lands), and because IDs are
 //     content-derived, re-routing a job to a different replica
@@ -89,12 +88,6 @@ type Options struct {
 	// ForwardTimeout bounds each forwarded hop (0 = default 5s).
 	ForwardTimeout time.Duration
 
-	// HedgeDelay, when positive, arms hedged GETs: if the owner has
-	// not answered a result read within this delay, the same GET is
-	// raced against the next replica and the first success wins.
-	// Zero disables hedging.
-	HedgeDelay time.Duration
-
 	// Retry governs per-peer retransmission of transiently failed
 	// forwards before failing over to the next replica.  Every
 	// transport error, timeout and 5xx is transient here, because
@@ -156,14 +149,11 @@ type Cluster struct {
 	probeTimeout  time.Duration
 	failThreshold int
 	forwardTO     time.Duration
-	hedgeDelay    time.Duration
 	retry         runner.RetryPolicy
 
 	// instruments
 	forwards    *telemetry.CounterVec // peer, outcome
 	failovers   *telemetry.Counter
-	hedges      *telemetry.Counter
-	hedgeWins   *telemetry.Counter
 	peerUp      *telemetry.GaugeVec
 	brState     *telemetry.GaugeVec
 	peerLatency *telemetry.HistogramVec
@@ -249,17 +239,12 @@ func New(opts Options) (*Cluster, error) {
 		probeTimeout:  opts.ProbeTimeout,
 		failThreshold: opts.FailThreshold,
 		forwardTO:     opts.ForwardTimeout,
-		hedgeDelay:    opts.HedgeDelay,
 		retry:         opts.Retry.Normalized(defaultRetry),
 
 		forwards: reg.CounterVec("dlsim_cluster_forwards_total",
 			"Forwarded requests by destination peer and outcome.", "peer", "outcome"),
 		failovers: reg.Counter("dlsim_cluster_failovers_total",
 			"Requests re-routed past an unavailable or failing owner to the next ring replica."),
-		hedges: reg.Counter("dlsim_cluster_hedges_total",
-			"Hedged result reads launched after the owner stalled past the hedge delay."),
-		hedgeWins: reg.Counter("dlsim_cluster_hedge_wins_total",
-			"Hedged result reads won by the second replica."),
 		peerUp: reg.GaugeVec("dlsim_cluster_peer_up",
 			"Probe-driven peer liveness (1 up, 0 down).", "peer"),
 		brState: reg.GaugeVec("dlsim_cluster_breaker_state",
@@ -450,12 +435,8 @@ type Stats struct {
 	Forwards []PeerForwards `json:"forwards,omitempty"`
 
 	// Failovers counts requests this node answered from a non-owner
-	// replica after the owner was skipped or failed; Hedges counts
-	// hedged secondary reads launched, HedgeWins those that answered
-	// first.
+	// replica after the owner was skipped or failed.
 	Failovers uint64 `json:"failovers"`
-	Hedges    uint64 `json:"hedges"`
-	HedgeWins uint64 `json:"hedge_wins"`
 }
 
 // Stats snapshots the cluster tier for /v1/stats.
@@ -463,8 +444,6 @@ func (c *Cluster) Stats() Stats {
 	st := Stats{
 		Status:    c.Status(),
 		Failovers: c.failovers.Value(),
-		Hedges:    c.hedges.Value(),
-		HedgeWins: c.hedgeWins.Value(),
 	}
 	for _, name := range c.ring.members {
 		p := c.peers[name]

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -142,38 +143,6 @@ func TestBreakerTransitions(t *testing.T) {
 	}
 }
 
-// TestBreakerCanForwardDoesNotConsumeTrial pins the peek/claim split:
-// candidate selection may look at a half-open breaker any number of
-// times without consuming the single trial slot, which only allow()
-// claims.  (A consumed-but-never-launched trial would otherwise
-// exclude a recovered peer from routing forever.)
-func TestBreakerCanForwardDoesNotConsumeTrial(t *testing.T) {
-	b := newBreaker(1, time.Minute)
-	now := time.Unix(1000, 0)
-	b.now = func() time.Time { return now }
-
-	b.failure() // opens
-	if b.canForward() {
-		t.Fatal("open breaker reports canForward")
-	}
-	now = now.Add(time.Minute) // half-open
-	for i := 0; i < 3; i++ {
-		if !b.canForward() {
-			t.Fatalf("half-open peek %d refused — a previous peek consumed the trial", i)
-		}
-	}
-	if !b.allow() {
-		t.Fatal("half-open breaker refused the trial after peeks")
-	}
-	if b.canForward() {
-		t.Fatal("canForward ignores an in-flight trial")
-	}
-	b.success()
-	if !b.canForward() {
-		t.Fatal("closed breaker refuses forwards")
-	}
-}
-
 // testCluster builds a 3-member cluster ("self", "b", "c") with b and
 // c backed by the given handlers, a paused prober (huge interval) and
 // fast retries.
@@ -271,8 +240,8 @@ func TestRouteFailsOverPastFailingOwner(t *testing.T) {
 
 	bID := idRoutedVia(t, c.ring, "b", "c")
 	w, out := route(c, Request{ID: bID, Method: "GET", Path: "/v1/jobs/" + bID})
-	if !out.Handled || !out.FailedOver {
-		t.Fatalf("outcome = %+v, want handled with failover", out)
+	if !out.Handled || !out.FailedOver || out.Peer != "c" {
+		t.Fatalf("outcome = %+v, want handled by c with failover", out)
 	}
 	if w.Code != 200 || w.Body.String() != "ok" {
 		t.Errorf("failover response %d %q, want 200 ok from c", w.Code, w.Body.String())
@@ -326,139 +295,138 @@ func TestBreakerOpensAndSkipsWithoutNetwork(t *testing.T) {
 	}
 }
 
-func TestHedgedGetWinsOnSlowOwner(t *testing.T) {
+// TestFailoverMissKeepsWalking pins the intermediate-replica story:
+// with the owner down, a non-owner's "I don't hold this ID" is never
+// relayed, whether it is dlsimd's retryable miss (503 + MissHeader) or
+// a bare 404/410 from a peer that does not stamp the marker.  The
+// walk continues and falls through to self, so the caller — not the
+// non-owner — decides what a miss means.  A miss is final for that
+// peer (no retry) and not a fault (its breaker stays closed).
+func TestFailoverMissKeepsWalking(t *testing.T) {
+	cases := []struct {
+		name   string
+		status int
+		marked bool
+	}{
+		{"unmarked-404", http.StatusNotFound, false},
+		{"unmarked-410", http.StatusGone, false},
+		{"marked-503", http.StatusServiceUnavailable, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			leakcheck.Check(t)
+			dead := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				http.Error(w, "boom", http.StatusInternalServerError)
+			})
+			var asked atomic.Int64
+			missing := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				asked.Add(1)
+				if r.Header.Get(FailoverHeader) != "1" {
+					t.Error("failover hop to non-owner not marked on the wire")
+				}
+				if tc.marked {
+					w.Header().Set(MissHeader, "1")
+				}
+				http.Error(w, "no such job", tc.status)
+			})
+			// Threshold 1: a miss booked as a failure would open c's
+			// breaker at once.
+			c, _ := testCluster(t, dead, missing, func(o *Options) { o.BreakerThreshold = 1 })
+
+			bID := idRoutedVia(t, c.ring, "b", "c")
+			w, out := route(c, Request{ID: bID, Method: "GET", Path: "/v1/jobs/" + bID})
+			if out.Handled || !out.FailedOver {
+				t.Fatalf("outcome = %+v, want unhandled fall-through to self with failover", out)
+			}
+			if w.Code == tc.status || w.Body.Len() != 0 {
+				t.Fatalf("non-owner's %d was relayed to the client (%d %q)", tc.status, w.Code, w.Body.String())
+			}
+			if w.Header().Get(FailoverHeader) != "1" {
+				t.Error("local fall-through after failover not marked")
+			}
+			if got := c.forwards.With("c", "miss").Value(); got != 1 {
+				t.Errorf("miss forwards to c = %d, want 1", got)
+			}
+			if got := asked.Load(); got != 1 {
+				t.Errorf("c was asked %d times, want 1 (no retries on a miss)", got)
+			}
+			if st := c.peers["c"].br.state(); st != breakerClosed {
+				t.Errorf("missing peer's breaker = %v, want closed (a miss is not a fault)", st)
+			}
+		})
+	}
+}
+
+// TestCallerEndedForwardChargesNoPeer pins that a forward the caller's
+// own context ends (client gone, request timeout) is not the peer's
+// failure: routes whose deadline expires while a healthy owner is
+// still working leave every breaker closed, count no error forward and
+// no failover, and stop the walk instead of charging the remaining
+// replicas.  The outcome still reports the owner as bypassed, so a
+// local miss answers the retryable 503 with the failover marker.  A
+// half-open trial that such a route claimed is handed back: the next
+// route gets the trial, and the recovered owner answers it.
+func TestCallerEndedForwardChargesNoPeer(t *testing.T) {
 	leakcheck.Check(t)
 	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(300 * time.Millisecond)
-		_, _ = w.Write([]byte("slow"))
-	})
-	fast := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, _ = w.Write([]byte("fast"))
-	})
-	c, _ := testCluster(t, slow, fast, func(o *Options) {
-		o.HedgeDelay = 20 * time.Millisecond
-	})
-
-	bID := idRoutedVia(t, c.ring, "b", "c")
-	start := time.Now()
-	w, out := route(c, Request{ID: bID, Method: "GET", Path: "/x", Hedge: true})
-	if !out.Handled || w.Body.String() != "fast" {
-		t.Fatalf("hedged read: %+v body=%q, want fast replica's answer", out, w.Body.String())
-	}
-	if d := time.Since(start); d > 250*time.Millisecond {
-		t.Errorf("hedged read took %v — waited for the slow owner", d)
-	}
-	if c.hedges.Value() != 1 || c.hedgeWins.Value() != 1 {
-		t.Errorf("hedges=%d wins=%d, want 1/1", c.hedges.Value(), c.hedgeWins.Value())
-	}
-}
-
-// TestHedgeMissWaitsForSlowOwner pins the spurious-404 fix: a hedge
-// fired at a non-owner that misses locally (503 + MissHeader, the
-// clusterMiss shape) must not be relayed — the slow-but-healthy
-// owner's eventual 200 is the answer.  The miss is also not a peer
-// fault: the hedge peer's breaker stays closed.
-func TestHedgeMissWaitsForSlowOwner(t *testing.T) {
-	leakcheck.Check(t)
-	owner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(150 * time.Millisecond)
-		_, _ = w.Write([]byte("owner-result"))
-	})
-	var hedged atomic.Int64
-	missing := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hedged.Add(1)
-		if r.Header.Get(FailoverHeader) != "1" {
-			t.Error("hedge hop to non-owner not marked as failover on the wire")
+		select {
+		case <-time.After(300 * time.Millisecond):
+			_, _ = w.Write([]byte("ok"))
+		case <-r.Context().Done():
 		}
-		w.Header().Set(MissHeader, "1")
-		http.Error(w, "no local copy", http.StatusServiceUnavailable)
 	})
-	c, _ := testCluster(t, owner, missing, func(o *Options) {
-		o.HedgeDelay = 20 * time.Millisecond
-	})
-
+	c, _ := testCluster(t, slow, slow, nil)
 	bID := idRoutedVia(t, c.ring, "b", "c")
-	w, out := route(c, Request{ID: bID, Method: "GET", Path: "/v1/jobs/" + bID, Hedge: true})
-	if !out.Handled || out.Peer != "b" {
-		t.Fatalf("outcome = %+v, want the owner's answer", out)
+	routeWithin := func(d time.Duration) (*httptest.ResponseRecorder, Outcome) {
+		ctx, cancel := context.WithTimeout(context.Background(), d)
+		defer cancel()
+		w := httptest.NewRecorder()
+		r := httptest.NewRequest("GET", "http://client/x", nil).WithContext(ctx)
+		return w, c.Route(w, r, Request{ID: bID, Method: "GET", Path: "/x"})
 	}
-	if w.Code != 200 || w.Body.String() != "owner-result" {
-		t.Fatalf("hedged read relayed %d %q, want the owner's 200", w.Code, w.Body.String())
-	}
-	if hedged.Load() == 0 {
-		t.Fatal("hedge never fired — test exercised nothing")
-	}
-	if got := c.forwards.With("c", "miss").Value(); got != 1 {
-		t.Errorf("miss forwards to c = %d, want 1", got)
-	}
-	if st := c.peers["c"].br.state(); st != breakerClosed {
-		t.Errorf("hedge peer's breaker = %v after a miss, want closed", st)
-	}
-}
 
-// TestHedgeFailoverMarksResponse pins the header contract: when the
-// owner fails before the hedge delay and the next replica serves, the
-// relayed response must carry the failover marker.
-func TestHedgeFailoverMarksResponse(t *testing.T) {
-	leakcheck.Check(t)
-	bad := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "boom", http.StatusInternalServerError)
-	})
-	good := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, _ = w.Write([]byte("ok"))
-	})
-	c, _ := testCluster(t, bad, good, func(o *Options) {
-		o.HedgeDelay = 500 * time.Millisecond // owner fails long before it
-	})
-
-	bID := idRoutedVia(t, c.ring, "b", "c")
-	w, out := route(c, Request{ID: bID, Method: "GET", Path: "/x", Hedge: true})
-	if !out.Handled || !out.FailedOver || out.Peer != "c" {
-		t.Fatalf("outcome = %+v, want handled by c with failover", out)
-	}
-	if w.Code != 200 || w.Header().Get(FailoverHeader) != "1" {
-		t.Errorf("failed-over hedge response %d, %s=%q — failover not marked",
-			w.Code, FailoverHeader, w.Header().Get(FailoverHeader))
-	}
-	if c.Failovers() == 0 {
-		t.Error("failover counter did not move")
-	}
-}
-
-// TestFailoverMissKeepsWalking pins the intermediate-replica story:
-// with the owner down, a non-owner's local miss (404 here — even a
-// peer that forgets the MissHeader stamp) is never relayed; the walk
-// continues and falls through to self, so the caller — not the
-// non-owner — decides what a miss means.
-func TestFailoverMissKeepsWalking(t *testing.T) {
-	leakcheck.Check(t)
-	dead := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "boom", http.StatusInternalServerError)
-	})
-	missing := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get(FailoverHeader) != "1" {
-			t.Error("failover hop to non-owner not marked on the wire")
+	for i := 0; i < 3; i++ {
+		w, out := routeWithin(20 * time.Millisecond)
+		if out.Handled || !out.FailedOver {
+			t.Fatalf("route %d outcome = %+v, want unhandled with the owner bypassed", i, out)
 		}
-		http.Error(w, "no such job", http.StatusNotFound)
-	})
-	c, _ := testCluster(t, dead, missing, nil)
+		if w.Header().Get(FailoverHeader) != "1" {
+			t.Fatalf("route %d: abandoned walk not marked with %s", i, FailoverHeader)
+		}
+	}
+	for _, name := range []string{"b", "c"} {
+		if st := c.peers[name].br.state(); st != breakerClosed {
+			t.Errorf("peer %s breaker = %v after caller-ended forwards, want closed", name, st)
+		}
+		if got := c.forwards.With(name, "error").Value(); got != 0 {
+			t.Errorf("peer %s error forwards = %d, want 0", name, got)
+		}
+	}
+	if got := c.Failovers(); got != 0 {
+		t.Errorf("failovers = %d, want 0", got)
+	}
 
-	bID := idRoutedVia(t, c.ring, "b", "c")
-	w, out := route(c, Request{ID: bID, Method: "GET", Path: "/v1/jobs/" + bID})
-	if out.Handled || !out.FailedOver {
-		t.Fatalf("outcome = %+v, want unhandled fall-through to self with failover", out)
+	// Open b's breaker and let its cooldown pass: the next forward is
+	// the half-open trial.
+	br := c.peers["b"].br
+	now := time.Now()
+	br.now = func() time.Time { return now }
+	for i := 0; i < 3; i++ {
+		br.failure()
 	}
-	if w.Code == http.StatusNotFound {
-		t.Fatal("non-owner's 404 was relayed to the client")
+	now = now.Add(time.Hour)
+	if st := br.state(); st != breakerHalfOpen {
+		t.Fatalf("b breaker = %v, want half-open", st)
 	}
-	if w.Header().Get(FailoverHeader) != "1" {
-		t.Error("local fall-through after failover not marked")
+	if _, out := routeWithin(20 * time.Millisecond); out.Handled {
+		t.Fatalf("trial route outcome = %+v, want abandoned", out)
 	}
-	if got := c.forwards.With("c", "miss").Value(); got != 1 {
-		t.Errorf("miss forwards to c = %d, want 1 (no retries on a miss)", got)
+	w, out := routeWithin(5 * time.Second)
+	if !out.Handled || out.Peer != "b" || w.Body.String() != "ok" {
+		t.Fatalf("route after an abandoned trial = %+v body %q, want b's answer to a fresh trial", out, w.Body.String())
 	}
-	if st := c.peers["c"].br.state(); st != breakerClosed {
-		t.Errorf("missing peer's breaker = %v, want closed (a miss is not a fault)", st)
+	if st := br.state(); st != breakerClosed {
+		t.Errorf("b breaker = %v after a successful trial, want closed", st)
 	}
 }
 

@@ -29,17 +29,16 @@ const (
 	// least one failover attempt — the chaos suite's proof that no
 	// 5xx escapes without the cluster having tried a replica.  It is
 	// also set on forwarded *requests* aimed at a non-owner (failover
-	// and hedge hops), telling the serving peer that the ID's owner
-	// was bypassed: a local lookup miss there must answer retryable
-	// (503 + MissHeader) rather than 404, because the owner may still
-	// hold the result.
+	// hops), telling the serving peer that the ID's owner was
+	// bypassed: a local lookup miss there must answer retryable (503 +
+	// MissHeader) rather than 404, because the owner may still hold
+	// the result.
 	FailoverHeader = "X-DLSim-Failover"
 
 	// MissHeader is set ("1") on a peer's retryable local-miss
-	// response to a failed-over or hedged read.  The forwarding node
-	// classifies such a response as "this replica does not hold the
-	// ID" — not a peer fault, not a relayable answer — and keeps
-	// walking the ring (or keeps waiting for the owner).
+	// response to a failed-over read.  The forwarding node classifies
+	// such a response as "this replica does not hold the ID" — not a
+	// peer fault, not a relayable answer — and keeps walking the ring.
 	MissHeader = "X-DLSim-Miss"
 
 	// RequestIDHeader is the correlation ID threaded across nodes.
@@ -62,11 +61,6 @@ type Request struct {
 	Method string
 	Path   string
 	Body   []byte
-
-	// Hedge allows a hedged read: when the cluster's HedgeDelay is
-	// armed and the owner stalls, the same GET races the next replica.
-	// Only meaningful for idempotent reads.
-	Hedge bool
 }
 
 // Outcome reports what Route did.
@@ -76,11 +70,11 @@ type Outcome struct {
 	Handled bool
 
 	// FailedOver means at least one replica ahead of the resolution
-	// point was down, broken open, or failed — the caller served a
-	// locally resolved request only because the ring walk fell
-	// through to self.  GET handlers use it to answer 503 (owner
-	// unreachable, result may exist there) instead of 404 on a local
-	// miss.
+	// point was down, broken open, or failed, or the caller's context
+	// ended before a replica answered — the caller served a locally
+	// resolved request only because the ring walk fell through to
+	// self.  GET handlers use it to answer 503 (owner unreachable,
+	// result may exist there) instead of 404 on a local miss.
 	FailedOver bool
 
 	// Peer is the member that served, when Handled.
@@ -103,13 +97,15 @@ const maxRelayBody = 8 << 20
 // Route resolves one request against the ring.  If self owns the ID
 // it returns immediately (serve locally).  Otherwise it walks the
 // failover sequence: skips peers that are down by probe or breaker,
-// forwards to the first available one (with per-peer retries, and a
-// hedged second read when armed), and relays the peer's response.
-// When every remote candidate ahead of self is unavailable, the walk
-// falls through to self and the caller serves locally — idempotent by
-// construction, so a re-routed submission recomputes bit-identical
-// results.  Route never writes a 5xx of its own; the relayed response
-// carries FailoverHeader whenever a replica was bypassed.
+// forwards to the first available one (with per-peer retries), and
+// relays the peer's response.  When every remote candidate ahead of
+// self is unavailable, the walk falls through to self and the caller
+// serves locally — idempotent by construction, so a re-routed
+// submission recomputes bit-identical results.  A walk whose caller
+// context ends (client gone, request timeout) stops where it is and
+// is reported the same way: the owner was bypassed, and no peer is
+// charged for it.  Route never writes a 5xx of its own; the relayed
+// response carries FailoverHeader whenever a replica was bypassed.
 func (c *Cluster) Route(w http.ResponseWriter, r *http.Request, req Request) Outcome {
 	var out Outcome
 	reqID := r.Header.Get(RequestIDHeader)
@@ -123,143 +119,47 @@ func (c *Cluster) Route(w http.ResponseWriter, r *http.Request, req Request) Out
 		sp.SetAttr("owner", c.ring.owner(req.ID))
 	}
 
-	cands := c.candidates(req.ID)
-	for i := 0; i < len(cands); i++ {
-		p := cands[i]
+	ctx := r.Context()
+	for _, p := range c.candidates(req.ID) {
 		if p.self {
 			// Owner, or failover landed here: serve locally.
 			if out.FailedOver {
 				w.Header().Set(FailoverHeader, "1")
-				c.spanNote(sp, "local-failover", c.self, 0)
+				c.spanNote(sp, "local-failover", c.self)
 			}
 			return out
 		}
 		if !p.healthy() || !p.br.allow() {
 			out.FailedOver = true
 			c.failovers.Inc()
-			c.spanNote(sp, "skip", p.name, 0)
+			c.spanNote(sp, "skip", p.name)
 			continue
 		}
-
-		var resp *peerResp
-		var err error
-		if req.Hedge && c.hedgeDelay > 0 {
-			var winner *peer
-			var failedOver bool
-			resp, winner, failedOver, err = c.hedgedTry(r.Context(), p, c.nextAvailable(cands, i+1), req, reqID, sp, out.FailedOver)
-			if failedOver {
-				out.FailedOver = true
+		resp, err := c.tryPeer(ctx, p, req, reqID, sp, out.FailedOver)
+		if err == nil {
+			if out.FailedOver {
+				w.Header().Set(FailoverHeader, "1")
 			}
-			if err == nil && winner != nil {
-				p = winner
-			}
-		} else {
-			resp, err = c.tryPeer(r.Context(), p, req, reqID, sp, out.FailedOver)
+			c.relay(w, resp)
+			out.Handled = true
+			out.Peer = p.name
+			return out
 		}
-		if err != nil {
-			out.FailedOver = true
-			if !errors.Is(err, errPeerMiss) {
-				c.failovers.Inc()
-			}
-			continue
-		}
-		if out.FailedOver {
+		out.FailedOver = true
+		if ctx.Err() != nil {
+			// Nobody waits for an answer any more: asking the next
+			// replica would only charge it for the caller's deadline.
 			w.Header().Set(FailoverHeader, "1")
+			c.spanNote(sp, "abandoned", p.name)
+			return out
 		}
-		c.relay(w, resp)
-		out.Handled = true
-		out.Peer = p.name
-		return out
+		if !errors.Is(err, errPeerMiss) {
+			c.failovers.Inc()
+		}
 	}
 	// Unreachable: self is always on the ring, so the walk above
 	// resolves before the sequence is exhausted.
 	return out
-}
-
-// nextAvailable returns the first non-self candidate at or after
-// index i that is routable, or nil.  It must not consume breaker
-// state: the returned peer may never be contacted (the owner can
-// answer before the hedge fires), so it only peeks via canForward —
-// the half-open trial slot is claimed by allow() at launch time.
-func (c *Cluster) nextAvailable(cands []*peer, i int) *peer {
-	for ; i < len(cands); i++ {
-		p := cands[i]
-		if p.self {
-			return nil
-		}
-		if p.healthy() && p.br.canForward() {
-			return p
-		}
-	}
-	return nil
-}
-
-// hedgedTry forwards to the owner and, if it stalls past HedgeDelay
-// and a second replica is available, races the same read against it,
-// returning the first success (and which peer produced it).  The
-// hedge hop targets a non-owner, so it is marked as a failover on the
-// wire: a miss there (errPeerMiss) just means "keep waiting for the
-// owner", never a relayable 404.  failedOver reports whether the
-// owner's attempt failed — any response returned after that must
-// carry FailoverHeader.  Both attempts share the request context; the
-// loser is abandoned to its own per-hop timeout — its result lands in
-// a buffered channel, so nothing leaks.
-func (c *Cluster) hedgedTry(ctx context.Context, owner, next *peer, req Request, reqID string, sp *telemetry.Span, ownerIsFailover bool) (_ *peerResp, _ *peer, failedOver bool, _ error) {
-	type tryResult struct {
-		resp *peerResp
-		err  error
-		peer *peer
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make(chan tryResult, 2)
-	launch := func(p *peer, failover bool) {
-		go func() {
-			resp, err := c.tryPeer(hctx, p, req, reqID, sp, failover)
-			results <- tryResult{resp, err, p}
-		}()
-	}
-	launch(owner, ownerIsFailover)
-	inFlight := 1
-	var lastErr error
-	if next != nil {
-		select {
-		case res := <-results:
-			if res.err == nil {
-				return res.resp, res.peer, failedOver, nil
-			}
-			inFlight--
-			// Owner already failed: the "hedge" is now just failover
-			// within the same call.
-			failedOver = true
-			lastErr = res.err
-			c.failovers.Inc()
-		case <-time.After(c.hedgeDelay):
-			c.hedges.Inc()
-		}
-		// Claim the breaker slot only now that the request actually
-		// launches; a concurrent route may have taken a half-open
-		// trial since nextAvailable peeked.
-		if next.br.allow() {
-			launch(next, true)
-			inFlight++
-		}
-	}
-	for ; inFlight > 0; inFlight-- {
-		res := <-results
-		if res.err != nil {
-			if res.peer == owner {
-				failedOver = true
-			}
-			lastErr = res.err
-			continue
-		}
-		if res.peer != owner {
-			c.hedgeWins.Inc()
-		}
-		return res.resp, res.peer, failedOver, nil
-	}
-	return nil, nil, failedOver, lastErr
 }
 
 // tryPeer forwards the request to one peer with the retry policy:
@@ -270,7 +170,10 @@ func (c *Cluster) hedgedTry(ctx context.Context, owner, next *peer, req Request,
 // the hop as aimed at a non-owner; a local-miss answer from such a
 // peer (errPeerMiss) is final for this peer — the peer is healthy
 // (the breaker records a success) and re-asking it cannot help, so
-// the caller moves on without retries.
+// the caller moves on without retries.  A failure that the caller's
+// own context caused is not the peer's: it is neither counted nor
+// charged to the breaker, and a half-open trial it held is handed
+// back.
 func (c *Cluster) tryPeer(ctx context.Context, p *peer, req Request, reqID string, sp *telemetry.Span, failover bool) (*peerResp, error) {
 	var lastErr error
 	for attempt := 1; attempt <= c.retry.MaxAttempts; attempt++ {
@@ -296,12 +199,13 @@ func (c *Cluster) tryPeer(ctx context.Context, p *peer, req Request, reqID strin
 			c.forwards.With(p.name, "miss").Inc()
 			return nil, err
 		}
+		if ctx.Err() != nil {
+			p.br.release()
+			return nil, ctx.Err()
+		}
 		p.br.failure()
 		c.brState.With(p.name).Set(int64(p.br.state()))
 		c.forwards.With(p.name, "error").Inc()
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
 	}
 	return nil, lastErr
 }
@@ -380,9 +284,9 @@ func (c *Cluster) relay(w http.ResponseWriter, resp *peerResp) {
 	_, _ = w.Write(resp.body)
 }
 
-// spanNote records a non-attempt routing event (skip, local
-// failover) in the forward span tree.
-func (c *Cluster) spanNote(sp *telemetry.Span, event, peer string, _ int) {
+// spanNote records a non-attempt routing event (skip, abandoned
+// walk, local failover) in the forward span tree.
+func (c *Cluster) spanNote(sp *telemetry.Span, event, peer string) {
 	if sp == nil {
 		return
 	}

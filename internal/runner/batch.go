@@ -131,20 +131,9 @@ func batchID(specs []JobSpec) string {
 	for i, sp := range specs {
 		keys[i], _ = sp.Key()
 	}
-	sortStrings(keys)
+	sort.Strings(keys)
 	sum := sha256.Sum256([]byte(strings.Join(keys, "\n")))
 	return "b" + hex.EncodeToString(sum[:8])
-}
-
-// sortStrings is insertion sort — batch key lists are small and this
-// keeps the file free of a sort import debate; replace if batches
-// ever grow past MaxBatchJobs.
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // Jobs returns the batch's job handles in expansion order.

@@ -2,6 +2,9 @@ package runner
 
 import (
 	"context"
+	"encoding/json"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,6 +20,41 @@ func fastSweep() SweepSpec {
 		Seeds:    []uint64{1, 2},
 		Warm:     5,
 		Measure:  25,
+	}
+}
+
+// TestPinnedBatchIDs pins three content-derived batch IDs, computed
+// from the sweeps as dlsimd decodes them.  A batch ID hashes its jobs'
+// canonical keys in sorted order, so it moves if a key, the sort or
+// the hash does — a cache-invalidation event for every stored batch,
+// like a moved job ID (TestPinnedJobIDs in cmd/dlsimd).
+func TestPinnedBatchIDs(t *testing.T) {
+	seeds := make([]string, 32)
+	for i := range seeds {
+		seeds[i] = strconv.Itoa(i + 1)
+	}
+	cases := []struct {
+		body string
+		id   string
+	}{
+		{`{"workload":"jit","configs":["base","enhanced"],"seeds":[4],"scale":0.25}`, "b6315f35fdbab0c0b"},
+		{`{"workload":"apache","configs":["enhanced","base"],"seeds":[9,3,1,7],"scale":0.5,"sample_windows":4}`, "b6c3b5f5e2ae063ac"},
+		{`{"workload":"memcached","configs":["base"],"seeds":[` + strings.Join(seeds, ",") + `],"timeline_off":true}`, "b707037ff36e101fa"},
+	}
+	for _, c := range cases {
+		var sweep SweepSpec
+		dec := json.NewDecoder(strings.NewReader(c.body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&sweep); err != nil {
+			t.Fatalf("decode %s: %v", c.body, err)
+		}
+		id, err := sweep.ID()
+		if err != nil {
+			t.Fatalf("sweep %s: %v", c.body, err)
+		}
+		if id != c.id {
+			t.Errorf("sweep %s: id = %s, want pinned %s", c.body, id, c.id)
+		}
 	}
 }
 
