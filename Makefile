@@ -23,15 +23,16 @@ fmt:
 	fi
 
 # Race-detector pass over the concurrent subsystems: the linker's code
-# shared across forks, the artifact pool, the job engine, the service,
-# and the concurrency tests of the runner-backed experiment suite, plus
+# shared across forks, the artifact pool, the job engine, the result
+# store and the telemetry atomics it counts in, the service, and the
+# concurrency tests of the runner-backed experiment suite, plus
 # the kernel bit-identity golden test (its counters must survive the
 # race-instrumented memory model too).
 # (The experiments package's full artefact tests are single-threaded
 # and ~10x slower under race, so only these targeted tests run here;
 # `make check` covers the rest.)
 race:
-	$(GO) test -race -timeout 20m ./internal/linker/... ./internal/pool/... ./internal/runner/... ./internal/cluster/... ./cmd/dlsimd/...
+	$(GO) test -race -timeout 20m ./internal/linker/... ./internal/pool/... ./internal/runner/... ./internal/store/... ./internal/telemetry/... ./internal/cluster/... ./cmd/dlsimd/...
 	$(GO) test -race -timeout 20m -run 'TestSuiteParallelMatchesSequential|TestSuiteConcurrentUse|TestGoldenCounters' ./internal/experiments/
 
 # Robustness pass: the concurrent subsystems under low-probability

@@ -17,6 +17,11 @@ import (
 	"repro/internal/runner"
 )
 
+// chaosSeed restarts the shared fault RNG at the start of each chaos
+// test, at the seed a fresh process starts from, so a test's injection
+// schedule does not depend on what the tests before it drew.
+const chaosSeed = 1
+
 // chaosClient drives the cluster like an external caller under
 // failure: it retries on transport errors and retryable statuses,
 // resubmits work when told to, and asserts the cluster's core promise
@@ -25,6 +30,11 @@ import (
 type chaosClient struct {
 	t     *testing.T
 	front *testNode
+
+	// timeout bounds each request (zero: none), so a forward hung
+	// past its per-hop timeout surfaces as a failed request instead
+	// of hanging the suite.
+	timeout time.Duration
 }
 
 // do issues one request, enforcing the no-unexcused-5xx invariant.
@@ -40,7 +50,7 @@ func (c *chaosClient) do(method, path string, body []byte) (int, http.Header, []
 	if err != nil {
 		c.t.Fatal(err)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := (&http.Client{Timeout: c.timeout}).Do(req)
 	if err != nil {
 		return 0, nil, nil, false
 	}
@@ -121,6 +131,32 @@ func (c *chaosClient) runSweep(sweep []byte, disrupt func(st runner.BatchStatus)
 	}
 }
 
+// readThroughHangs GETs IDs owned by remote, a live node other than
+// the front, so that every read is a real forward for the armed
+// cluster.forward point to hang.  Each read must come back, and a
+// read whose hops hung must end within one ForwardTimeout per hung
+// hop plus slack: the per-hop timeout alone unblocks a hung forward.
+func (c *chaosClient) readThroughHangs(remote *testNode, forwardTO time.Duration) {
+	c.t.Helper()
+	reads := 0
+	for i := 0; reads < 12; i++ {
+		id := fmt.Sprintf("%016x", i)
+		if c.front.cl.Owner(id) != remote.name {
+			continue
+		}
+		reads++
+		before := faultinject.Injections("cluster.forward")
+		start := time.Now()
+		code, _, _, ok := c.do(http.MethodGet, "/v1/jobs/"+id, nil)
+		elapsed := time.Since(start)
+		hung := faultinject.Injections("cluster.forward") - before
+		if bound := time.Duration(hung+2) * forwardTO; !ok || elapsed > bound {
+			c.t.Fatalf("read %s with %d hung hops: ok=%v code %d after %v, want an answer within %v",
+				id, hung, ok, code, elapsed, bound)
+		}
+	}
+}
+
 // aggregatesEqual compares per-config aggregates bit-for-bit on every
 // deterministic field.  SetupMS/MeasMS are wall-clock and excluded —
 // they measure this machine, not the simulated one.
@@ -191,15 +227,18 @@ func TestChaosKillAndFaultsPreserveDeterminism(t *testing.T) {
 	// Chaos phase.  Fault injection starts in error mode on the
 	// forwarding client; the disrupt callback escalates to delay and
 	// hang modes and hard-kills the batch owner once work is running.
+	// The schedule is this test's own (see chaosSeed).
+	faultinject.Seed(chaosSeed)
 	faultinject.Enable("cluster.forward", faultinject.PointConfig{
 		Mode: faultinject.Error, Prob: 0.3, Count: 8,
 	})
 	t.Cleanup(faultinject.Reset)
 
+	// Hangs must resolve quickly: the per-hop timeout is the only
+	// thing that unblocks a hung forward.
+	const forwardTO = 300 * time.Millisecond
 	h := startCluster(t, 3, func(i int, co *cluster.Options, ro *runner.Options) {
-		// Hangs must resolve quickly: the per-hop timeout is the only
-		// thing that unblocks a hung forward.
-		co.ForwardTimeout = 300 * time.Millisecond
+		co.ForwardTimeout = forwardTO
 	})
 
 	// Compute the batch ID up front so the kill targets the owner.
@@ -213,7 +252,13 @@ func TestChaosKillAndFaultsPreserveDeterminism(t *testing.T) {
 	}
 	owner := h.ownerOf(batchID)
 	front := h.nonOwnerOf(batchID)
-	client := &chaosClient{t: t, front: front}
+	var remote *testNode
+	for _, n := range h.nodes {
+		if n != owner && n != front {
+			remote = n
+		}
+	}
+	client := &chaosClient{t: t, front: front, timeout: 10 * forwardTO}
 
 	phase := 0
 	final := client.runSweep(sweepJSON, func(st runner.BatchStatus) {
@@ -229,15 +274,22 @@ func TestChaosKillAndFaultsPreserveDeterminism(t *testing.T) {
 			owner.kill()
 		case phase == 1 && st.Done >= 3:
 			// Recompute is past halfway on a survivor: last escalation,
-			// hangs that only the per-hop timeout can unblock.
+			// hangs that only the per-hop timeout can unblock, on reads
+			// the front must forward to the live remote node.  The
+			// first three forwarded hops hang.
 			phase = 2
 			faultinject.Enable("cluster.forward", faultinject.PointConfig{
-				Mode: faultinject.Hang, Prob: 0.2, Count: 3,
+				Mode: faultinject.Hang, Prob: 1, Count: 3,
 			})
+			client.readThroughHangs(remote, forwardTO)
 		}
 	})
 
+	hangs := faultinject.Injections("cluster.forward")
 	faultinject.Disable("cluster.forward")
+	if phase != 2 || hangs == 0 {
+		t.Fatalf("hang phase injected %d hangs (phase %d): the test exercised nothing", hangs, phase)
+	}
 
 	if final.Failed != 0 || final.Done != 6 {
 		t.Fatalf("chaos batch done=%d failed=%d, want 6/0", final.Done, final.Failed)
@@ -273,6 +325,7 @@ func TestChaosKillAndFaultsPreserveDeterminism(t *testing.T) {
 // leak to callers as long as some replica can serve.
 func TestChaosInjectedForwardErrorsRetryTransparently(t *testing.T) {
 	leakcheck.Check(t)
+	faultinject.Seed(chaosSeed)
 	faultinject.Enable("cluster.forward", faultinject.PointConfig{
 		Mode: faultinject.Error, Prob: 0.5, Count: 20,
 	})

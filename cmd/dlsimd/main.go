@@ -288,9 +288,10 @@ func main() {
 		defer cancel()
 		// Drain in-flight simulations first (admission is already
 		// off), then flush the result store — every drained job's
-		// result was written through before its gauges dropped, so a
-		// clean drain plus this flush makes the whole run durable —
-		// and finally stop the HTTP listener within the same budget.
+		// result was written through before its gauges dropped, and
+		// Drain returns after its batches' snapshots, so a clean
+		// drain plus this flush makes the whole run durable — and
+		// finally stop the HTTP listener within the same budget.
 		if abandoned := pool.Drain(deadline); abandoned > 0 {
 			api.logJSON("drain deadline hit", map[string]any{"abandoned": abandoned})
 		} else {

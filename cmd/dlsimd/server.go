@@ -621,14 +621,6 @@ func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 		resp.Error = err.Error()
 	} else if res, ok := job.Result(); ok {
 		resp.Result = marshalResult(res)
-		if resp.Result.Sampled == nil && job.Spec.SampleWindows > 0 {
-			// Restored results carry no in-memory estimates; the
-			// sampled record persists beside the result (like a
-			// timeline), so read it through the store.
-			if sr, ok := s.pool.Sampled(job.ID); ok {
-				resp.Result.Sampled = sr
-			}
-		}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

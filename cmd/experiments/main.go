@@ -60,8 +60,8 @@ func dumpTraces(pool *runner.Runner, dir string) (int, error) {
 func main() {
 	seed := flag.Uint64("seed", 1, "simulation seed (same seed, same results)")
 	scale := flag.Float64("scale", 1, "request-count multiplier")
-	only := flag.String("only", "", "comma-separated artefacts (table2,table3,table4,table5,table6,figure4,figure5,figure6,figure7,figure8,memory,speedups)")
-	ablations := flag.Bool("ablations", false, "also run ablations A1-A5 (slow)")
+	only := flag.String("only", "", "comma-separated artefacts (table2,table3,table4,table5,table6,figure4,figure5,figure6,figure7,figure8,memory,speedups; ablation1-ablation7 with -ablations)")
+	ablations := flag.Bool("ablations", false, "also run ablations A1-A7 (slow)")
 	workers := flag.Int("workers", 0, "simulation pool size (0 = one per CPU)")
 	retries := flag.Int("retries", 0, "max execution attempts per simulation incl. the first (0 = default 3, 1 = no retry)")
 	traceOut := flag.String("trace-out", "", "directory to dump per-simulation span trees as JSON (empty = off)")

@@ -249,13 +249,36 @@ func TestRouteFailsOverPastFailingOwner(t *testing.T) {
 	if w.Header().Get(FailoverHeader) != "1" {
 		t.Error("failover response not marked")
 	}
-	if c.Failovers() == 0 {
-		t.Error("failover counter did not move")
+	if got := c.Failovers(); got != 1 {
+		t.Errorf("failovers = %d, want 1 (one request answered by a replica)", got)
 	}
 	// A 5xx peer is never relayed: the owner answered 500 twice
 	// (retry), both recorded as errors.
 	if got := c.forwards.With("b", "error").Value(); got != 2 {
 		t.Errorf("owner error forwards = %d, want 2 (retry then failover)", got)
+	}
+}
+
+// TestFailoversCountRequests: the failover counter moves once per
+// request a replica other than the owner answers, not once per peer
+// the walk passed.  Each route here passes two failing peers (first by
+// forwarding, later by breaker skip) before self serves it.
+func TestFailoversCountRequests(t *testing.T) {
+	leakcheck.Check(t)
+	bad := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "boom", http.StatusInternalServerError)
+	})
+	c, _ := testCluster(t, bad, bad, nil)
+
+	id := idRoutedVia(t, c.ring, "b", "c") // then self
+	for i := 0; i < 3; i++ {
+		w, out := route(c, Request{ID: id, Method: "GET", Path: "/v1/jobs/" + id})
+		if out.Handled || !out.FailedOver || w.Header().Get(FailoverHeader) != "1" {
+			t.Fatalf("route %d outcome = %+v, want served locally after failover", i, out)
+		}
+	}
+	if got := c.Failovers(); got != 3 {
+		t.Errorf("failovers = %d after three re-routed requests, want 3", got)
 	}
 }
 

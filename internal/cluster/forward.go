@@ -106,6 +106,8 @@ const maxRelayBody = 8 << 20
 // is reported the same way: the owner was bypassed, and no peer is
 // charged for it.  Route never writes a 5xx of its own; the relayed
 // response carries FailoverHeader whenever a replica was bypassed.
+// The failover counter moves once per request a replica other than
+// the owner answers, however many peers the walk passed.
 func (c *Cluster) Route(w http.ResponseWriter, r *http.Request, req Request) Outcome {
 	var out Outcome
 	reqID := r.Header.Get(RequestIDHeader)
@@ -125,13 +127,13 @@ func (c *Cluster) Route(w http.ResponseWriter, r *http.Request, req Request) Out
 			// Owner, or failover landed here: serve locally.
 			if out.FailedOver {
 				w.Header().Set(FailoverHeader, "1")
+				c.failovers.Inc()
 				c.spanNote(sp, "local-failover", c.self)
 			}
 			return out
 		}
 		if !p.healthy() || !p.br.allow() {
 			out.FailedOver = true
-			c.failovers.Inc()
 			c.spanNote(sp, "skip", p.name)
 			continue
 		}
@@ -139,6 +141,7 @@ func (c *Cluster) Route(w http.ResponseWriter, r *http.Request, req Request) Out
 		if err == nil {
 			if out.FailedOver {
 				w.Header().Set(FailoverHeader, "1")
+				c.failovers.Inc()
 			}
 			c.relay(w, resp)
 			out.Handled = true
@@ -152,9 +155,6 @@ func (c *Cluster) Route(w http.ResponseWriter, r *http.Request, req Request) Out
 			w.Header().Set(FailoverHeader, "1")
 			c.spanNote(sp, "abandoned", p.name)
 			return out
-		}
-		if !errors.Is(err, errPeerMiss) {
-			c.failovers.Inc()
 		}
 	}
 	// Unreachable: self is always on the ring, so the walk above
@@ -210,8 +210,9 @@ func (c *Cluster) tryPeer(ctx context.Context, p *peer, req Request, reqID strin
 	return nil, lastErr
 }
 
-// doOnce performs one forwarded hop: fault-injection point, per-hop
-// timeout, header threading, full body buffering, latency histogram.
+// doOnce performs one forwarded hop: per-hop timeout, fault-injection
+// point (under that timeout, so an injected hang ends with the hop),
+// header threading, full body buffering, latency histogram.
 // A status >= 500 is a failure — the next replica can serve the same
 // content-derived ID, so relaying a peer's 5xx would waste the ring.
 // On a failover hop the request carries FailoverHeader, and the
@@ -220,11 +221,11 @@ func (c *Cluster) tryPeer(ctx context.Context, p *peer, req Request, reqID strin
 // instead of a relayable response: only the ID's owner may assert
 // not-found to the client.
 func (c *Cluster) doOnce(ctx context.Context, p *peer, req Request, reqID string, failover bool) (*peerResp, error) {
-	if err := faultinject.FireCtx(ctx, "cluster.forward"); err != nil {
-		return nil, err
-	}
 	hctx, cancel := context.WithTimeout(ctx, c.forwardTO)
 	defer cancel()
+	if err := faultinject.FireCtx(hctx, "cluster.forward"); err != nil {
+		return nil, err
+	}
 	var body io.Reader
 	if req.Body != nil {
 		body = bytes.NewReader(req.Body)

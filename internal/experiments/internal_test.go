@@ -48,16 +48,8 @@ func TestMerged(t *testing.T) {
 }
 
 func TestSuiteMeasureClamp(t *testing.T) {
-	s := NewSuite(1, 0.001) // absurdly small scale
-	if got := s.measure(WorkloadSpec{Measure: 400}); got != 20 {
-		t.Errorf("measure = %d, want clamped to 20", got)
-	}
-	s2 := NewSuite(1, 0) // zero scale defaults to 1
-	if got := s2.measure(WorkloadSpec{Measure: 400}); got != 400 {
-		t.Errorf("measure = %d, want 400", got)
-	}
-	if s2.Scale != 1 {
-		t.Errorf("Scale = %v", s2.Scale)
+	if s := NewSuite(1, 0); s.Scale != 1 { // zero scale defaults to 1
+		t.Errorf("Scale = %v", s.Scale)
 	}
 }
 

@@ -87,18 +87,6 @@ type runData struct {
 	baseTramps        trace.Summary // Base's lifetime trampoline stream
 }
 
-func (s *Suite) measure(spec WorkloadSpec) int {
-	scale := s.Scale
-	if scale <= 0 {
-		scale = 1
-	}
-	n := int(float64(spec.Measure) * scale)
-	if n < 20 {
-		n = 20
-	}
-	return n
-}
-
 // pair returns the workload's Base/Enhanced job specs.
 func (s *Suite) pair(name string) [2]runner.JobSpec {
 	return runner.PairSpecs(name, s.Seed, s.Scale)

@@ -111,10 +111,9 @@ func (s SweepSpec) ID() (string, error) {
 // the canonical keys of its jobs, so resubmitting the same sweep
 // (even with axes reordered or duplicated) addresses the same batch.
 type Batch struct {
-	ID      string
-	Specs   []JobSpec // normalized, deduplicated, expansion order
-	jobs    []*Job
-	created time.Time
+	ID    string
+	Specs []JobSpec // normalized, deduplicated, expansion order
+	jobs  []*Job
 
 	// restored holds the final status snapshot of a batch reloaded
 	// from the disk store; such a handle has no live jobs and serves
@@ -191,7 +190,7 @@ type BatchAggregate struct {
 // batch's completed jobs: the per-job series element-wise summed on a
 // common interval grid (see timeline.Merge).  Jobs counts the series
 // merged — jobs that ran with timelines disabled, or whose series
-// were restored from disk without being fetched, do not contribute.
+// record was lost to crash recovery, do not contribute.
 type BatchTimeline struct {
 	Config ConfigKind       `json:"config"`
 	Jobs   int              `json:"jobs"`
@@ -258,8 +257,8 @@ func (b *Batch) Status() BatchStatus {
 					order = append(order, j.Spec.Config)
 				}
 				a.jobs++
-				if res.Timeline != nil {
-					a.series = append(a.series, res.Timeline)
+				if s := res.Timeline(); s != nil {
+					a.series = append(a.series, s)
 				}
 				if res.Sampled != nil {
 					if sc, ok := res.Sampled.Metrics["us_per_req"]; ok {
@@ -367,7 +366,7 @@ func (r *Runner) SubmitBatch(sweep SweepSpec) (batch *Batch, reused bool, err er
 	}
 	r.mu.Unlock()
 
-	b := &Batch{ID: id, Specs: specs, jobs: make([]*Job, len(specs)), created: time.Now()}
+	b := &Batch{ID: id, Specs: specs, jobs: make([]*Job, len(specs))}
 	for i, spec := range specs {
 		j, _, err := r.Submit(spec)
 		if err != nil {
@@ -383,6 +382,12 @@ func (r *Runner) SubmitBatch(sweep SweepSpec) (batch *Batch, reused bool, err er
 		// Lost a submission race; the jobs we enqueued coalesced onto
 		// the winner's, so just adopt its handle.
 		return existing, true, nil
+	}
+	if r.closed {
+		// Drain began after the jobs were admitted.  It waits only for
+		// the snapshots of batches registered before it, so this one
+		// fails whole, like any admission error.
+		return nil, false, ErrRunnerClosed
 	}
 	r.batches[id] = b
 	r.batchElem[id] = r.batchLRU.PushBack(id)
@@ -402,6 +407,7 @@ func (r *Runner) SubmitBatch(sweep SweepSpec) (batch *Batch, reused bool, err er
 		}
 	}
 	if r.store != nil {
+		r.snapshots.Add(1)
 		go r.persistBatch(b)
 	}
 	return b, false, nil
@@ -411,8 +417,9 @@ func (r *Runner) SubmitBatch(sweep SweepSpec) (batch *Batch, reused bool, err er
 // writes the batch's final snapshot (per-job states and per-config
 // aggregates) through to the disk store under the batch ID.  Jobs
 // always finish — runner shutdown fails them — so this goroutine is
-// bounded by the batch's own lifetime.
+// bounded by the batch's own lifetime; Drain waits for it.
 func (r *Runner) persistBatch(b *Batch) {
+	defer r.snapshots.Add(-1)
 	for _, j := range b.jobs {
 		<-j.done
 	}

@@ -127,55 +127,60 @@ type persistedSide struct {
 	Sampled *SampledResult   `json:"sampled,omitempty"`
 }
 
-// sideRecord describes one kind of side record: its store-ID prefix,
-// which keeps the record disjoint from job IDs (16 hex chars) and batch
-// IDs ("b" prefix), its envelope kind, and where its value lives in a
-// Result and in the envelope.
-type sideRecord[T any] struct {
-	prefix, kind string
-	inResult     func(*Result) *T
-	body         func(*persistedSide) **T
-	empty        func(*T) bool
+// sideKind names the one side record a job with this spec persists
+// beside its result: a sampled job's estimates, or an exact job's
+// timeline unless timeline_off ("" then).  Normalize forces
+// timeline_off on sampled jobs, so no job has two.
+func sideKind(spec JobSpec) string {
+	switch {
+	case spec.SampleWindows > 0:
+		return kindSampled
+	case !spec.TimelineOff:
+		return kindTimeline
+	}
+	return ""
 }
 
-var (
-	timelineRecord = sideRecord[timeline.Series]{
-		prefix: "t", kind: kindTimeline,
-		inResult: func(r *Result) *timeline.Series { return r.Timeline },
-		body:     func(p *persistedSide) **timeline.Series { return &p.Series },
-		empty:    func(s *timeline.Series) bool { return len(s.Points) == 0 },
-	}
-	sampledRecord = sideRecord[SampledResult]{
-		prefix: "s", kind: kindSampled,
-		inResult: func(r *Result) *SampledResult { return r.Sampled },
-		body:     func(p *persistedSide) **SampledResult { return &p.Sampled },
-		empty:    func(s *SampledResult) bool { return s.Windows == 0 },
-	}
-)
+// sideStoreID derives the store ID of a job's side record of the given
+// kind.  The kind's initial, "t" or "s", keeps it disjoint from job IDs
+// (16 hex chars) and batch IDs ("b" prefix).
+func sideStoreID(kind, jobID string) string { return kind[:1] + jobID }
 
-// storeID derives the store ID of the record owned by jobID.
-func (k sideRecord[T]) storeID(jobID string) string { return k.prefix + jobID }
-
-// encode serialises v, owned by jobID, for the store.
-func (k sideRecord[T]) encode(jobID string, v *T) ([]byte, error) {
-	p := persistedSide{V: persistVersion, Kind: k.kind, ID: jobID}
-	*k.body(&p) = v
-	return json.Marshal(p)
+// encodeSide serialises res's side record for the store under the
+// returned store ID; b is nil when the job collected none.
+func encodeSide(res *Result) (storeID string, b []byte, err error) {
+	series := res.Timeline()
+	if series == nil && res.Sampled == nil {
+		return "", nil, nil
+	}
+	kind := sideKind(res.Spec)
+	b, err = json.Marshal(persistedSide{V: persistVersion, Kind: kind, ID: res.ID,
+		Series: series, Sampled: res.Sampled})
+	return sideStoreID(kind, res.ID), b, err
 }
 
-// decode rebuilds a record's value from its disk form.
-func (k sideRecord[T]) decode(b []byte) (*T, error) {
+// decodeSide rebuilds a side record of the given kind from its disk
+// form.  Only a non-empty body of that kind is accepted.
+func decodeSide(b []byte, kind string) (*persistedSide, error) {
 	var p persistedSide
 	if err := json.Unmarshal(b, &p); err != nil {
-		return nil, fmt.Errorf("runner: corrupt stored %s record: %w", k.kind, err)
+		return nil, fmt.Errorf("runner: corrupt stored %s record: %w", kind, err)
 	}
-	if p.V != persistVersion || p.Kind != k.kind {
-		return nil, fmt.Errorf("runner: stored record is not a v%d %s record (v=%d kind=%q)", persistVersion, k.kind, p.V, p.Kind)
+	if p.V != persistVersion || p.Kind != kind {
+		return nil, fmt.Errorf("runner: stored record is not a v%d %s record (v=%d kind=%q)", persistVersion, kind, p.V, p.Kind)
 	}
-	if v := *k.body(&p); v != nil && !k.empty(v) {
-		return v, nil
+	var full bool
+	if kind == kindTimeline {
+		p.Sampled = nil
+		full = p.Series != nil && len(p.Series.Points) > 0
+	} else {
+		p.Series = nil
+		full = p.Sampled != nil && p.Sampled.Windows > 0
 	}
-	return nil, fmt.Errorf("runner: stored %s record %s is empty", k.kind, p.ID)
+	if !full {
+		return nil, fmt.Errorf("runner: stored %s record %s is empty", kind, p.ID)
+	}
+	return &p, nil
 }
 
 // persistedBatch is a completed batch's durable form: the expanded

@@ -3,8 +3,6 @@ package runner
 import (
 	"bytes"
 	"testing"
-
-	"repro/internal/timeline"
 )
 
 // FuzzDecodeRecord feeds arbitrary bytes, as a corrupt or foreign
@@ -21,12 +19,13 @@ func FuzzDecodeRecord(f *testing.F) {
 		checkDecoder(t, "batch", b, decodeBatch, func(p *persistedBatch) ([]byte, error) {
 			return encodeBatch(p.ID, p.Specs, p.Status)
 		})
-		checkDecoder(t, "timeline", b, timelineRecord.decode, func(s *timeline.Series) ([]byte, error) {
-			return timelineRecord.encode("0123456789abcdef", s)
-		})
-		checkDecoder(t, "sampled", b, sampledRecord.decode, func(s *SampledResult) ([]byte, error) {
-			return sampledRecord.encode("0123456789abcdef", s)
-		})
+		for _, kind := range []string{kindTimeline, kindSampled} {
+			checkDecoder(t, kind, b, func(b []byte) (*persistedSide, error) { return decodeSide(b, kind) },
+				func(p *persistedSide) ([]byte, error) {
+					_, b, err := encodeSide(sideResult(p))
+					return b, err
+				})
+		}
 	})
 }
 

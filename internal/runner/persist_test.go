@@ -90,34 +90,52 @@ func TestSideRecordBytesStable(t *testing.T) {
 		"cpi":        {Mean: 1.0625, CI95: 0.03125},
 		"us_per_req": {Mean: 41.152083333333336, CI95: 0.26316666666666666},
 	}}
-	checkSideRecord(t, timelineRecord, "0123456789abcdef", "t0123456789abcdef", series, legacyTimelineRecord)
-	checkSideRecord(t, sampledRecord, "fedcba9876543210", "sfedcba9876543210", sampled, legacySampledRecord)
+	checkSideRecord(t, &persistedSide{Kind: kindTimeline, ID: "0123456789abcdef", Series: series},
+		"t0123456789abcdef", legacyTimelineRecord)
+	checkSideRecord(t, &persistedSide{Kind: kindSampled, ID: "fedcba9876543210", Sampled: sampled},
+		"sfedcba9876543210", legacySampledRecord)
 
-	if _, err := timelineRecord.decode([]byte(legacySampledRecord)); err == nil {
+	if _, err := decodeSide([]byte(legacySampledRecord), kindTimeline); err == nil {
 		t.Error("a sampled record decoded as a timeline")
 	}
-	if _, err := sampledRecord.decode([]byte(legacyTimelineRecord)); err == nil {
+	if _, err := decodeSide([]byte(legacyTimelineRecord), kindSampled); err == nil {
 		t.Error("a timeline record decoded as sampled estimates")
 	}
 }
 
-func checkSideRecord[T any](t *testing.T, k sideRecord[T], jobID, wantStoreID string, v *T, legacy string) {
-	t.Helper()
-	if got := k.storeID(jobID); got != wantStoreID {
-		t.Errorf("%s: store ID %q, want %q", k.kind, got, wantStoreID)
+// sideResult is a result carrying side record p's body under a spec
+// of p's kind.
+func sideResult(p *persistedSide) *Result {
+	res := &Result{ID: p.ID, Sampled: p.Sampled}
+	if p.Series != nil {
+		res.series = func() *timeline.Series { return p.Series }
 	}
-	b, err := k.encode(jobID, v)
+	if p.Kind == kindSampled {
+		res.Spec = JobSpec{SampleWindows: p.Sampled.Windows, TimelineOff: true}
+	}
+	return res
+}
+
+// checkSideRecord checks that the result carrying want's body stores
+// it under wantStoreID as the legacy bytes, which decode back to want.
+func checkSideRecord(t *testing.T, want *persistedSide, wantStoreID, legacy string) {
+	t.Helper()
+	id, b, err := encodeSide(sideResult(want))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if id != wantStoreID {
+		t.Errorf("%s: store ID %q, want %q", want.Kind, id, wantStoreID)
+	}
 	if string(b) != legacy {
-		t.Errorf("%s: encoding changed:\ngot  %s\nwant %s", k.kind, b, legacy)
+		t.Errorf("%s: encoding changed:\ngot  %s\nwant %s", want.Kind, b, legacy)
 	}
-	got, err := k.decode([]byte(legacy))
+	got, err := decodeSide([]byte(legacy), want.Kind)
 	if err != nil {
-		t.Fatalf("%s: decoding the older build's record: %v", k.kind, err)
+		t.Fatalf("%s: decoding the older build's record: %v", want.Kind, err)
 	}
-	if !reflect.DeepEqual(got, v) {
-		t.Errorf("%s: decoded %+v, want %+v", k.kind, got, v)
+	want.V = persistVersion
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: decoded %+v, want %+v", want.Kind, got, want)
 	}
 }

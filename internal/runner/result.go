@@ -47,19 +47,15 @@ type Result struct {
 	// the two persisted fields.
 	Trampolines trace.Summary
 
-	// Timeline is the job's phase-resolved counter series over the
-	// measurement window (nil when the spec disabled collection).
-	// Restored results carry nil here even when a series was
-	// persisted; Runner.Timeline falls back to the store record.
-	Timeline *timeline.Series
+	// series yields the job's phase-resolved counter series; see
+	// Timeline.
+	series func() *timeline.Series
 
 	// Sampled carries the per-counter interval estimates of a sampled
 	// job (Spec.SampleWindows > 0); nil on exact jobs.  On sampled
 	// jobs, Counters/PKI cover only the measured window excerpts (the
 	// sum of the window deltas) and Samples pool the measured
-	// requests' latencies.  Restored results carry nil here even when
-	// estimates were persisted; Runner.Sampled falls back to the store
-	// record.
+	// requests' latencies.
 	Sampled *SampledResult
 
 	// SetupWall is the wall clock spent before the first measured
@@ -79,10 +75,23 @@ type Result struct {
 	CacheHit bool
 
 	// Restored reports that this result was reloaded from the disk
-	// store rather than computed in this process.  Counters, PKI and
-	// Samples are bit-identical to the original run's; of Trampolines
-	// only Distinct and Calls are persisted.
+	// store rather than computed in this process.  Counters, PKI,
+	// Samples, Timeline and Sampled are bit-identical to the original
+	// run's (Timeline or Sampled is nil if its record was lost to
+	// crash recovery); of Trampolines only Distinct and Calls are
+	// persisted.
 	Restored bool
+}
+
+// Timeline returns the job's phase-resolved counter series over the
+// measurement window, nil when the spec disabled collection.  A
+// restored result reads its series record from the store on the first
+// call, so serving the rest of the result never decodes a series.
+func (r *Result) Timeline() *timeline.Series {
+	if r.series == nil {
+		return nil
+	}
+	return r.series()
 }
 
 // DistinctTrampolines returns the number of distinct trampolines the

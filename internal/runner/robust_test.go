@@ -354,6 +354,30 @@ func TestDrainDeadline(t *testing.T) {
 	}
 }
 
+// TestDrainDeadlineCountsSnapshots: a drain cut short also counts the
+// batch snapshots it could not wait for, so a caller about to close
+// the store knows it loses them.
+func TestDrainDeadlineCountsSnapshots(t *testing.T) {
+	leakcheck.Check(t)
+	armed(t, "runner.execute", faultinject.PointConfig{Mode: faultinject.Hang, Prob: 1})
+
+	r := New(Options{Workers: 1, Store: openStore(t, t.TempDir())})
+	b, _, err := r.SubmitBatch(SweepSpec{Workload: "memcached", Configs: []ConfigKind{Base}, Seeds: []uint64{1}, Warm: 5, Measure: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, b.Jobs()[0], StateRunning)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if n := r.Drain(ctx); n != 2 {
+		t.Errorf("Drain = %d abandoned, want 2 (the job and its batch's snapshot)", n)
+	}
+	r.Close()
+	if err := b.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestTransientMarker: the Transient wrapper drives the default
 // classification and survives error wrapping.
 func TestTransientMarker(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -140,8 +141,6 @@ type Job struct {
 	result   *Result
 	err      error
 	attempts int
-	started  time.Time
-	finished time.Time
 }
 
 // State returns the job's current lifecycle state.
@@ -211,7 +210,6 @@ func (j *Job) record(res *Result, err error) {
 	} else {
 		j.state, j.result = StateDone, res
 	}
-	j.finished = time.Now()
 }
 
 // Runner executes simulation jobs on a bounded worker pool with a
@@ -269,6 +267,11 @@ type Runner struct {
 	batches    map[string]*Batch
 	batchLRU   *list.List
 	batchElem  map[string]*list.Element
+
+	// snapshots counts batch snapshots not yet written to the store
+	// (see persistBatch).  It only grows under mu while closed is
+	// false, so once Drain closes the runner it can only fall.
+	snapshots atomic.Int64
 }
 
 // DefaultMaxRetained is the completed-job retention bound applied when
@@ -390,17 +393,18 @@ func (r *Runner) Close() {
 	r.cancel()
 }
 
-// Drain stops admission and waits for every queued and running job
-// (including pending retries) to finish, up to ctx's deadline.  It
-// returns the number of jobs still unfinished — 0 on a clean drain.
-// Drain does not cancel the abandoned jobs; call Close afterwards to
-// reclaim their workers.
+// Drain stops admission and waits, up to ctx's deadline, for every
+// queued and running job (including pending retries) to finish and
+// for every registered batch's final snapshot to reach the store.  It
+// returns the number of jobs and batch snapshots still unfinished — 0
+// on a clean drain.  Drain does not cancel the abandoned jobs; call
+// Close afterwards to reclaim their workers.
 func (r *Runner) Drain(ctx context.Context) int {
 	r.mu.Lock()
 	r.closed = true
 	r.mu.Unlock()
 	for {
-		n := int(r.m.queued.Value() + r.m.running.Value())
+		n := int(r.m.queued.Value() + r.m.running.Value() + r.snapshots.Load())
 		if n == 0 {
 			return 0
 		}
@@ -637,9 +641,6 @@ func (r *Runner) drive(j *Job) {
 		j.mu.Lock()
 		j.state = StateRunning
 		j.attempts = attempt
-		if attempt == 1 {
-			j.started = time.Now()
-		}
 		j.mu.Unlock()
 
 		as := j.span.Child("attempt")
@@ -736,20 +737,20 @@ func (r *Runner) finish(j *Job, res *Result, err error) {
 	// completed result has been handed to the store, so the shutdown
 	// path's store flush loses nothing.  Put failures are counted by
 	// the store and leave the result memory-only.
-	if err == nil && r.store != nil && !res.Restored {
+	if err == nil && r.store != nil {
 		if b, perr := encodeResult(res); perr == nil {
 			_ = r.store.Put(j.ID, b)
 		}
-		// Timelines and sampled estimates are separate records beside
-		// the result: losing one to a torn tail never corrupts the
-		// others.
-		timelineRecord.put(r, j.ID, res)
-		sampledRecord.put(r, j.ID, res)
+		// The timeline or sampled estimates are a separate record
+		// after the result: losing it to a torn tail never takes the
+		// result with it.
+		if id, b, perr := encodeSide(res); perr == nil && b != nil {
+			_ = r.store.Put(id, b)
+		}
 	}
+	gauge := r.m.queued
 	if j.State() == StateRunning {
-		r.m.running.Dec()
-	} else {
-		r.m.queued.Dec()
+		gauge = r.m.running
 	}
 	if err != nil {
 		r.m.failed.Inc()
@@ -764,6 +765,9 @@ func (r *Runner) finish(j *Job, res *Result, err error) {
 	}
 	j.span.End()
 	j.record(res, err)
+	// The job leaves the gauges only once it reads as completed, so a
+	// Drain that observes an idle runner finds every job done.
+	gauge.Dec()
 	// Only now that the job reads as completed does it become
 	// evictable; until here it was pinned by being absent from the
 	// retention order.  Waiters wake after the retention, so any
@@ -866,7 +870,8 @@ func (r *Runner) execute(ctx context.Context, spec JobSpec, sp *telemetry.Span) 
 		res.PKI = sys.PKI()
 		res.Samples = samp
 		if col != nil {
-			res.Timeline = col.Close()
+			series := col.Close()
+			res.series = func() *timeline.Series { return series }
 		}
 	}
 	res.MeasureWall = time.Since(measureStart)

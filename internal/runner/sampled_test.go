@@ -45,7 +45,7 @@ func TestSampledRunDeterministic(t *testing.T) {
 		if res.Sampled == nil {
 			t.Fatal("sampled job has no Sampled block")
 		}
-		if res.Timeline != nil {
+		if res.Timeline() != nil {
 			t.Error("sampled job produced a timeline")
 		}
 		if res.Counters.Instructions == 0 {
@@ -70,8 +70,8 @@ func TestSampledRunDeterministic(t *testing.T) {
 
 // TestSampledStoreRestore checks the persistence contract: the
 // estimate record written beside the result is served byte-identically
-// by the next process generation through Runner.Sampled, for a job
-// whose in-memory Result was never populated in this process.
+// by the next process generation, in the Result of a job restored from
+// disk.
 func TestSampledStoreRestore(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -99,12 +99,12 @@ func TestSampledStoreRestore(t *testing.T) {
 	if !reused {
 		t.Fatal("warm-start Submit reused=false")
 	}
-	got, ok := r2.Sampled(j.ID)
-	if !ok {
-		t.Fatal("restored job has no sampled record")
-	}
-	if sampledJSON(t, got) != want {
-		t.Errorf("restored estimates differ:\n  want %s\n  got  %s", want, sampledJSON(t, got))
+	// The restored result carries the estimates itself, like the live
+	// one.
+	if restored, ok := j.Result(); !ok || restored.Sampled == nil {
+		t.Fatal("restored Result has no Sampled estimates")
+	} else if sampledJSON(t, restored.Sampled) != want {
+		t.Errorf("restored Result's estimates differ:\n  want %s\n  got  %s", want, sampledJSON(t, restored.Sampled))
 	}
 }
 
@@ -162,7 +162,7 @@ func TestSampledTornRecord(t *testing.T) {
 	if got.ID != res.ID || got.Counters != res.Counters {
 		t.Errorf("restored result differs: %+v vs %+v", got.Counters, res.Counters)
 	}
-	if _, ok := r2.Sampled(j.ID); ok {
+	if got.Sampled != nil {
 		t.Error("torn sampled record surfaced as estimates")
 	}
 }

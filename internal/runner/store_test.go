@@ -2,10 +2,12 @@ package runner
 
 import (
 	"context"
+	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/pool"
 	"repro/internal/store"
 )
 
@@ -208,5 +210,135 @@ func TestStoreDropMarksEvicted(t *testing.T) {
 	}
 	if _, ok := r.Job(a.ID); ok {
 		t.Error("store-dropped job still addressable")
+	}
+}
+
+// TestRestoredSweepMatchesLive: a sweep resubmitted to a restarted
+// runner on the same store is served from restored jobs, and its
+// status must be the live batch's — sampled roll-up and merged
+// timelines included — as must the snapshot the resubmission writes
+// over the stored one.
+func TestRestoredSweepMatchesLive(t *testing.T) {
+	cases := []struct {
+		name  string
+		sweep SweepSpec
+	}{
+		{"sampled", SweepSpec{Workload: "memcached", Configs: []ConfigKind{Base, Enhanced}, Seeds: []uint64{1, 2},
+			Warm: 5, Measure: 160, SampleWindows: 4}},
+		{"exact", SweepSpec{Workload: "memcached", Configs: []ConfigKind{Base, Enhanced}, Seeds: []uint64{1},
+			Warm: 5, Measure: 40}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			live := runSweepToSnapshot(t, dir, tc.sweep)
+			for _, a := range live.Aggregate {
+				if tc.sweep.SampleWindows > 0 && a.SampledJobs != len(tc.sweep.Seeds) {
+					t.Fatalf("live %s row rolled up %d sampled jobs, want %d", a.Config, a.SampledJobs, len(tc.sweep.Seeds))
+				}
+			}
+			if tc.sweep.SampleWindows == 0 && len(live.Timelines) != len(tc.sweep.Configs) {
+				t.Fatalf("live batch merged %d timelines, want %d", len(live.Timelines), len(tc.sweep.Configs))
+			}
+			restored := runSweepToSnapshot(t, dir, tc.sweep)
+			want := statusJSON(t, live)
+			if got := statusJSON(t, restored); got != want {
+				t.Errorf("resubmitted batch differs from the live one:\nlive     %s\nrestored %s", want, got)
+			}
+			st := openStore(t, dir)
+			payload, ok, err := st.Get(restored.ID)
+			if !ok || err != nil {
+				t.Fatalf("no stored snapshot for %s (err %v)", restored.ID, err)
+			}
+			pb, err := decodeBatch(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := statusJSON(t, pb.Status); got != want {
+				t.Errorf("stored snapshot differs from the live batch:\nlive   %s\nstored %s", want, got)
+			}
+		})
+	}
+}
+
+// runSweepToSnapshot runs the sweep on a fresh runner over the store
+// in dir, drains it so the batch snapshot lands, closes both, and
+// returns the batch's final status.
+func runSweepToSnapshot(t *testing.T, dir string, sweep SweepSpec) BatchStatus {
+	t.Helper()
+	ctx := context.Background()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	r := New(Options{Workers: 2, Store: st})
+	defer r.Close()
+	b, _, err := r.SubmitBatch(sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	status := b.Status()
+	if status.Done != status.Total {
+		t.Fatalf("batch done %d of %d: %+v", status.Done, status.Total, status.Jobs)
+	}
+	if n := r.Drain(ctx); n != 0 {
+		t.Fatalf("drain left %d jobs", n)
+	}
+	return status
+}
+
+// statusJSON renders the parts of a batch status computed from its
+// jobs' results: the per-config aggregates and merged timelines.
+func statusJSON(t *testing.T, st BatchStatus) string {
+	t.Helper()
+	b, err := json.Marshal([]any{st.Aggregate, st.Timelines})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestDrainWritesBatchSnapshots: a clean Drain returns only once every
+// registered batch's final snapshot is in the store, so closing the
+// store right after it (as dlsimd's shutdown does) loses none.
+func TestDrainWritesBatchSnapshots(t *testing.T) {
+	const trials = 60
+	ctx := context.Background()
+	shared := pool.New(pool.Options{})
+	sweep := SweepSpec{Workload: "memcached", Configs: []ConfigKind{Base, Enhanced}, Seeds: []uint64{1}, Warm: 5, Measure: 20}
+	missing := 0
+	for i := 0; i < trials; i++ {
+		dir := t.TempDir()
+		st, err := store.Open(dir, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := New(Options{Workers: 2, Store: st, Pool: shared})
+		b, _, err := r.SubmitBatch(sweep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := r.Drain(ctx); n != 0 {
+			t.Fatalf("trial %d: drain left %d jobs", i, n)
+		}
+		r.Close()
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		reopened, err := store.Open(dir, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reopened.Has(b.ID) {
+			missing++
+		}
+		reopened.Close()
+	}
+	if missing > 0 {
+		t.Errorf("batch snapshot missing after a clean drain in %d of %d trials", missing, trials)
 	}
 }

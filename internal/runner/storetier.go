@@ -5,7 +5,12 @@ package runner
 // this file is the glue that turns its byte payloads back into
 // completed *Job handles.
 
-import "repro/internal/timeline"
+import (
+	"sync"
+
+	"repro/internal/store"
+	"repro/internal/timeline"
+)
 
 // closedChan is a pre-closed done channel shared by every restored
 // job — they were complete before this process ever saw them.
@@ -16,61 +21,26 @@ var closedChan = func() chan struct{} {
 }()
 
 // Timeline returns the phase timeline of the job with the given short
-// ID (see sideRecord.lookup).  It answers false for unknown jobs, jobs
+// ID (see Result.Timeline).  It answers false for unknown jobs, jobs
 // that ran with timelines disabled, jobs still in flight, and timeline
 // records lost to crash recovery — the result itself stays servable in
 // every one of those cases.
 func (r *Runner) Timeline(id string) (*timeline.Series, bool) {
-	return timelineRecord.lookup(r, id)
-}
-
-// Sampled returns the interval estimates of the sampled job with the
-// given short ID (see sideRecord.lookup).  It answers false for unknown
-// jobs, exact jobs, jobs still in flight, and sampled records lost to
-// crash recovery.
-func (r *Runner) Sampled(id string) (*SampledResult, bool) {
-	return sampledRecord.lookup(r, id)
-}
-
-// lookup reads the side record of the job with the given short ID
-// through both tiers: from the in-memory result when the job completed
-// in this process, otherwise from the store record persisted beside
-// the result.
-func (k sideRecord[T]) lookup(r *Runner, id string) (*T, bool) {
-	r.mu.Lock()
-	j, inMem := r.byID[id]
-	r.mu.Unlock()
-	if inMem {
-		if res, ok := j.Result(); ok && k.inResult(res) != nil {
-			return k.inResult(res), true
+	if j, ok := r.Job(id); ok {
+		if res, ok := j.Result(); ok {
+			series := res.Timeline()
+			return series, series != nil
 		}
 	}
-	if r.store == nil {
-		return nil, false
-	}
-	payload, ok, err := r.store.Get(k.storeID(id))
-	if !ok || err != nil {
-		return nil, false
-	}
-	v, err := k.decode(payload)
-	if err != nil {
-		return nil, false
-	}
-	return v, true
-}
-
-// put writes res's record of this kind, if it has one, through to the
-// store beside the result.  Put failures are counted by the store.
-func (k sideRecord[T]) put(r *Runner, jobID string, res *Result) {
-	if v := k.inResult(res); v != nil {
-		if b, err := k.encode(jobID, v); err == nil {
-			_ = r.store.Put(k.storeID(jobID), b)
-		}
-	}
+	return nil, false
 }
 
 // restoreJobLocked looks id up in the disk store and, on a hit,
-// promotes it into the in-memory cache as a completed job.  wantKey,
+// promotes it into the in-memory cache as a completed job.  It is the
+// only reader of a job's records: the result, then the side record
+// its spec says was persisted beside it (sideKind), so a restored
+// Result answers Timeline and Sampled exactly as the live one did —
+// nil only when that record was lost to crash recovery.  wantKey,
 // when non-empty, must match the stored result's canonical key (a
 // Submit-path paranoia check; the ID is a truncated hash of the key).
 // Caller holds r.mu; the runner→store lock order is safe because the
@@ -92,6 +62,24 @@ func (r *Runner) restoreJobLocked(id, wantKey string) (*Job, bool) {
 	if res.ID != id || (wantKey != "" && res.Key != wantKey) {
 		return nil, false
 	}
+	switch kind := sideKind(res.Spec); kind {
+	case kindSampled:
+		// The job's own answer serves the estimates: read them now.
+		if side := readSide(r.store, kind, id); side != nil {
+			res.Sampled = side.Sampled
+		}
+	case kindTimeline:
+		// Only timeline reads and batch merges use the series, and it
+		// costs far more to decode than the result: read it on first
+		// use, outside r.mu.
+		st := r.store
+		res.series = sync.OnceValue(func() *timeline.Series {
+			if side := readSide(st, kind, id); side != nil {
+				return side.Series
+			}
+			return nil
+		})
+	}
 	j := &Job{
 		ID:       id,
 		Key:      res.Key,
@@ -107,4 +95,18 @@ func (r *Runner) restoreJobLocked(id, wantKey string) (*Job, bool) {
 	delete(r.evicted, id)
 	r.retainLocked(j)
 	return j, true
+}
+
+// readSide reads the side record of the given kind owned by job id,
+// nil when the store holds no intact record of that kind.
+func readSide(st *store.Store, kind, id string) *persistedSide {
+	b, ok, _ := st.Get(sideStoreID(kind, id))
+	if !ok {
+		return nil
+	}
+	side, err := decodeSide(b, kind)
+	if err != nil {
+		return nil
+	}
+	return side
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/timeline"
@@ -41,14 +42,14 @@ func TestTimelineDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Timeline == nil {
+		if res.Timeline() == nil {
 			t.Fatal("result has no timeline")
 		}
-		if len(res.Timeline.Points) < 2 {
+		if len(res.Timeline().Points) < 2 {
 			t.Fatalf("series has %d points, want >= 2 (premise: spec spans multiple intervals)",
-				len(res.Timeline.Points))
+				len(res.Timeline().Points))
 		}
-		got = append(got, mustJSON(t, res.Timeline))
+		got = append(got, mustJSON(t, res.Timeline()))
 		r.Close()
 	}
 	if got[0] != got[1] {
@@ -67,7 +68,7 @@ func TestTimelineDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mustJSON(t, a.Timeline) != got[0] || mustJSON(t, b.Timeline) != got[0] {
+	if mustJSON(t, a.Timeline()) != got[0] || mustJSON(t, b.Timeline()) != got[0] {
 		t.Error("pooled runs diverge from fresh-runner series")
 	}
 	if tl, ok := r.Timeline(a.ID); !ok || mustJSON(t, tl) != got[0] {
@@ -90,7 +91,7 @@ func TestTimelineOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Timeline != nil {
+	if res.Timeline() != nil {
 		t.Error("TimelineOff job still produced a series")
 	}
 	if _, ok := r.Timeline(res.ID); ok {
@@ -122,7 +123,8 @@ func TestTimelineOff(t *testing.T) {
 
 // TestTimelineStoreRestore checks the persistence contract: a series
 // written beside the result is served byte-identically by the next
-// process generation, for a job restored from disk.
+// process generation, for a job restored from disk, both in the
+// restored Result and through Runner.Timeline.
 func TestTimelineStoreRestore(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -134,7 +136,7 @@ func TestTimelineStoreRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := mustJSON(t, res.Timeline)
+	want := mustJSON(t, res.Timeline())
 	r1.Close()
 	if err := st1.Close(); err != nil {
 		t.Fatal(err)
@@ -149,6 +151,39 @@ func TestTimelineStoreRestore(t *testing.T) {
 	}
 	if !reused {
 		t.Fatal("warm-start Submit reused=false")
+	}
+	// Restoring reads the result alone; the series record is read on
+	// first use, once, however many readers race for it.
+	if hits := st2.Stats().Hits; hits != 1 {
+		t.Errorf("restore made %d store reads, want 1 (the result)", hits)
+	}
+	restored, ok := j.Result()
+	if !ok {
+		t.Fatal("restored job has no result")
+	}
+	seen := make([]*timeline.Series, 4)
+	var wg sync.WaitGroup
+	for i := range seen {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			seen[i] = restored.Timeline()
+		}()
+	}
+	wg.Wait()
+	for _, s := range seen {
+		if s != seen[0] {
+			t.Fatal("concurrent readers of a restored series got different copies")
+		}
+	}
+	// The restored result answers the series itself, like the live one.
+	if seen[0] == nil {
+		t.Error("restored Result has no Timeline")
+	} else if mustJSON(t, seen[0]) != want {
+		t.Errorf("restored Result's series differs:\n  want %s\n  got  %s", want, mustJSON(t, seen[0]))
+	}
+	if hits := st2.Stats().Hits; hits != 2 {
+		t.Errorf("after %d reads of the series: %d store reads, want 2", len(seen), hits)
 	}
 	got, ok := r2.Timeline(j.ID)
 	if !ok {

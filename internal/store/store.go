@@ -15,17 +15,19 @@
 //	    body = u8 flags | u16 id length | id bytes | payload
 //
 // Records are immutable once written; a re-Put of an existing ID
-// appends a new record (last write wins on replay) and a Delete
-// appends a tombstone (flags bit 0).  The bytes superseded that way
-// are "dead" and reclaimed by compaction: when the store's total size
-// exceeds MaxBytes, live records are rewritten into fresh segments in
-// append order and the old files removed; if the live set alone still
+// appends a new record (last write wins on replay).  Flags bit 0 marks
+// a tombstone, which replay honours by deleting the ID; this package
+// writes none.  The bytes superseded by a re-Put are "dead" and
+// reclaimed by compaction: when the store's total size exceeds
+// MaxBytes, live records are rewritten into fresh segments in append
+// order and the old files removed; if the live set alone still
 // exceeds the bound, the oldest live entries are dropped and reported
-// through the OnDrop hook (so the serving layer can answer 410 Gone
-// for them).  Compaction is crash-safe in the lossless direction: new
-// segments are written and fsynced before old ones are removed, and
-// replay resolves duplicates newest-segment-wins, so a crash mid-
-// compaction can resurrect dropped entries but never lose live ones.
+// to the function registered with Store.OnDrop (so the serving layer
+// can answer 410 Gone for them).  Compaction is crash-safe in the
+// lossless direction: new segments are written and fsynced before old
+// ones are removed, and replay resolves duplicates newest-segment-
+// wins, so a crash mid-compaction can resurrect dropped entries but
+// never lose live ones.
 //
 // Crash consistency: appends are buffered by the OS until Snapshot or
 // Close fsyncs (the dlsimd drain path calls Close before exit).  A
@@ -36,9 +38,10 @@
 // intact data.
 //
 // The package depends only on the standard library and the in-repo
-// telemetry registry (optional, for dlsim_store_* metrics and the
-// open/replay span).  It knows nothing about job results: values are
-// opaque byte payloads keyed by string IDs.
+// telemetry registry, which holds the store's only counts (the
+// dlsim_store_* metrics Stats reads) and its open/replay span.  It
+// knows nothing about job results: values are opaque byte payloads
+// keyed by string IDs.
 package store
 
 import (
@@ -79,7 +82,7 @@ var (
 	// ErrClosed is returned by operations on a closed store.
 	ErrClosed = errors.New("store: closed")
 
-	// ErrIDTooLong rejects Put/Delete IDs beyond MaxIDLen.
+	// ErrIDTooLong rejects Put IDs that are empty or beyond MaxIDLen.
 	ErrIDTooLong = errors.New("store: id too long")
 
 	// ErrPayloadTooLarge rejects Put payloads beyond MaxPayloadLen.
@@ -96,7 +99,7 @@ const (
 type Options struct {
 	// MaxBytes bounds the total on-disk size across all segments.
 	// Exceeding it triggers compaction; if the live set alone exceeds
-	// it, the oldest live entries are dropped (reported via OnDrop).
+	// it, the oldest live entries are dropped (see Store.OnDrop).
 	// Zero means DefaultMaxBytes; negative means unbounded.
 	MaxBytes int64
 
@@ -106,19 +109,15 @@ type Options struct {
 	SegmentBytes int64
 
 	// Metrics is the telemetry registry the store registers its
-	// dlsim_store_* instruments in.  Nil disables metrics.
+	// dlsim_store_* instruments in.  Nil means a private registry:
+	// the instruments are the store's only counts, and Stats reads
+	// them.
 	Metrics *telemetry.Registry
 
 	// Tracer, when set, records the open/replay work as the span tree
 	// "store-open" (segments scanned, records replayed, tail
 	// recoveries) addressable via the tracer like any job trace.
 	Tracer *telemetry.Tracer
-
-	// OnDrop is called — outside the store's lock — with the ID of
-	// every live entry dropped by size-bounded compaction.  The
-	// serving layer uses it to remember "gone" IDs for 410 responses.
-	// Settable later via Store.OnDrop.
-	OnDrop func(id string)
 }
 
 // recLoc locates one live record inside a segment.
@@ -137,7 +136,7 @@ type segment struct {
 	live int64 // bytes of records currently referenced by the index
 }
 
-// metrics is the store's instrument set (all nil-safe when disabled).
+// metrics is the store's instrument set.
 type metrics struct {
 	hits, misses, writes     *telemetry.Counter
 	writeErrors, compactions *telemetry.Counter
@@ -148,12 +147,12 @@ type metrics struct {
 
 func newStoreMetrics(reg *telemetry.Registry) *metrics {
 	if reg == nil {
-		return nil
+		reg = telemetry.NewRegistry()
 	}
 	return &metrics{
 		hits:        reg.Counter("dlsim_store_hits_total", "Store reads that found the requested entry."),
 		misses:      reg.Counter("dlsim_store_misses_total", "Store reads for an unknown or dropped entry."),
-		writes:      reg.Counter("dlsim_store_writes_total", "Records appended (puts and tombstones)."),
+		writes:      reg.Counter("dlsim_store_writes_total", "Records appended."),
 		writeErrors: reg.Counter("dlsim_store_write_errors_total", "Appends that failed at the filesystem."),
 		compactions: reg.Counter("dlsim_store_compactions_total", "Compaction passes run."),
 		dropped:     reg.Counter("dlsim_store_dropped_total", "Live entries dropped by size-bounded compaction."),
@@ -193,8 +192,6 @@ type Store struct {
 	nextSeq   uint64
 	closed    bool
 	onDrop    func(string)
-	// counters mirrored locally so Stats works without a registry
-	hits, misses, writes, compactions, droppedN, torn, replayed uint64
 }
 
 // Open opens (or creates) the store in dir, rebuilding the index by
@@ -224,7 +221,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		m:         newStoreMetrics(opts.Metrics),
 		index:     make(map[string]recLoc),
 		nextSeq:   1,
-		onDrop:    opts.OnDrop,
 	}
 
 	tr := opts.Tracer.Start("store-open")
@@ -265,8 +261,8 @@ func Open(dir string, opts Options) (*Store, error) {
 	if sp != nil {
 		sp.SetAttr("segments", strconv.Itoa(len(s.segs)))
 		sp.SetAttr("entries", strconv.Itoa(len(s.index)))
-		sp.SetAttr("replayed", strconv.FormatUint(s.replayed, 10))
-		sp.SetAttr("torn_recovered", strconv.FormatUint(s.torn, 10))
+		sp.SetAttr("replayed", strconv.FormatUint(s.m.replayed.Value(), 10))
+		sp.SetAttr("torn_recovered", strconv.FormatUint(s.m.torn.Value(), 10))
 		sp.End()
 	}
 	s.publishGauges()
@@ -333,7 +329,7 @@ func (s *Store) openSegment(path string, seq uint64, sp *telemetry.Span) (*segme
 			f.Close()
 			return nil, err
 		}
-		s.noteTorn()
+		s.m.torn.Inc()
 		return seg, nil
 	}
 	hdr := make([]byte, len(magic))
@@ -389,10 +385,7 @@ func (s *Store) openSegment(path string, seq uint64, sp *telemetry.Span) (*segme
 		off += recSize
 		records++
 	}
-	s.replayed += uint64(records)
-	if s.m != nil {
-		s.m.replayed.Add(uint64(records))
-	}
+	s.m.replayed.Add(uint64(records))
 	if child != nil {
 		child.SetAttr("records", strconv.Itoa(records))
 	}
@@ -403,7 +396,7 @@ func (s *Store) openSegment(path string, seq uint64, sp *telemetry.Span) (*segme
 			f.Close()
 			return nil, fmt.Errorf("store: truncating torn tail of %s: %w", path, err)
 		}
-		s.noteTorn()
+		s.m.torn.Inc()
 		if child != nil {
 			child.SetAttr("torn_at", strconv.FormatInt(off, 10))
 		}
@@ -425,13 +418,6 @@ func (s *Store) resetSegment(seg *segment) error {
 	return nil
 }
 
-func (s *Store) noteTorn() {
-	s.torn++
-	if s.m != nil {
-		s.m.torn.Inc()
-	}
-}
-
 func (s *Store) closeAll() {
 	for _, seg := range s.segs {
 		seg.f.Close()
@@ -439,19 +425,19 @@ func (s *Store) closeAll() {
 }
 
 // OnDrop registers fn to receive the ID of every live entry dropped
-// by compaction.  Called outside the store's lock.
+// by size-bounded compaction, called outside the store's lock.  The
+// serving layer uses it to remember "gone" IDs for 410 responses.
 func (s *Store) OnDrop(fn func(id string)) {
 	s.mu.Lock()
 	s.onDrop = fn
 	s.mu.Unlock()
 }
 
-// encodeRecord builds one on-disk record.
-func encodeRecord(id string, payload []byte, flags byte) []byte {
+// encodeRecord builds one on-disk record (flags zero: a put).
+func encodeRecord(id string, payload []byte) []byte {
 	bodyLen := 3 + len(id) + len(payload)
 	rec := make([]byte, headerLen+bodyLen)
 	body := rec[headerLen:]
-	body[0] = flags
 	binary.LittleEndian.PutUint16(body[1:3], uint16(len(id)))
 	copy(body[3:], id)
 	copy(body[3+len(id):], payload)
@@ -472,77 +458,36 @@ func (s *Store) Put(id string, payload []byte) error {
 		return ErrPayloadTooLarge
 	}
 	s.mu.Lock()
-	dropped, err := s.putLocked(id, payload, 0)
-	s.mu.Unlock()
-	s.notifyDropped(dropped)
-	return err
-}
-
-// Delete removes id by appending a tombstone.  Deleting an unknown id
-// is a no-op.
-func (s *Store) Delete(id string) error {
-	if len(id) == 0 || len(id) > MaxIDLen {
-		return ErrIDTooLong
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	if _, ok := s.index[id]; !ok {
-		s.mu.Unlock()
-		return nil
-	}
-	dropped, err := s.putLocked(id, nil, flagTombstone)
-	s.mu.Unlock()
-	s.notifyDropped(dropped)
-	return err
-}
-
-func (s *Store) notifyDropped(dropped []string) {
-	if len(dropped) == 0 {
-		return
-	}
-	s.mu.Lock()
+	dropped, err := s.putLocked(id, payload)
 	fn := s.onDrop
 	s.mu.Unlock()
-	if fn == nil {
-		return
+	if fn != nil {
+		for _, id := range dropped {
+			fn(id)
+		}
 	}
-	for _, id := range dropped {
-		fn(id)
-	}
+	return err
 }
 
 // putLocked appends one record and runs compaction if the bound is
 // exceeded, returning the IDs compaction dropped.  Caller holds s.mu.
-func (s *Store) putLocked(id string, payload []byte, flags byte) ([]string, error) {
+func (s *Store) putLocked(id string, payload []byte) ([]string, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	rec := encodeRecord(id, payload, flags)
+	rec := encodeRecord(id, payload)
 	active := s.segs[len(s.segs)-1]
 	if _, err := active.f.WriteAt(rec, active.size); err != nil {
-		if s.m != nil {
-			s.m.writeErrors.Inc()
-		}
+		s.m.writeErrors.Inc()
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	off := active.size
-	active.size += int64(len(rec))
 	if prev, ok := s.index[id]; ok {
 		prev.seg.live -= prev.size
 	}
-	if flags&flagTombstone != 0 {
-		delete(s.index, id)
-	} else {
-		s.index[id] = recLoc{seg: active, off: off, size: int64(len(rec))}
-		active.live += int64(len(rec))
-	}
-	s.writes++
-	if s.m != nil {
-		s.m.writes.Inc()
-	}
+	s.index[id] = recLoc{seg: active, off: active.size, size: int64(len(rec))}
+	active.size += int64(len(rec))
+	active.live += int64(len(rec))
+	s.m.writes.Inc()
 
 	var dropped []string
 	var err error
@@ -625,10 +570,7 @@ func (s *Store) compactLocked() ([]string, error) {
 		delete(s.index, e.id)
 		dropped = append(dropped, e.id)
 	}
-	s.droppedN += uint64(len(dropped))
-	if s.m != nil {
-		s.m.dropped.Add(uint64(len(dropped)))
-	}
+	s.m.dropped.Add(uint64(len(dropped)))
 
 	// Rewrite survivors into fresh segments.
 	var newSegs []*segment
@@ -681,10 +623,7 @@ func (s *Store) compactLocked() ([]string, error) {
 		seg.f.Close()
 		os.Remove(seg.path)
 	}
-	s.compactions++
-	if s.m != nil {
-		s.m.compactions.Inc()
-	}
+	s.m.compactions.Inc()
 	return dropped, nil
 }
 
@@ -698,10 +637,7 @@ func (s *Store) Get(id string) ([]byte, bool, error) {
 	}
 	loc, ok := s.index[id]
 	if !ok {
-		s.misses++
-		if s.m != nil {
-			s.m.misses.Inc()
-		}
+		s.m.misses.Inc()
 		return nil, false, nil
 	}
 	rec := make([]byte, loc.size)
@@ -713,10 +649,7 @@ func (s *Store) Get(id string) ([]byte, bool, error) {
 		return nil, false, fmt.Errorf("store: %s: checksum mismatch reading %q (bit rot?)", loc.seg.path, id)
 	}
 	idLen := int(binary.LittleEndian.Uint16(body[1:3]))
-	s.hits++
-	if s.m != nil {
-		s.m.hits.Inc()
-	}
+	s.m.hits.Inc()
 	payload := make([]byte, len(body)-3-idLen)
 	copy(payload, body[3+idLen:])
 	return payload, true, nil
@@ -736,17 +669,6 @@ func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.index)
-}
-
-// IDs returns the live IDs in unspecified order.
-func (s *Store) IDs() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.index))
-	for id := range s.index {
-		out = append(out, id)
-	}
-	return out
 }
 
 // Snapshot flushes the active segment (and the directory entry) to
@@ -796,7 +718,8 @@ func (s *Store) Close() error {
 	return err
 }
 
-// Stats reads the store's counters and sizes.
+// Stats reads the store's counters (its telemetry instruments) and
+// sizes.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -805,22 +728,19 @@ func (s *Store) Stats() Stats {
 		Segments:      len(s.segs),
 		Bytes:         s.totalBytesLocked(),
 		LiveBytes:     s.liveBytesLocked(),
-		Hits:          s.hits,
-		Misses:        s.misses,
-		Writes:        s.writes,
-		Compactions:   s.compactions,
-		Dropped:       s.droppedN,
-		TornRecovered: s.torn,
-		Replayed:      s.replayed,
+		Hits:          s.m.hits.Value(),
+		Misses:        s.m.misses.Value(),
+		Writes:        s.m.writes.Value(),
+		Compactions:   s.m.compactions.Value(),
+		Dropped:       s.m.dropped.Value(),
+		TornRecovered: s.m.torn.Value(),
+		Replayed:      s.m.replayed.Value(),
 	}
 }
 
 // publishGauges mirrors sizes into the telemetry gauges.  Caller
 // holds s.mu.
 func (s *Store) publishGauges() {
-	if s.m == nil {
-		return
-	}
 	s.m.bytes.Set(s.totalBytesLocked())
 	s.m.segments.Set(int64(len(s.segs)))
 	s.m.entries.Set(int64(len(s.index)))

@@ -84,31 +84,6 @@ func TestOverwriteLastWins(t *testing.T) {
 	}
 }
 
-func TestDeleteAndReplay(t *testing.T) {
-	dir := t.TempDir()
-	s := open(t, dir, Options{})
-	mustPut(t, s, "keep", []byte("x"))
-	mustPut(t, s, "gone", []byte("y"))
-	if err := s.Delete("gone"); err != nil {
-		t.Fatal(err)
-	}
-	if s.Has("gone") {
-		t.Fatal("deleted id still present")
-	}
-	if err := s.Delete("never-existed"); err != nil {
-		t.Fatalf("deleting unknown id: %v", err)
-	}
-	s.Close()
-
-	s2 := open(t, dir, Options{})
-	if s2.Has("gone") {
-		t.Fatal("tombstone not honored on replay")
-	}
-	if got := mustGet(t, s2, "keep"); string(got) != "x" {
-		t.Fatalf("keep = %q", got)
-	}
-}
-
 func TestPersistAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, Options{})
@@ -185,14 +160,11 @@ func TestCompactionDropsOldestWhenLiveExceedsBound(t *testing.T) {
 	dir := t.TempDir()
 	var mu sync.Mutex
 	var dropped []string
-	s := open(t, dir, Options{
-		MaxBytes:     16 << 10,
-		SegmentBytes: 4 << 10,
-		OnDrop: func(id string) {
-			mu.Lock()
-			dropped = append(dropped, id)
-			mu.Unlock()
-		},
+	s := open(t, dir, Options{MaxBytes: 16 << 10, SegmentBytes: 4 << 10})
+	s.OnDrop(func(id string) {
+		mu.Lock()
+		dropped = append(dropped, id)
+		mu.Unlock()
 	})
 	payload := make([]byte, 1024)
 	n := 40
