@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: check fmt race faults chaos fuzz all
+.PHONY: check fmt race faults smoke chaos fuzz all
 
 all: check
 
 # Tier-1 verification: formatting, vet, build, full test suite.  The
 # bench/ module is separate, so root ./... never builds it: vet it and
 # run its unit tests too (-short skips the daemon-launching smoke
-# tests, which `go -C bench test .` runs).
+# tests, which `make smoke` runs).
 check: fmt
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -27,12 +27,15 @@ fmt:
 # store and the telemetry atomics it counts in, the service, and the
 # concurrency tests of the runner-backed experiment suite, plus
 # the kernel bit-identity golden test (its counters must survive the
-# race-instrumented memory model too).
+# race-instrumented memory model too).  The pool's eviction test runs
+# five more times: with the pool sized by worker count, almost every
+# fresh-seed job evicts a bundle while other jobs fork from theirs.
 # (The experiments package's full artefact tests are single-threaded
 # and ~10x slower under race, so only these targeted tests run here;
 # `make check` covers the rest.)
 race:
 	$(GO) test -race -timeout 20m ./internal/linker/... ./internal/pool/... ./internal/runner/... ./internal/store/... ./internal/telemetry/... ./internal/cluster/... ./cmd/dlsimd/...
+	$(GO) test -race -count=5 -run '^TestEvictionUnderConcurrency$$' ./internal/pool/
 	$(GO) test -race -timeout 20m -run 'TestSuiteParallelMatchesSequential|TestSuiteConcurrentUse|TestGoldenCounters' ./internal/experiments/
 
 # Robustness pass: the concurrent subsystems under low-probability
@@ -44,6 +47,12 @@ faults:
 		$(GO) test -race -timeout 20m ./internal/faultinject/... ./internal/runner/... ./internal/cluster/... ./cmd/dlsimd/...
 	DLSIM_FAULTS='runner.execute=error:0.02' DLSIM_FAULT_SEED=42 \
 		$(GO) test -race -timeout 20m -run 'TestSuiteSurvivesTransientFaults|TestSuiteRetriedResultsBitIdentical' ./internal/experiments/
+
+# Daemon smoke tests: bench/'s TestSmoke and TestSmokeTraced build and
+# launch real dlsimd processes, drive them over HTTP and apply the
+# golden, pair-invariant and sampled-window checks (about 22 s).
+smoke:
+	$(GO) -C bench test -count=1 .
 
 # Native Go fuzzing: every Fuzz target in the module, one at a time
 # (go test fuzzes one target per run), each for 15 s.  Tier-1 replays

@@ -141,7 +141,7 @@ type Module struct {
 	DataBase uint64
 	DataEnd  uint64
 
-	imports    []string          // symbol per PLT slot, in first-use order
+	imports    []string          // symbol per PLT slot, in first-use order (the object's shared Externals)
 	regionAddr map[string]uint64 // data region name -> address
 	funcAddr   map[string]uint64 // local function -> entry address
 
@@ -184,7 +184,9 @@ func (m *Module) GOTSlotAddr(i int) uint64 {
 	return m.GOTBase + uint64(gotReserved+i)*8
 }
 
-// Imports returns the module's imported symbols in PLT order.
+// Imports returns the module's imported symbols in PLT order.  The
+// slice is shared with the object it was linked from; callers must not
+// modify it.
 func (m *Module) Imports() []string { return m.imports }
 
 // PatchStats summarises the call-site patching a BindPatched link

@@ -12,6 +12,8 @@ package objfile
 
 import (
 	"fmt"
+	"sync"
+	"unsafe"
 
 	"repro/internal/isa"
 )
@@ -88,6 +90,11 @@ type Object struct {
 	ptrInits   []PtrInit
 	ifuncs     []IFunc
 	ifuncIndex map[string]int
+
+	// externals memoises Externals: the import list is a pure function
+	// of the finished object, and every link of it asks again.
+	externalsOnce sync.Once
+	externals     []string
 }
 
 // New returns an empty object named name.
@@ -210,7 +217,19 @@ func (o *Object) Defines(sym string) bool {
 // slots named by runtime re-binding stores.  The linker allocates one
 // PLT/GOT slot per entry, in this order, mirroring how compilers emit
 // PLT entries in definition order (§2).
+//
+// The list is derived once, on the first call, and shared by every
+// later caller, which must not modify it.  The object must therefore
+// be complete before it is first linked or asked for its externals:
+// building it further afterwards leaves the list stale.
 func (o *Object) Externals() []string {
+	o.externalsOnce.Do(func() { o.externals = o.scanExternals() })
+	return o.externals
+}
+
+// scanExternals walks every instruction and pointer initialisation
+// for the list Externals returns.
+func (o *Object) scanExternals() []string {
 	var out []string
 	seen := make(map[string]bool)
 	add := func(sym string, force bool) {
@@ -245,6 +264,19 @@ func (o *Object) Externals() []string {
 func (o *Object) definesDirectly(sym string) bool {
 	_, ok := o.funcIndex[sym]
 	return ok
+}
+
+// Bytes returns the heap the object's function bodies hold: each
+// Func and its body's backing array, capacity included.  That is
+// almost all of a generated object (about 95% of the heap a generated
+// bundle retains); symbol names, data declarations and the indexes are
+// not counted.
+func (o *Object) Bytes() uint64 {
+	var n uint64
+	for _, f := range o.funcs {
+		n += uint64(unsafe.Sizeof(*f)) + uint64(cap(f.Body))*uint64(unsafe.Sizeof(TInstr{}))
+	}
+	return n
 }
 
 // Validate checks structural well-formedness of the whole object.

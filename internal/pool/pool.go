@@ -26,10 +26,19 @@
 //     entry of the workload it was linked from, and one LRU over
 //     workload entries bounds both: evicting a workload drops its
 //     images with it, so no image outlives its workload and nothing is
-//     kept that a later job could not fork.  The LRU evicts while it
-//     holds more workloads than MaxWorkloads or more images than
-//     MaxImages, so a long-lived service's footprint tracks its
-//     working set, not its submission history.
+//     kept that a later job could not fork.  A bundle holds at most one
+//     master per distinct link mode, so the LRU's bound of MaxWorkloads
+//     bundles bounds the images too.
+//
+// # Sizing
+//
+// A bundle is worth keeping only while a job that will fork it is
+// running or queued.  Under fresh-seed traffic nothing forks a bundle
+// again once its Base/Enhanced pair has, so the pool is sized by the
+// runner's concurrency, not by its history: BundlesPerWorker bundles
+// per worker.  The runner keeps a sweep's reuse inside that bound by
+// submitting the configs of one seed next to each other (see
+// runner.SubmitBatch).
 //
 // Because a forked image starts bit-identical to a fresh link and all
 // microarchitectural state (CPU, caches, TLBs, ABTB) is constructed
@@ -41,6 +50,7 @@ package pool
 import (
 	"container/list"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/core"
@@ -50,27 +60,22 @@ import (
 	"repro/internal/workload"
 )
 
-// Defaults for the LRU bounds.  A workload bundle is several MB of
-// generated objects, and each master image linked from it holds a few
-// MB more in code, compiled Program and COW pages: at seed 1 an apache
-// bundle is 5.1 MB generated, 2.5 MB image and 5.0 MB Program.  The
-// defaults comfortably hold the whole evaluation matrix (4 workloads ×
-// a handful of seeds and link modes) while bounding adversarial
-// many-seed traffic.
-const (
-	DefaultMaxWorkloads = 32
-	DefaultMaxImages    = 128
-)
+// BundlesPerWorker is the bound, in workload bundles, that a runner
+// gives its pool per worker.  A running job holds one bundle.  The jobs
+// that will fork it again are its seed's other configs, which a sweep
+// submits right behind it, so they start before more than one further
+// bundle per worker has entered the pool.  Every bundle beyond that is
+// several MB that no queued job will fork: at seed 1 an apache bundle
+// is 5.1 MB generated, 2.5 MB image and 5.0 MB Program.
+const BundlesPerWorker = 2
 
 // Options configures a Pool.
 type Options struct {
-	// MaxWorkloads bounds the cached workload bundles and MaxImages
-	// the master images linked from them, summed over all bundles.
-	// Beyond either bound the least recently used bundle is dropped
-	// together with its images.  Zero means the defaults; negative
-	// means unbounded.
+	// MaxWorkloads bounds the cached workload bundles: beyond it the
+	// least recently used bundle is dropped together with its images.
+	// Zero or negative means BundlesPerWorker × runtime.NumCPU(), the
+	// bound of a runner at its default worker count.
 	MaxWorkloads int
-	MaxImages    int
 
 	// Metrics is the registry the pool's hit/miss/byte instruments
 	// register in.  Nil means a private registry.
@@ -86,13 +91,14 @@ type WorkloadKey struct {
 // workloadEntry is one cached bundle and the master images linked from
 // it, keyed by linker.Options (comparable by value, so the key captures
 // binding mode, ASLR, layout seed, ifunc level and PLT flavour).  The
-// bundle is built once via the sync.Once; elem and images are guarded
-// by Pool.mu and never change once the entry has left the pool.
+// bundle is built once via the sync.Once; elem, images and bytes are
+// guarded by Pool.mu and never change once the entry has left the pool.
 type workloadEntry struct {
 	once   sync.Once
 	w      *workload.Workload
 	elem   *list.Element // position in the LRU
 	images map[linker.Options]*imageEntry
+	bytes  uint64 // the bundle's share of the byte gauge (its images count their own)
 }
 
 // imageEntry is one master image.  mu serialises Fork calls on the
@@ -154,7 +160,6 @@ func (e *imageEntry) residentBytes() uint64 {
 // them.  All methods are safe for concurrent use.
 type Pool struct {
 	maxWorkloads int
-	maxImages    int
 
 	mu        sync.Mutex
 	workloads map[WorkloadKey]*workloadEntry
@@ -170,10 +175,10 @@ type Pool struct {
 //	dlsim_pool_workload_misses_total  counter  workloads generated
 //	dlsim_pool_image_hits_total       counter  links skipped (COW fork served)
 //	dlsim_pool_image_misses_total     counter  master images linked
-//	dlsim_pool_evictions_total        counter  entries dropped by the LRU bounds
+//	dlsim_pool_evictions_total        counter  entries dropped by the LRU bound
 //	dlsim_pool_workloads              gauge    cached workload bundles
 //	dlsim_pool_images                 gauge    cached master images
-//	dlsim_pool_image_bytes            gauge    resident master memory (COW pages, code, Programs)
+//	dlsim_pool_bytes                  gauge    resident entries (bundles, masters' COW pages, code, Programs)
 type poolMetrics struct {
 	reg            *telemetry.Registry
 	workloadHits   *telemetry.Counter
@@ -183,7 +188,7 @@ type poolMetrics struct {
 	evictions      *telemetry.Counter
 	workloads      *telemetry.Gauge
 	images         *telemetry.Gauge
-	imageBytes     *telemetry.Gauge
+	bytes          *telemetry.Gauge
 }
 
 // New returns a Pool with the given options.
@@ -192,16 +197,12 @@ func New(opts Options) *Pool {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	maxW, maxI := opts.MaxWorkloads, opts.MaxImages
-	if maxW == 0 {
-		maxW = DefaultMaxWorkloads
-	}
-	if maxI == 0 {
-		maxI = DefaultMaxImages
+	maxW := opts.MaxWorkloads
+	if maxW <= 0 {
+		maxW = BundlesPerWorker * runtime.NumCPU()
 	}
 	return &Pool{
 		maxWorkloads: maxW,
-		maxImages:    maxI,
 		workloads:    make(map[WorkloadKey]*workloadEntry),
 		lru:          list.New(),
 		m: poolMetrics{
@@ -210,10 +211,10 @@ func New(opts Options) *Pool {
 			workloadMisses: reg.Counter("dlsim_pool_workload_misses_total", "Workload bundles generated into the artifact pool."),
 			imageHits:      reg.Counter("dlsim_pool_image_hits_total", "Link steps skipped: systems built by COW-forking a pooled image."),
 			imageMisses:    reg.Counter("dlsim_pool_image_misses_total", "Master images linked into the artifact pool."),
-			evictions:      reg.Counter("dlsim_pool_evictions_total", "Artifact-pool entries dropped by the LRU bounds."),
+			evictions:      reg.Counter("dlsim_pool_evictions_total", "Artifact-pool entries dropped by the LRU bound."),
 			workloads:      reg.Gauge("dlsim_pool_workloads", "Workload bundles cached in the artifact pool."),
 			images:         reg.Gauge("dlsim_pool_images", "Master images cached in the artifact pool."),
-			imageBytes:     reg.Gauge("dlsim_pool_image_bytes", "Resident bytes of pooled master images: copy-on-write pages, module code and compiled Programs."),
+			bytes:          reg.Gauge("dlsim_pool_bytes", "Resident bytes of artifact-pool entries: generated workload bundles and their master images' copy-on-write pages, module code and compiled Programs."),
 		},
 	}
 }
@@ -245,7 +246,16 @@ func (p *Pool) Workload(name string, gen func(uint64) *workload.Workload, seed u
 	} else {
 		p.m.workloadMisses.Inc()
 	}
-	e.once.Do(func() { e.w = gen(seed) })
+	e.once.Do(func() {
+		e.w = gen(seed)
+		b := e.w.Bytes()
+		p.mu.Lock()
+		if p.workloads[key] == e { // still pooled: count it until evicted
+			e.bytes = b
+			p.m.bytes.Add(int64(b))
+		}
+		p.mu.Unlock()
+	})
 	return e.w, hit
 }
 
@@ -318,7 +328,7 @@ func (p *Pool) ImageSystem(name string, seed uint64, w *workload.Workload, cfg c
 	e.mu.Lock()
 	img := e.img.Fork()
 	if b := e.residentBytes(); !e.evicted && b != e.bytes {
-		p.m.imageBytes.Add(int64(b) - int64(e.bytes))
+		p.m.bytes.Add(int64(b) - int64(e.bytes))
 		e.bytes = b
 	}
 	e.mu.Unlock()
@@ -331,19 +341,20 @@ func (p *Pool) ImageSystem(name string, seed uint64, w *workload.Workload, cfg c
 }
 
 // evictLocked drops least-recently-used workloads, each with its
-// master images, while either bound is exceeded, and refreshes the
-// size gauges.  Caller holds p.mu.  Entries still being built or
-// forked elsewhere stay valid for their holders: eviction only unlinks
-// them from the cache, it cannot invalidate outstanding forks (which
-// keep the shared page layer alive independently).
+// master images, while the bound is exceeded, and refreshes the size
+// gauges.  Caller holds p.mu.  Entries still being built or forked
+// elsewhere stay valid for their holders: eviction only unlinks them
+// from the cache, it cannot invalidate outstanding forks (which keep
+// the shared page layer alive independently).
 func (p *Pool) evictLocked() {
-	for p.maxWorkloads > 0 && p.lru.Len() > p.maxWorkloads || p.maxImages > 0 && p.images > p.maxImages {
+	for p.lru.Len() > p.maxWorkloads {
 		key := p.lru.Remove(p.lru.Front()).(WorkloadKey)
 		e := p.workloads[key]
 		delete(p.workloads, key)
+		p.m.bytes.Add(-int64(e.bytes))
 		for _, img := range e.images {
 			img.mu.Lock() // bytes is updated under img.mu on the fork path
-			p.m.imageBytes.Add(-int64(img.bytes))
+			p.m.bytes.Add(-int64(img.bytes))
 			img.bytes = 0
 			img.evicted = true
 			img.mu.Unlock()
@@ -364,7 +375,7 @@ type Stats struct {
 	Evictions      uint64 `json:"evictions"`
 	Workloads      int    `json:"workloads"`
 	Images         int    `json:"images"`
-	ImageBytes     int64  `json:"image_bytes"` // masters' COW pages, module code and compiled Programs
+	Bytes          int64  `json:"bytes"` // generated bundles, and their masters' COW pages, module code and compiled Programs
 }
 
 // Stats reads the pool's instruments.
@@ -377,6 +388,6 @@ func (p *Pool) Stats() Stats {
 		Evictions:      p.m.evictions.Value(),
 		Workloads:      int(p.m.workloads.Value()),
 		Images:         int(p.m.images.Value()),
-		ImageBytes:     p.m.imageBytes.Value(),
+		Bytes:          p.m.bytes.Value(),
 	}
 }

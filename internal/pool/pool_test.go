@@ -57,8 +57,8 @@ func TestPooledSystemBitIdenticalToFresh(t *testing.T) {
 	if st.WorkloadMisses != 1 || st.ImageMisses != 1 || st.ImageHits != 1 {
 		t.Errorf("stats = %+v, want 1 workload miss, 1 image miss, 1 image hit", st)
 	}
-	if st.ImageBytes <= 0 {
-		t.Errorf("ImageBytes = %d, want > 0", st.ImageBytes)
+	if st.Bytes <= 0 {
+		t.Errorf("Bytes = %d, want > 0", st.Bytes)
 	}
 }
 
@@ -129,10 +129,10 @@ func TestImageKeyedByLinkOptions(t *testing.T) {
 }
 
 // TestLRUEviction: the workload bound evicts the least recently used
-// bundle together with its master images, the image ceiling evicts
-// whole bundles too, and a re-request regenerates and relinks.
+// bundle together with its master images, and a re-request
+// regenerates and relinks.
 func TestLRUEviction(t *testing.T) {
-	p := New(Options{MaxImages: 2, MaxWorkloads: 2})
+	p := New(Options{MaxWorkloads: 2})
 	for _, seed := range []uint64{1, 2, 3} { // seeds give distinct link layouts
 		if _, _, _, err := p.System("memcached", workload.Memcached, seed, core.Base(seed)); err != nil {
 			t.Fatal(err)
@@ -156,48 +156,6 @@ func TestLRUEviction(t *testing.T) {
 	if st := p.Stats(); st.WorkloadMisses != 4 {
 		t.Errorf("workload misses = %d, want 4: an evicted bundle must be regenerated", st.WorkloadMisses)
 	}
-
-	// The image ceiling: two link products per seed, three images
-	// allowed.  Seed 2's second image exceeds the ceiling, so the least
-	// recently used bundle (seed 1) leaves with both its images.
-	p = New(Options{MaxImages: 3, MaxWorkloads: 8})
-	for _, seed := range []uint64{1, 2} {
-		for _, cfg := range []core.Config{core.Base(seed), core.Static(seed)} {
-			if _, _, _, err := p.System("memcached", workload.Memcached, seed, cfg); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if st := p.Stats(); st.Images != 2 || st.Workloads != 1 || st.Evictions != 3 {
-		t.Errorf("images=%d workloads=%d evictions=%d, want 2/1/3", st.Images, st.Workloads, st.Evictions)
-	}
-	if _, hit := p.Workload("memcached", workload.Memcached, 1); hit {
-		t.Error("seed 1's bundle survived the eviction of its images")
-	}
-}
-
-// TestUnboundedWhenNegative: negative bounds disable eviction, and an
-// unbounded image count still follows the workload bound.
-func TestUnboundedWhenNegative(t *testing.T) {
-	p := New(Options{MaxImages: -1, MaxWorkloads: -1})
-	for _, seed := range []uint64{1, 2, 3, 4} {
-		if _, _, _, err := p.System("memcached", workload.Memcached, seed, core.Base(seed)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := p.Stats(); st.Images != 4 || st.Evictions != 0 {
-		t.Errorf("images=%d evictions=%d, want 4/0", st.Images, st.Evictions)
-	}
-
-	p = New(Options{MaxImages: -1, MaxWorkloads: 2})
-	for _, seed := range []uint64{1, 2, 3, 4} {
-		if _, _, _, err := p.System("memcached", workload.Memcached, seed, core.Base(seed)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := p.Stats(); st.Images != 2 || st.Workloads != 2 {
-		t.Errorf("images=%d workloads=%d, want 2/2: images must leave with their workloads", st.Images, st.Workloads)
-	}
 }
 
 // TestEvictionUnderConcurrency: requesters cycle through more distinct
@@ -207,7 +165,7 @@ func TestUnboundedWhenNegative(t *testing.T) {
 // after its bundle has left the pool.  Every system must still run
 // bit-identical to a fresh link, and afterwards the pool must hold no
 // image outside a cached workload and account exactly the bytes of the
-// images it holds.  Run with -race.
+// bundles and images it holds.  Run with -race.
 func TestEvictionUnderConcurrency(t *testing.T) {
 	const seeds, rounds = 5, 3
 	cfgs := func(seed uint64) []core.Config { return []core.Config{core.Base(seed), core.Static(seed)} }
@@ -228,7 +186,7 @@ func TestEvictionUnderConcurrency(t *testing.T) {
 		}
 	}
 
-	p := New(Options{MaxWorkloads: 2, MaxImages: 3})
+	p := New(Options{MaxWorkloads: 2})
 
 	// The deterministic case first: the bundle is fetched, evicted by
 	// two newer keys, and only then handed to ImageSystem.
@@ -245,7 +203,7 @@ func TestEvictionUnderConcurrency(t *testing.T) {
 	}
 	check(w1, sys, 1, 0)
 	if after := p.Stats(); hit || after.Images != before.Images || after.Workloads != before.Workloads ||
-		after.ImageBytes != before.ImageBytes {
+		after.Bytes != before.Bytes {
 		t.Errorf("ImageSystem on an evicted bundle: hit=%v, stats %+v -> %+v, want a private link that caches nothing", hit, before, after)
 	}
 
@@ -290,6 +248,7 @@ func TestEvictionUnderConcurrency(t *testing.T) {
 	images, bytes := 0, int64(0)
 	for _, e := range p.workloads {
 		images += len(e.images)
+		bytes += int64(e.bytes)
 		for _, img := range e.images {
 			img.mu.Lock()
 			bytes += int64(img.bytes)
@@ -300,41 +259,44 @@ func TestEvictionUnderConcurrency(t *testing.T) {
 		t.Errorf("pool holds %d images in %d workloads, counts %d images and %d LRU entries",
 			images, len(p.workloads), p.images, p.lru.Len())
 	}
-	if len(p.workloads) > 2 || images > 3 {
-		t.Errorf("pool holds %d workloads and %d images past the bounds 2/3", len(p.workloads), images)
+	if len(p.workloads) > 2 {
+		t.Errorf("pool holds %d workloads past the bound 2", len(p.workloads))
 	}
-	if got := p.m.imageBytes.Value(); got != bytes {
-		t.Errorf("image_bytes gauge = %d, cached images hold %d", got, bytes)
+	if got := p.m.bytes.Value(); got != bytes {
+		t.Errorf("bytes gauge = %d, cached bundles and images hold %d", got, bytes)
 	}
 }
 
-// TestImageBytesTracksRetainedHeap: the image-bytes gauge counts what
-// the pool holds for a master (its copy-on-write pages, its module code
-// and its compiled Program), so for one pooled firefox master it lands
-// within a factor of 2 of the heap the pool retains for it.  The bundle
-// is pooled before the baseline, so only the master is measured.
+// TestImageBytesTracksRetainedHeap: the byte gauge counts what the
+// pool holds for a whole entry (the generated bundle, and its master's
+// copy-on-write pages, module code and compiled Program), so for one
+// pooled firefox entry it lands within a factor of 2 of the heap the
+// pool retains for it, both once the bundle is generated and once its
+// master is linked and forked.
 func TestImageBytesTracksRetainedHeap(t *testing.T) {
 	const seed = 1
-	w := workload.Firefox(seed)
 	p := New(Options{})
-	p.Workload("firefox", func(uint64) *workload.Workload { return w }, seed)
 
-	heap := func() uint64 {
+	heap := func() float64 {
 		runtime.GC()
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
+		return float64(ms.HeapAlloc)
+	}
+	check := func(step string, retained float64) {
+		gauge := float64(p.Stats().Bytes)
+		t.Logf("%s: gauge %.0f bytes, retained heap %.0f bytes", step, gauge, retained)
+		if gauge < retained/2 || gauge > retained*2 {
+			t.Errorf("%s: dlsim_pool_bytes = %.0f, want within a factor of 2 of the %.0f bytes retained", step, gauge, retained)
+		}
 	}
 	before := heap()
+	w, _ := p.Workload("firefox", workload.Firefox, seed)
+	check("bundle", heap()-before)
 	if _, _, err := p.ImageSystem("firefox", seed, w, core.Enhanced(seed)); err != nil {
 		t.Fatal(err)
 	}
-	retained := float64(heap()) - float64(before)
-	gauge := float64(p.Stats().ImageBytes)
+	check("bundle and master", heap()-before)
 	runtime.KeepAlive(p)
-	t.Logf("gauge %.0f bytes, retained heap %.0f bytes", gauge, retained)
-	if gauge < retained/2 || gauge > retained*2 {
-		t.Errorf("dlsim_pool_image_bytes = %.0f, want within a factor of 2 of the %.0f bytes retained", gauge, retained)
-	}
 }

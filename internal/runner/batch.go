@@ -341,8 +341,17 @@ func (b *Batch) Status() BatchStatus {
 const DefaultMaxBatches = 256
 
 // SubmitBatch expands the sweep and submits every job, returning the
-// batch handle.  Identical sweeps (same expanded job set) share one
-// batch: resubmission returns the existing handle with reused=true.
+// batch handle.  Jobs enter the queue seed-major: all configs of one
+// seed next to each other, so configs that share a seed's workload
+// bundle (and, with the same link options, its master image) run
+// while the artifact pool still holds it.  The pool keeps
+// pool.BundlesPerWorker bundles per worker; submitted config-major, a
+// sweep over more seeds than that would lose every bundle before its
+// seed's next config forked it.  The handle, its status rows and its
+// stored snapshot keep the expansion order.
+//
+// Identical sweeps (same expanded job set) share one batch:
+// resubmission returns the existing handle with reused=true.
 // Individual jobs still deduplicate against *all* prior traffic via
 // the content-addressed job cache, so overlapping batches never
 // re-simulate shared cells.  Submission is atomic in effect: any
@@ -367,7 +376,8 @@ func (r *Runner) SubmitBatch(sweep SweepSpec) (batch *Batch, reused bool, err er
 	r.mu.Unlock()
 
 	b := &Batch{ID: id, Specs: specs, jobs: make([]*Job, len(specs))}
-	for i, spec := range specs {
+	for _, i := range seedMajor(specs) {
+		spec := specs[i]
 		j, _, err := r.Submit(spec)
 		if err != nil {
 			return nil, false, fmt.Errorf("runner: batch job %d/%d (%s/%s seed=%d): %w",
@@ -411,6 +421,23 @@ func (r *Runner) SubmitBatch(sweep SweepSpec) (batch *Batch, reused bool, err er
 		go r.persistBatch(b)
 	}
 	return b, false, nil
+}
+
+// seedMajor returns the indexes of specs ordered by seed, seeds in
+// order of first appearance and each seed's specs in expansion order.
+func seedMajor(specs []JobSpec) []int {
+	rank := make(map[uint64]int)
+	order := make([]int, len(specs))
+	for i, sp := range specs {
+		if _, ok := rank[sp.Seed]; !ok {
+			rank[sp.Seed] = len(rank)
+		}
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return rank[specs[order[a]].Seed] < rank[specs[order[b]].Seed]
+	})
+	return order
 }
 
 // persistBatch waits for every job in the batch to finish, then

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/faultinject"
+	"repro/internal/pool"
 )
 
 // TestPooledBitIdenticalToUnpooled is the tentpole invariant at the
@@ -127,6 +128,76 @@ func TestConcurrentPooledJobs(t *testing.T) {
 	}
 	if st := pooled.ArtifactPool().Stats(); !faultinject.Enabled() && (st.WorkloadMisses != 1 || st.ImageMisses != 1) {
 		t.Errorf("concurrent jobs rebuilt artifacts: %+v, want 1 workload miss and 1 image miss", st)
+	}
+}
+
+// TestSweepReusesBundlesWithinBound: a 2-worker runner's pool holds
+// pool.BundlesPerWorker × 2 = 4 bundles, a tenth of the seeds of a jit
+// Base+Enhanced sweep over 40 seeds.  A seed's Enhanced job forks the
+// master its Base job linked only if it starts before four newer
+// bundles push that seed's out, so SubmitBatch must admit the sweep
+// seed-major, while the batch keeps its expansion order.  The pool
+// must never hold more than 4 bundles, and must serve at least a
+// quarter of the images from cache: the ideal is half, and a sweep
+// admitted config-major gets almost none.
+//
+// Jobs start in goroutine scheduling order, not admission order, and
+// now and then (more often under -race, whose scheduler shuffles run
+// queues) one sweep's starts come out scrambled and its hits collapse.
+// So the sweep runs five times on fresh runners and the hit bound
+// applies to the total.
+func TestSweepReusesBundlesWithinBound(t *testing.T) {
+	const workers, seeds, rounds = 2, 40, 5
+	bound := pool.BundlesPerWorker * workers
+	sweep := SweepSpec{Workload: "jit", Configs: []ConfigKind{Base, Enhanced}, Measure: MinMeasure}
+	for s := uint64(1); s <= seeds; s++ {
+		sweep.Seeds = append(sweep.Seeds, s)
+	}
+	var hits, images uint64
+	for round := 0; round < rounds; round++ {
+		r := New(Options{Workers: workers})
+		b, _, err := r.SubmitBatch(sweep)
+		if err != nil {
+			r.Close()
+			t.Fatal(err)
+		}
+		// Read the bundle gauge as each job finishes.
+		ap, most := r.ArtifactPool(), 0
+		for _, j := range b.Jobs() {
+			<-j.Done()
+			most = max(most, ap.Stats().Workloads)
+		}
+		r.Close()
+		st := ap.Stats()
+		hits += st.ImageHits
+		images += st.ImageHits + st.ImageMisses
+		t.Logf("round %d: %d of %d images from cache, at most %d bundles held", round, st.ImageHits, st.ImageHits+st.ImageMisses, most)
+		if most > bound {
+			t.Errorf("round %d: pool held %d bundles, bound %d", round, most, bound)
+		}
+		bs := b.Status()
+		if bs.Done != 2*seeds {
+			t.Errorf("round %d: sweep finished %d of %d jobs", round, bs.Done, 2*seeds)
+		}
+		if round > 0 {
+			continue
+		}
+		// Jobs are admitted (their traces started) seed-major; the
+		// handle and its status rows keep the config-major expansion.
+		for i, tr := range r.Tracer().Traces() {
+			seed, cfg := i/2, i%2
+			if want := b.Jobs()[cfg*seeds+seed]; tr.ID() != want.ID {
+				t.Fatalf("admission %d is job %s, want %s seed %d", i, tr.ID(), want.Spec.Config, want.Spec.Seed)
+			}
+		}
+		for i, row := range bs.Jobs {
+			if cfg, seed := sweep.Configs[i/seeds], sweep.Seeds[i%seeds]; row.Spec.Config != cfg || row.Spec.Seed != seed {
+				t.Fatalf("status row %d is %s seed %d, want %s seed %d", i, row.Spec.Config, row.Spec.Seed, cfg, seed)
+			}
+		}
+	}
+	if 4*hits < images {
+		t.Errorf("pool served %d of %d images from cache, want at least a quarter", hits, images)
 	}
 }
 

@@ -92,9 +92,10 @@ type Options struct {
 
 	// Pool is the shared artifact pool jobs draw generated workloads
 	// and copy-on-write-forked images from.  Nil means a private pool
-	// registered on the runner's metrics registry; pass one explicitly
-	// to share artifacts across runners.  Pooling never changes
-	// results — a forked image is bit-identical to a fresh link (see
+	// registered on the runner's metrics registry and bounded at
+	// pool.BundlesPerWorker bundles per worker; pass one explicitly to
+	// share artifacts across runners.  Pooling never changes results —
+	// a forked image is bit-identical to a fresh link (see
 	// internal/pool) — it only skips redundant setup work.
 	Pool *pool.Pool
 
@@ -339,7 +340,10 @@ func New(opts Options) *Runner {
 		if opts.Pool != nil {
 			r.pool = opts.Pool
 		} else {
-			r.pool = pool.New(pool.Options{Metrics: r.m.reg})
+			r.pool = pool.New(pool.Options{
+				MaxWorkloads: pool.BundlesPerWorker * opts.Workers,
+				Metrics:      r.m.reg,
+			})
 		}
 	}
 	if opts.Store != nil {

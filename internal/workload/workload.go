@@ -66,6 +66,24 @@ type Workload struct {
 	Churn *ChurnPlan
 }
 
+// Bytes returns the heap the bundle's generated objects hold (see
+// objfile.Object.Bytes): the executable, the libraries and every churn
+// generation, each counted once.
+func (w *Workload) Bytes() uint64 {
+	n := w.App.Bytes()
+	for _, o := range w.Libs {
+		n += o.Bytes()
+	}
+	if w.Churn != nil {
+		for _, s := range w.Churn.Slots {
+			for _, o := range s.Gens[1:] { // generation 0 is one of Libs
+				n += o.Bytes()
+			}
+		}
+	}
+	return n
+}
+
 // NewSystem links the workload under the given system configuration.
 func (w *Workload) NewSystem(cfg core.Config) (*core.System, error) {
 	return core.NewSystem(w.App, w.Libs, cfg)
