@@ -15,14 +15,16 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/linker"
+	"repro/internal/runner"
 	"repro/internal/workload"
 )
 
 func main() {
-	wl := flag.String("workload", "apache", "apache | firefox | memcached | mysql | plugin-server | jit")
+	wl := flag.String("workload", "apache", strings.Join(runner.WorkloadNames(), " | "))
 	system := flag.String("system", "base", "base | enhanced | eager | static | patched")
 	plt := flag.String("plt", "x86", "trampoline flavour: x86 | arm (paper Fig. 2)")
 	warm := flag.Int("warm", 50, "warmup requests")
@@ -37,12 +39,7 @@ func main() {
 }
 
 func run(wl, system, plt string, warm, requests int, seed uint64) error {
-	gens := map[string]func(uint64) *workload.Workload{
-		"apache": workload.Apache, "firefox": workload.Firefox,
-		"memcached": workload.Memcached, "mysql": workload.MySQL,
-		"plugin-server": workload.PluginServer, "jit": workload.JIT,
-	}
-	gen, ok := gens[wl]
+	ws, ok := runner.WorkloadByName(wl)
 	if !ok {
 		return fmt.Errorf("unknown workload %q", wl)
 	}
@@ -71,12 +68,12 @@ func run(wl, system, plt string, warm, requests int, seed uint64) error {
 		return fmt.Errorf("unknown plt flavour %q", plt)
 	}
 
-	w := gen(seed)
+	w := ws.Gen(seed)
 	sys, err := w.NewSystem(conf)
 	if err != nil {
 		return err
 	}
-	d := workload.NewDriver(w, sys, seed+17)
+	d := workload.NewDriver(w, sys, workload.DriverSeed(seed))
 	if err := d.Warmup(warm); err != nil {
 		return err
 	}

@@ -87,7 +87,7 @@ func startCluster(t testing.TB, n int, mutate func(i int, co *cluster.Options, r
 			BreakerThreshold: 4,
 			BreakerCooldown:  100 * time.Millisecond,
 			ForwardTimeout:   2 * time.Second,
-			Retry: runner.RetryPolicy{
+			Retry: cluster.RetryPolicy{
 				MaxAttempts: 2,
 				BaseDelay:   time.Millisecond,
 				MaxDelay:    5 * time.Millisecond,

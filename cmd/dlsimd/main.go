@@ -6,12 +6,13 @@
 // distinct simulation runs at most once per process lifetime.
 //
 // The service is hardened for unattended operation: worker panics
-// fail only the offending job (with the stack recorded), transient
-// job failures retry with capped exponential backoff + jitter, a
-// bounded admission queue sheds overload with 429 + Retry-After, and
-// SIGINT/SIGTERM triggers a graceful drain — admission stops
-// (/readyz goes 503), in-flight jobs finish up to -drain-timeout,
-// and whatever remains is reported before exit.  Fault injection for
+// fail only the offending job (with the stack recorded), a job runs
+// once and its failure is final and cached (a job is a pure function
+// of its spec, so re-running it cannot help), a bounded admission
+// queue sheds overload with 429 + Retry-After, and SIGINT/SIGTERM
+// triggers a graceful drain — admission stops (/readyz goes 503),
+// in-flight jobs finish up to -drain-timeout, and whatever remains is
+// reported before exit.  Fault injection for
 // testing is available via DLSIM_FAULTS (see internal/faultinject).
 //
 // The service is fully observable: every request carries a
@@ -25,7 +26,7 @@
 // Usage:
 //
 //	dlsimd [-addr :8344] [-workers N] [-job-timeout 5m] [-max-queue N]
-//	       [-max-retained N] [-max-batches N] [-retries N] [-request-timeout 30s]
+//	       [-max-retained N] [-max-batches N] [-request-timeout 30s]
 //	       [-drain-timeout 30s] [-trace-buffer N] [-debug-addr :8345]
 //	       [-store-dir DIR] [-store-max-bytes N]
 //	       [-metrics-history 5s] [-metrics-history-points N]
@@ -56,7 +57,8 @@
 //	                     "config":"enhanced","seed":1,"scale":0.5};
 //	                     returns the job id (202, or 200 when coalesced;
 //	                     429 + Retry-After when the queue is full)
-//	GET  /v1/jobs/{id}   job state, attempts, and the result once done
+//	GET  /v1/jobs/{id}   job state, and the result once done (or the
+//	                     error once failed)
 //	                     (410 once the id is evicted by -max-retained;
 //	                     404 for ids never seen or long forgotten)
 //	POST /v1/batches     submit a sweep; body {"workload":"apache",
@@ -78,9 +80,9 @@
 //	                     measure window (JSON, or CSV via ?format=csv /
 //	                     Accept: text/csv); cluster-aware like any
 //	                     result read
-//	GET  /v1/traces/{id} the job's span tree: queued/attempt/backoff
+//	GET  /v1/traces/{id} the job's span tree: queued and attempt
 //	                     phases with generate/link/warmup/measure steps
-//	GET  /v1/stats       pool depth, cache hits/misses, retries/panics/
+//	GET  /v1/stats       pool depth, cache hits/misses, failed/panics/
 //	                     shed counters, job latency, and (in cluster
 //	                     mode) per-peer forward and failover counts
 //	GET  /v1/metrics/history  short-horizon time series of every scalar
@@ -143,7 +145,6 @@ func main() {
 	maxQueue := flag.Int("max-queue", 256, "admission-queue bound; full queue sheds with 429 (0 = unbounded)")
 	maxRetained := flag.Int("max-retained", 0, "completed jobs retained in the result cache; LRU-evicted beyond this, evicted IDs answer 410 (0 = default 4096, negative = unbounded)")
 	maxBatches := flag.Int("max-batches", 0, "batch handles retained for lookup by ID; LRU-evicted beyond this, jobs stay addressable (0 = default 256, negative = unbounded)")
-	retries := flag.Int("retries", 0, "max execution attempts per job incl. the first (0 = default 3, 1 = no retry)")
 	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "per-HTTP-request timeout (0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight jobs")
 	traceBuffer := flag.Int("trace-buffer", 0, "recent job traces to retain (0 = default 512, negative disables tracing)")
@@ -199,7 +200,6 @@ func main() {
 		MaxQueue:      *maxQueue,
 		MaxRetained:   *maxRetained,
 		MaxBatches:    *maxBatches,
-		Retry:         runner.RetryPolicy{MaxAttempts: *retries},
 		TraceCapacity: *traceBuffer,
 		Metrics:       reg,
 		Tracer:        tracer,
@@ -223,7 +223,7 @@ func main() {
 				BreakerThreshold: *clusterBreakerThreshold,
 				BreakerCooldown:  *clusterBreakerCooldown,
 				ForwardTimeout:   *clusterForwardTimeout,
-				Retry:            runner.RetryPolicy{MaxAttempts: *clusterRetries},
+				Retry:            cluster.RetryPolicy{MaxAttempts: *clusterRetries},
 				Metrics:          reg,
 				Tracer:           tracer,
 			})

@@ -157,36 +157,6 @@ func TestInjectedPanicOverHTTP(t *testing.T) {
 	}
 }
 
-// TestRetriesVisibleInStats: a transiently failing job retries to
-// success, and both the job view and /v1/stats expose the counts.
-func TestRetriesVisibleInStats(t *testing.T) {
-	leakcheck.Check(t)
-	armed(t, "runner.execute", faultinject.PointConfig{Mode: faultinject.Error, Prob: 1, Count: 2})
-	ts, _ := newTestServerOpts(t, runner.Options{
-		Workers: 1,
-		Retry:   runner.RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
-	}, serverConfig{})
-
-	sub, _ := postJob(t, ts, specA)
-	job := pollState(t, ts, sub.ID, runner.StateDone)
-	if job.Attempts != 3 {
-		t.Errorf("attempts = %d, want 3", job.Attempts)
-	}
-
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st statsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Retries != 2 || st.Failed != 0 || st.Completed != 1 {
-		t.Errorf("stats retries=%d failed=%d completed=%d, want 2/0/1", st.Retries, st.Failed, st.Completed)
-	}
-}
-
 // TestHealthAndReady: /healthz stays 200; /readyz flips to 503 once
 // draining and submissions are refused with a structured 503.
 func TestHealthAndReady(t *testing.T) {

@@ -583,13 +583,12 @@ type resultJSON struct {
 
 // jobResponse answers GET /v1/jobs/{id}.
 type jobResponse struct {
-	ID       string          `json:"id"`
-	Key      string          `json:"key"`
-	State    runner.JobState `json:"state"`
-	Spec     runner.JobSpec  `json:"spec"`
-	Attempts int             `json:"attempts"`
-	Error    string          `json:"error,omitempty"`
-	Result   *resultJSON     `json:"result,omitempty"`
+	ID     string          `json:"id"`
+	Key    string          `json:"key"`
+	State  runner.JobState `json:"state"`
+	Spec   runner.JobSpec  `json:"spec"`
+	Error  string          `json:"error,omitempty"`
+	Result *resultJSON     `json:"result,omitempty"`
 }
 
 // handleJob reports a job's state and, once done, its result.  IDs
@@ -611,11 +610,10 @@ func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := jobResponse{
-		ID:       job.ID,
-		Key:      job.Key,
-		State:    job.State(),
-		Spec:     job.Spec,
-		Attempts: job.Attempts(),
+		ID:    job.ID,
+		Key:   job.Key,
+		State: job.State(),
+		Spec:  job.Spec,
 	}
 	if err := job.Err(); err != nil {
 		resp.Error = err.Error()
@@ -855,8 +853,8 @@ type statsResponse struct {
 	Cluster      *cluster.Stats  `json:"cluster,omitempty"`
 }
 
-// handleStats reports pool depth, cache effectiveness, failure and
-// retry counters, job latency, and the artifact-pool and disk-store
+// handleStats reports pool depth, cache effectiveness, failure, panic
+// and shed counters, job latency, and the artifact-pool and disk-store
 // gauges.  The numbers come from the same telemetry registry GET
 // /metrics exposes — runner.Stats() is a typed view over those
 // instruments, kept for API compatibility.

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/runner"
@@ -36,7 +35,7 @@ func scrape(t *testing.T, ts *httptest.Server) string {
 }
 
 // TestMetricsEndpoint is the acceptance criterion: one scrape covers
-// the runner pool, the cache, retry/shed counters, per-workload
+// the runner pool, the cache, panic/shed counters, per-workload
 // simulation counters, fault-injection points, and the HTTP front end
 // — all under stable names.
 func TestMetricsEndpoint(t *testing.T) {
@@ -63,8 +62,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		// Cache effectiveness.
 		"dlsim_runner_cache_misses_total 1",
 		"dlsim_runner_cache_hits_total 1",
-		// Retry/shed counters exist even at zero.
-		"dlsim_runner_retries_total 0",
+		// Panic/shed counters exist even at zero.
+		"dlsim_runner_panics_total 0",
 		"dlsim_runner_shed_total 0",
 		// Per-workload simulation counters.
 		`dlsim_sim_instructions_total{workload="memcached",config="base"}`,
@@ -82,6 +81,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+	// A job runs once: nothing retries, so nothing counts retries.
+	for _, gone := range []string{"dlsim_runner_retries_total", "dlsim_runner_backoff_ms"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("exposition still carries %s", gone)
 		}
 	}
 	for _, line := range strings.Split(out, "\n") {
@@ -177,17 +182,19 @@ func TestStatsMatchesMetrics(t *testing.T) {
 	}
 }
 
-// TestTraceSurvivesRetry: a job that retried shows the backoff phase
-// through the HTTP trace endpoint.
-func TestTraceSurvivesRetry(t *testing.T) {
+// TestFailedJobTraceOverHTTP: a job whose one execution fails reads
+// failed with the injected error, its trace shows exactly one queued
+// and one attempt phase, and resubmitting its spec answers the cached
+// failure without running it again.
+func TestFailedJobTraceOverHTTP(t *testing.T) {
 	armed(t, "runner.execute", faultinject.PointConfig{Mode: faultinject.Error, Prob: 1, Count: 1})
-	ts, _ := newTestServerOpts(t, runner.Options{
-		Workers: 1,
-		Retry:   runner.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
-	}, serverConfig{})
+	ts, _ := newTestServer(t)
 
 	sub, _ := postJob(t, ts, specA)
-	pollState(t, ts, sub.ID, runner.StateDone)
+	job := pollState(t, ts, sub.ID, runner.StateFailed)
+	if !strings.Contains(job.Error, "injected error at runner.execute") || job.Result != nil {
+		t.Errorf("job = %+v, want failed with the injected error and no result", job)
+	}
 
 	resp, err := http.Get(ts.URL + "/v1/traces/" + sub.ID)
 	if err != nil {
@@ -202,10 +209,21 @@ func TestTraceSurvivesRetry(t *testing.T) {
 	for _, c := range tr.Root.Children {
 		names = append(names, c.Name)
 	}
-	if got := strings.Join(names, " "); got != "queued attempt backoff queued attempt" {
-		t.Errorf("phases = %q, want retry anatomy", got)
+	if got := strings.Join(names, " "); got != "queued attempt" {
+		t.Errorf("phases = %q, want one queued and one attempt", got)
 	}
-	if got := scrape(t, ts); !strings.Contains(got, "dlsim_runner_retries_total 1") {
-		t.Error("exposition missing retry counter increment")
+	if len(names) == 2 && tr.Root.Children[1].Attrs["error"] == "" {
+		t.Error("attempt span carries no error")
+	}
+
+	again, code := postJob(t, ts, specA)
+	if code != http.StatusOK || !again.Cached || again.ID != sub.ID || again.State != runner.StateFailed {
+		t.Errorf("resubmit = %d %+v, want 200 cached failed %s", code, again, sub.ID)
+	}
+	out := scrape(t, ts)
+	for _, want := range []string{"dlsim_runner_jobs_failed_total 1", "dlsim_runner_cache_misses_total 1", "dlsim_runner_exec_ms_count 1"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q", want)
+		}
 	}
 }

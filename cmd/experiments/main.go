@@ -5,20 +5,18 @@
 // Usage:
 //
 //	experiments [-seed N] [-scale F] [-only LIST] [-ablations] [-workers N]
-//	            [-retries N] [-trace-out DIR]
+//	            [-trace-out DIR]
 //
 // -scale multiplies the measured request counts (0.25 for a quick
 // smoke run, 2 for smoother distributions); -only selects a
 // comma-separated subset of artefacts (e.g. "table2,figure5");
 // -workers sizes the simulation pool the suite fans out on (0 means
-// one worker per CPU); -retries caps execution attempts per
-// simulation — transient failures (e.g. injected via the DLSIM_FAULTS
-// fault-injection environment, see internal/faultinject) are retried
-// with capped exponential backoff, so a flaky substrate does not
-// abort a long evaluation run; -trace-out dumps every simulation's
-// span tree (queued/attempt/backoff phases with generate/link/warmup/
-// measure steps) as one JSON file per job in the given directory, for
-// profiling where a slow run spent its time.
+// one worker per CPU); -trace-out dumps every simulation's span tree
+// (queued and attempt phases with generate/link/warmup/measure steps)
+// as one JSON file per job in the given directory, for profiling where
+// a slow run spent its time.  Each simulation runs once: a failure,
+// such as a recovered panic, fails its artefact and the command exits
+// 1.
 package main
 
 import (
@@ -63,7 +61,6 @@ func main() {
 	only := flag.String("only", "", "comma-separated artefacts (table2,table3,table4,table5,table6,figure4,figure5,figure6,figure7,figure8,memory,speedups; ablation1-ablation7 with -ablations)")
 	ablations := flag.Bool("ablations", false, "also run ablations A1-A7 (slow)")
 	workers := flag.Int("workers", 0, "simulation pool size (0 = one per CPU)")
-	retries := flag.Int("retries", 0, "max execution attempts per simulation incl. the first (0 = default 3, 1 = no retry)")
 	traceOut := flag.String("trace-out", "", "directory to dump per-simulation span trees as JSON (empty = off)")
 	flag.Parse()
 
@@ -75,7 +72,6 @@ func main() {
 	}
 	pool := runner.New(runner.Options{
 		Workers:       *workers,
-		Retry:         runner.RetryPolicy{MaxAttempts: *retries},
 		TraceCapacity: traceCap,
 	})
 	defer pool.Close()
@@ -262,10 +258,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println(out)
-	}
-	if st := pool.Stats(); st.Retries > 0 || st.Panics > 0 {
-		fmt.Fprintf(os.Stderr, "experiments: pool absorbed %d transient failure(s) via retry (%d panic(s) recovered)\n",
-			st.Retries, st.Panics)
 	}
 	if *traceOut != "" {
 		n, err := dumpTraces(pool, *traceOut)

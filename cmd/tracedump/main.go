@@ -29,15 +29,17 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/runner"
 	"repro/internal/timeline"
 	"repro/internal/workload"
 )
 
 func main() {
-	wl := flag.String("workload", "apache", "apache | firefox | memcached | mysql")
+	wl := flag.String("workload", "apache", strings.Join(runner.WorkloadNames(), " | "))
 	requests := flag.Int("requests", 200, "requests to trace")
 	top := flag.Int("top", 30, "trampolines (or -compiled superblocks) to list")
 	seed := flag.Uint64("seed", 1, "simulation seed")
@@ -143,20 +145,16 @@ func runTimeline(wl string, requests int, seed, interval uint64, format string) 
 
 // setup builds the (system, driver) pair both modes share.
 func setup(wl string, seed uint64) (*core.System, *workload.Driver, error) {
-	gens := map[string]func(uint64) *workload.Workload{
-		"apache": workload.Apache, "firefox": workload.Firefox,
-		"memcached": workload.Memcached, "mysql": workload.MySQL,
-	}
-	gen, ok := gens[wl]
+	ws, ok := runner.WorkloadByName(wl)
 	if !ok {
 		return nil, nil, fmt.Errorf("unknown workload %q", wl)
 	}
-	w := gen(seed)
+	w := ws.Gen(seed)
 	sys, err := w.NewSystem(core.Base(seed))
 	if err != nil {
 		return nil, nil, err
 	}
-	return sys, workload.NewDriver(w, sys, seed+17), nil
+	return sys, workload.NewDriver(w, sys, workload.DriverSeed(seed)), nil
 }
 
 func run(wl string, requests, top int, seed uint64) error {

@@ -19,7 +19,9 @@
 //     answers probes but fails requests is still routed around.
 //   - slow peers    — every hop has a `ForwardTimeout`; transient
 //     failures retry with capped exponential backoff + jitter
-//     (internal/runner's RetryPolicy under this package's defaults).
+//     (RetryPolicy).  A forward is the one place a failure here can
+//     be transient: a job is deterministic, so the runner never
+//     re-runs one.
 //     A forward that the caller's own context ends (client gone,
 //     request timeout) charges no peer and stops the walk.
 //   - half-finished work — forwarding is at most one hop (a forwarded
@@ -41,7 +43,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/runner"
 	"repro/internal/telemetry"
 )
 
@@ -93,7 +94,7 @@ type Options struct {
 	// transport error, timeout and 5xx is transient here, because
 	// content-derived IDs make re-sends idempotent.  Zero fields
 	// select 2 attempts, 10ms base, 200ms cap and 20% jitter.
-	Retry runner.RetryPolicy
+	Retry RetryPolicy
 
 	// Metrics receives the dlsim_cluster_* instrument set; nil
 	// registers into a private registry.  Tracer, when non-nil,
@@ -105,15 +106,6 @@ type Options struct {
 	// Transport overrides the forwarding client's RoundTripper
 	// (tests); nil uses a dedicated transport with sane pool limits.
 	Transport http.RoundTripper
-}
-
-// defaultRetry holds the forwarding defaults for Options.Retry's zero
-// fields.
-var defaultRetry = runner.RetryPolicy{
-	MaxAttempts: 2,
-	BaseDelay:   10 * time.Millisecond,
-	MaxDelay:    200 * time.Millisecond,
-	Jitter:      0.2,
 }
 
 // peer is one member plus this node's live view of it.
@@ -149,7 +141,7 @@ type Cluster struct {
 	probeTimeout  time.Duration
 	failThreshold int
 	forwardTO     time.Duration
-	retry         runner.RetryPolicy
+	retry         RetryPolicy
 
 	// instruments
 	forwards    *telemetry.CounterVec // peer, outcome
@@ -239,7 +231,7 @@ func New(opts Options) (*Cluster, error) {
 		probeTimeout:  opts.ProbeTimeout,
 		failThreshold: opts.FailThreshold,
 		forwardTO:     opts.ForwardTimeout,
-		retry:         opts.Retry.Normalized(defaultRetry),
+		retry:         opts.Retry.normalized(),
 
 		forwards: reg.CounterVec("dlsim_cluster_forwards_total",
 			"Forwarded requests by destination peer and outcome.", "peer", "outcome"),

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/leakcheck"
-	"repro/internal/runner"
 	"repro/internal/telemetry"
 )
 
@@ -164,7 +163,7 @@ func testCluster(t *testing.T, hb, hc http.Handler, mut func(*Options)) (*Cluste
 		BreakerThreshold: 3,
 		BreakerCooldown:  50 * time.Millisecond,
 		ForwardTimeout:   2 * time.Second,
-		Retry:            runner.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond},
+		Retry:            RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond},
 		Metrics:          reg,
 	}
 	if mut != nil {
@@ -295,7 +294,7 @@ func TestBreakerOpensAndSkipsWithoutNetwork(t *testing.T) {
 	c, _ := testCluster(t, bad, good, func(o *Options) {
 		o.BreakerThreshold = 2
 		o.BreakerCooldown = time.Hour
-		o.Retry = runner.RetryPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond}
+		o.Retry = RetryPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond}
 	})
 
 	bID := idRoutedVia(t, c.ring, "b", "c")
@@ -465,7 +464,7 @@ func TestOversizePeerBodyFailsOver(t *testing.T) {
 		_, _ = w.Write([]byte("ok"))
 	})
 	c, _ := testCluster(t, huge, good, func(o *Options) {
-		o.Retry = runner.RetryPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond}
+		o.Retry = RetryPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond}
 	})
 
 	bID := idRoutedVia(t, c.ring, "b", "c")

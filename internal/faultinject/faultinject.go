@@ -9,8 +9,9 @@
 // RNG against the point's probability and, on a hit, injects the
 // configured fault:
 //
-//	Error — return an *InjectedError (classified transient, so a
-//	        retry-capable caller recovers)
+//	Error — return an *InjectedError, which the caller handles like
+//	        any failure of that path (a job fails; a cluster forward
+//	        retries and fails over)
 //	Panic — panic with a recognisable message (exercises worker
 //	        panic isolation)
 //	Delay — sleep for the configured duration, then proceed
@@ -21,7 +22,7 @@
 // from the environment, which is how `make faults` runs the whole
 // test suite under low-probability injection:
 //
-//	DLSIM_FAULTS="runner.execute=error:0.02,dlsimd.submit=delay:0.05:2ms"
+//	DLSIM_FAULTS="runner.execute=delay:0.02:2ms,dlsimd.submit=delay:0.2:2ms"
 //	DLSIM_FAULT_SEED=42
 //
 // The spec grammar is point=mode:prob[:delay], comma-separated.  All
@@ -55,8 +56,6 @@ const (
 )
 
 // InjectedError is the error returned by a point armed in Error mode.
-// It reports itself transient, so retry policies that classify with
-// IsTransient-style checks will retry it.
 type InjectedError struct {
 	// Point is the injection-point name that produced the error.
 	Point string
@@ -65,9 +64,6 @@ type InjectedError struct {
 func (e *InjectedError) Error() string {
 	return "faultinject: injected error at " + e.Point
 }
-
-// Transient marks the error as retryable (see runner.IsTransient).
-func (e *InjectedError) Transient() bool { return true }
 
 // PointConfig arms one injection point.
 type PointConfig struct {
@@ -149,7 +145,7 @@ func armFromEnv() {
 
 // ParseSpec parses the DLSIM_FAULTS grammar:
 // "point=mode:prob[:delay]" entries separated by commas, e.g.
-// "runner.execute=error:0.02,dlsimd.submit=delay:0.05:2ms".
+// "runner.execute=delay:0.02:2ms,cluster.forward=error:0.05".
 func ParseSpec(spec string) (map[string]PointConfig, error) {
 	out := make(map[string]PointConfig)
 	for _, entry := range strings.Split(spec, ",") {

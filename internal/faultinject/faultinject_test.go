@@ -29,9 +29,6 @@ func TestErrorModeAndCounters(t *testing.T) {
 	if !errors.As(err, &inj) || inj.Point != "p.err" {
 		t.Fatalf("Fire = %v, want *InjectedError{p.err}", err)
 	}
-	if !inj.Transient() {
-		t.Error("injected error not transient")
-	}
 	if Hits("p.err") != 1 || Injections("p.err") != 1 {
 		t.Errorf("hits=%d injections=%d, want 1/1", Hits("p.err"), Injections("p.err"))
 	}

@@ -155,11 +155,10 @@ func (b *Batch) Wait(ctx context.Context) error {
 
 // BatchJobStatus is one job's row in a batch status snapshot.
 type BatchJobStatus struct {
-	ID       string   `json:"id"`
-	State    JobState `json:"state"`
-	Spec     JobSpec  `json:"spec"`
-	Attempts int      `json:"attempts"`
-	Error    string   `json:"error,omitempty"`
+	ID    string   `json:"id"`
+	State JobState `json:"state"`
+	Spec  JobSpec  `json:"spec"`
+	Error string   `json:"error,omitempty"`
 }
 
 // BatchAggregate summarises a batch's completed jobs for one config
@@ -236,7 +235,7 @@ func (b *Batch) Status() BatchStatus {
 	aggs := make(map[ConfigKind]*agg)
 	order := make([]ConfigKind, 0, 4)
 	for _, j := range b.jobs {
-		row := BatchJobStatus{ID: j.ID, State: j.State(), Spec: j.Spec, Attempts: j.Attempts()}
+		row := BatchJobStatus{ID: j.ID, State: j.State(), Spec: j.Spec}
 		if err := j.Err(); err != nil {
 			row.Error = err.Error()
 		}

@@ -232,7 +232,7 @@ func TestBatchStatusAggregates(t *testing.T) {
 // error.  Runs under DLSIM_FAULTS ambient injection too: the armed()
 // override below replaces the ambient config for its duration.
 func TestBatchPartialFailure(t *testing.T) {
-	r := New(Options{Workers: 2, Retry: RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond}})
+	r := New(Options{Workers: 2})
 	defer r.Close()
 	defer leakcheck.Check(t)
 
@@ -247,9 +247,9 @@ func TestBatchPartialFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Every execution now fails deterministically; the enhanced cells
-	// must run and therefore fail (retries included), while the base
-	// cells coalesce onto the completed jobs untouched.
+	// Every execution now fails; the enhanced cells must run and
+	// therefore fail, while the base cells coalesce onto the completed
+	// jobs untouched.
 	armed(t, "runner.execute", faultinject.PointConfig{Mode: faultinject.Error, Prob: 1})
 	b, _, err := r.SubmitBatch(fastSweep())
 	if err != nil {

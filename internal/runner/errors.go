@@ -37,29 +37,3 @@ type PanicError struct {
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("runner: worker panic: %v", e.Value)
 }
-
-// IsTransient reports whether err is worth retrying: some error in
-// its chain declares itself transient via a `Transient() bool`
-// method (e.g. faultinject.InjectedError, or a workload error
-// wrapped with Transient).  Timeouts, shutdown, validation failures
-// and panics are permanent by default.
-func IsTransient(err error) bool {
-	var t interface{ Transient() bool }
-	return errors.As(err, &t) && t.Transient()
-}
-
-// transientError wraps an error to classify it transient.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string   { return e.err.Error() }
-func (e *transientError) Unwrap() error   { return e.err }
-func (e *transientError) Transient() bool { return true }
-
-// Transient marks err as retryable under the default retry
-// classification.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}

@@ -18,7 +18,6 @@ import (
 //	dlsim_runner_running                     gauge      jobs executing
 //	dlsim_runner_jobs_completed_total        counter    jobs finished successfully
 //	dlsim_runner_jobs_failed_total           counter    jobs finished in error
-//	dlsim_runner_retries_total               counter    re-executed attempts
 //	dlsim_runner_panics_total                counter    worker panics recovered
 //	dlsim_runner_shed_total                  counter    submissions shed by admission control
 //	dlsim_runner_retained                    gauge      completed jobs held in the result cache
@@ -26,9 +25,8 @@ import (
 //	dlsim_runner_cache_hits_total            counter    submissions served from a completed result
 //	dlsim_runner_coalesced_total             counter    submissions attached to an in-flight job
 //	dlsim_runner_cache_misses_total          counter    submissions that started a simulation
-//	dlsim_runner_queue_wait_ms               histogram  submit→worker-acquired wait, per attempt
-//	dlsim_runner_exec_ms                     histogram  single-attempt execution time
-//	dlsim_runner_backoff_ms                  histogram  retry backoff sleeps
+//	dlsim_runner_queue_wait_ms               histogram  admission→worker-acquired wait
+//	dlsim_runner_exec_ms                     histogram  job execution time
 //	dlsim_runner_job_wall_ms                 histogram  whole-job wall clock (completed jobs)
 //	dlsim_runner_setup_wall_ms               histogram  generation+link+warmup wall clock
 //	dlsim_runner_measure_wall_ms             histogram  measured-request wall clock
@@ -48,7 +46,6 @@ type metrics struct {
 
 	completed *telemetry.Counter
 	failed    *telemetry.Counter
-	retries   *telemetry.Counter
 	panics    *telemetry.Counter
 	shed      *telemetry.Counter
 
@@ -61,7 +58,6 @@ type metrics struct {
 
 	queueWaitMS   *telemetry.Histogram
 	execMS        *telemetry.Histogram
-	backoffMS     *telemetry.Histogram
 	jobWallMS     *telemetry.Histogram
 	setupWallMS   *telemetry.Histogram
 	measureWallMS *telemetry.Histogram
@@ -79,10 +75,6 @@ type metrics struct {
 // simulations: 0.5ms·2^k up to ~4.4min, overflow beyond.
 var wallBuckets = telemetry.ExponentialBuckets(0.5, 2, 20)
 
-// backoffBuckets covers the retry policy's delay range (default 5ms
-// base, 250ms cap; custom policies overflow gracefully).
-var backoffBuckets = telemetry.ExponentialBuckets(1, 2, 10)
-
 func newMetrics(reg *telemetry.Registry) *metrics {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -93,12 +85,11 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		reg: reg,
 
 		workers: reg.Gauge("dlsim_runner_workers", "Worker pool width."),
-		queued:  reg.Gauge("dlsim_runner_queued", "Jobs waiting for a worker (including retry backoff)."),
+		queued:  reg.Gauge("dlsim_runner_queued", "Jobs waiting for a worker."),
 		running: reg.Gauge("dlsim_runner_running", "Jobs currently executing."),
 
 		completed: reg.Counter("dlsim_runner_jobs_completed_total", "Jobs finished successfully."),
-		failed:    reg.Counter("dlsim_runner_jobs_failed_total", "Jobs finished in error (after retries)."),
-		retries:   reg.Counter("dlsim_runner_retries_total", "Re-executed attempts after transient failures."),
+		failed:    reg.Counter("dlsim_runner_jobs_failed_total", "Jobs finished in error."),
 		panics:    reg.Counter("dlsim_runner_panics_total", "Worker panics recovered into job failures."),
 		shed:      reg.Counter("dlsim_runner_shed_total", "Submissions rejected by admission control (queue full)."),
 
@@ -109,9 +100,8 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		coalesced:   reg.Counter("dlsim_runner_coalesced_total", "Submissions coalesced onto an in-flight identical job."),
 		cacheMisses: reg.Counter("dlsim_runner_cache_misses_total", "Submissions that started a new simulation."),
 
-		queueWaitMS:   reg.Histogram("dlsim_runner_queue_wait_ms", "Wait from ready-to-run to worker acquired, per attempt.", wallBuckets),
-		execMS:        reg.Histogram("dlsim_runner_exec_ms", "Single-attempt execution time.", wallBuckets),
-		backoffMS:     reg.Histogram("dlsim_runner_backoff_ms", "Retry backoff sleeps.", backoffBuckets),
+		queueWaitMS:   reg.Histogram("dlsim_runner_queue_wait_ms", "Wait from admission to worker acquired.", wallBuckets),
+		execMS:        reg.Histogram("dlsim_runner_exec_ms", "Job execution time.", wallBuckets),
 		jobWallMS:     reg.Histogram("dlsim_runner_job_wall_ms", "Whole-job wall clock over completed jobs.", wallBuckets),
 		setupWallMS:   reg.Histogram("dlsim_runner_setup_wall_ms", "Per-job setup wall clock: generation, linking (or pool fetch), warmup.", wallBuckets),
 		measureWallMS: reg.Histogram("dlsim_runner_measure_wall_ms", "Per-job measurement wall clock: measured requests only.", wallBuckets),

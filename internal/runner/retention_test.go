@@ -2,7 +2,6 @@ package runner
 
 import (
 	"context"
-	"math/rand/v2"
 	"os"
 	"runtime"
 	"strconv"
@@ -14,53 +13,6 @@ import (
 	"repro/internal/pool"
 	"repro/internal/workload"
 )
-
-// TestBackoffNeverExceedsMaxDelay pins the clamp-after-jitter fix:
-// MaxDelay is a hard cap, so upward jitter on a capped delay must not
-// push past it, while downward jitter still shortens it.
-func TestBackoffNeverExceedsMaxDelay(t *testing.T) {
-	cases := []struct {
-		name   string
-		policy RetryPolicy
-		// wantVaried marks policies whose deep-retry jitter floor sits
-		// below the cap, so capped delays must still vary downward.
-		// (The default policies' un-jittered deep delays overshoot the
-		// cap so far that even maximal downward jitter stays above it
-		// — every deep backoff clamps to exactly MaxDelay.)
-		wantVaried bool
-	}{
-		{"default", DefaultRetryPolicy(), false},
-		// internal/cluster's forwarding defaults.
-		{"cluster default", RetryPolicy{MaxAttempts: 2, BaseDelay: 10 * time.Millisecond, MaxDelay: 200 * time.Millisecond, Jitter: 0.2}, false},
-		{"wide jitter", RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond, Jitter: 0.9}, true},
-		{"base at cap", RetryPolicy{BaseDelay: 50 * time.Millisecond, MaxDelay: 50 * time.Millisecond, Jitter: 0.5}, true},
-		{"no jitter", RetryPolicy{BaseDelay: 5 * time.Millisecond, MaxDelay: 40 * time.Millisecond, Jitter: -1}, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			p := tc.policy.Normalized(DefaultRetryPolicy())
-			rng := rand.New(rand.NewPCG(1, 2))
-			sawBelowCap := false
-			for retry := 1; retry <= 12; retry++ {
-				for sample := 0; sample < 200; sample++ {
-					d := p.Backoff(retry, rng.Float64())
-					if d > p.MaxDelay {
-						t.Fatalf("retry %d: backoff %v exceeds MaxDelay %v", retry, d, p.MaxDelay)
-					}
-					if d <= 0 {
-						t.Fatalf("retry %d: non-positive backoff %v", retry, d)
-					}
-					if retry >= 10 && d < p.MaxDelay {
-						sawBelowCap = true
-					}
-				}
-			}
-			if tc.wantVaried && !sawBelowCap {
-				t.Error("jitter never shortened a capped delay — is it still applied before the clamp?")
-			}
-		})
-	}
-}
 
 // TestRetentionEvictsLRU pins the eviction order and the recency
 // refresh: with capacity 2, re-reading job A makes B the eviction
@@ -203,9 +155,9 @@ func TestRetentionSoak(t *testing.T) {
 			handles = append(handles, j)
 		}
 		for _, j := range handles {
-			// Failed jobs (possible under `make faults`) complete and
-			// are retained just like successful ones; only submission
-			// errors above are fatal.
+			// A failed job would complete and be retained just like
+			// a successful one; only submission errors above are
+			// fatal.
 			<-j.Done()
 		}
 	}

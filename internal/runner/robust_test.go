@@ -3,6 +3,8 @@ package runner
 import (
 	"context"
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -59,95 +61,96 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestTransientRetrySucceeds proves the acceptance criterion: a job
-// that fails transiently N < max times under injection eventually
-// succeeds via backoff retry, with the exact retry count in stats.
-func TestTransientRetrySucceeds(t *testing.T) {
+// TestFailedJobRunsOnce: a job is a pure function of its spec, so its
+// one execution is final.  One injected error in a sweep fails exactly
+// the job it hits, with no requeue and no backoff; resubmitting that
+// spec answers the cached failure without running anything; and the
+// sweep's other jobs match a clean runner's bit for bit.
+func TestFailedJobRunsOnce(t *testing.T) {
 	leakcheck.Check(t)
-	armed(t, "runner.execute", faultinject.PointConfig{Mode: faultinject.Error, Prob: 1, Count: 2})
+	armed(t, "runner.execute", faultinject.PointConfig{Mode: faultinject.Error, Prob: 1, Count: 1})
+	ctx := context.Background()
 
-	r := New(Options{
-		Workers: 1,
-		Retry:   RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
-	})
+	r := New(Options{Workers: 2})
 	defer r.Close()
-
-	j, _, err := r.Submit(fastSpec(51))
+	b, _, err := r.SubmitBatch(fastSweep())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.Wait(context.Background()); err != nil {
-		t.Fatalf("job failed despite retries: %v", err)
-	}
-	if j.Attempts() != 3 {
-		t.Errorf("attempts = %d, want 3 (2 injected failures + success)", j.Attempts())
-	}
-	st := r.Stats()
-	if st.Retries != 2 {
-		t.Errorf("retries = %d, want exactly 2", st.Retries)
-	}
-	if st.Completed != 1 || st.Failed != 0 {
-		t.Errorf("completed=%d failed=%d, want 1/0", st.Completed, st.Failed)
-	}
-	if faultinject.Injections("runner.execute") != 2 {
-		t.Errorf("injections = %d, want 2", faultinject.Injections("runner.execute"))
-	}
-}
-
-// TestPermanentFailureStopsAtCap proves the other half of the
-// criterion: a job that keeps failing stops at the retry cap with the
-// exact attempt and retry counts.
-func TestPermanentFailureStopsAtCap(t *testing.T) {
-	leakcheck.Check(t)
-	armed(t, "runner.execute", faultinject.PointConfig{Mode: faultinject.Error, Prob: 1})
-
-	r := New(Options{
-		Workers: 1,
-		Retry:   RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
-	})
-	defer r.Close()
-
-	j, _, err := r.Submit(fastSpec(52))
-	if err != nil {
+	if err := b.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	_, err = j.Wait(context.Background())
+	st := b.Status()
+	if st.Done != 3 || st.Failed != 1 {
+		t.Fatalf("sweep done=%d failed=%d, want 3/1: the job the error hits fails", st.Done, st.Failed)
+	}
+	var failed *Job
+	for i, row := range st.Jobs {
+		if row.State != StateFailed {
+			continue
+		}
+		failed = b.Jobs()[i]
+		if !strings.Contains(row.Error, "injected error at runner.execute") {
+			t.Errorf("failed row's error = %q, want the injected error", row.Error)
+		}
+	}
 	var inj *faultinject.InjectedError
-	if !errors.As(err, &inj) {
-		t.Fatalf("error = %v, want the injected error", err)
+	if err := failed.Err(); !errors.As(err, &inj) {
+		t.Errorf("Job.Err() = %v, want the injected error", err)
 	}
-	if j.Attempts() != 3 {
-		t.Errorf("attempts = %d, want 3 (the cap)", j.Attempts())
-	}
-	st := r.Stats()
-	if st.Retries != 2 || st.Failed != 1 || st.Completed != 0 {
-		t.Errorf("retries=%d failed=%d completed=%d, want 2/1/0", st.Retries, st.Failed, st.Completed)
-	}
-	if got := j.Err(); !errors.As(got, &inj) {
-		t.Errorf("Job.Err() = %v, want the injected error", got)
-	}
-	if _, ok := j.Result(); ok {
+	if _, ok := failed.Result(); ok {
 		t.Error("failed job reports a Result")
 	}
-}
-
-// TestNonTransientNotRetried: the default classification does not
-// retry panics.
-func TestNonTransientNotRetried(t *testing.T) {
-	leakcheck.Check(t)
-	armed(t, "runner.execute", faultinject.PointConfig{Mode: faultinject.Panic, Prob: 1})
-
-	r := New(Options{Workers: 1, Retry: RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond}})
-	defer r.Close()
-	j, _, _ := r.Submit(fastSpec(53))
-	if _, err := j.Wait(context.Background()); err == nil {
-		t.Fatal("want failure")
+	// Every job fired the point exactly once: one execution each.
+	if hits, n := faultinject.Hits("runner.execute"), faultinject.Injections("runner.execute"); hits != 4 || n != 1 {
+		t.Errorf("runner.execute hits=%d injections=%d, want 4/1", hits, n)
 	}
-	if j.Attempts() != 1 {
-		t.Errorf("attempts = %d, want 1 (panics are permanent)", j.Attempts())
+	tr, ok := r.Tracer().Get(failed.ID)
+	if !ok {
+		t.Fatalf("no trace for failed job %s", failed.ID)
 	}
-	if st := r.Stats(); st.Retries != 0 {
-		t.Errorf("retries = %d, want 0", st.Retries)
+	if got := strings.Join(tr.Phases(), " "); got != "queued attempt" {
+		t.Errorf("failed job's phases = %q, want one queued and one attempt", got)
+	}
+
+	again, reused, err := r.Submit(failed.Spec)
+	if err != nil || !reused || again != failed {
+		t.Fatalf("resubmit = job %p reused=%v err=%v, want the cached failed job %p", again, reused, err, failed)
+	}
+	if _, err := again.Wait(ctx); !errors.As(err, &inj) {
+		t.Errorf("resubmitted job's error = %v, want the injected error", err)
+	}
+	if hits := faultinject.Hits("runner.execute"); hits != 4 {
+		t.Errorf("runner.execute hits=%d after the resubmit, want still 4", hits)
+	}
+	if s := r.Stats(); s.CacheMisses != 4 || s.CacheHits != 1 || s.Completed != 3 || s.Failed != 1 {
+		t.Errorf("stats misses=%d hits=%d completed=%d failed=%d, want 4/1/3/1",
+			s.CacheMisses, s.CacheHits, s.Completed, s.Failed)
+	}
+
+	// The injection is spent, so a fresh runner runs the specs clean.
+	clean := New(Options{Workers: 2})
+	defer clean.Close()
+	for _, j := range b.Jobs() {
+		if j == failed {
+			continue
+		}
+		got, _ := j.Result()
+		want, err := clean.Run(ctx, j.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Counters != want.Counters {
+			t.Errorf("%s seed %d: counters %+v, clean runner %+v", j.Spec.Config, j.Spec.Seed, got.Counters, want.Counters)
+		}
+		if len(got.Samples) != len(want.Samples) {
+			t.Errorf("%s seed %d: %d classes, clean runner %d", j.Spec.Config, j.Spec.Seed, len(got.Samples), len(want.Samples))
+		}
+		for class, ws := range want.Samples {
+			if gs, ok := got.Samples[class]; !ok || !slices.Equal(gs.Values(), ws.Values()) {
+				t.Errorf("%s seed %d: class %q samples differ from the clean runner's", j.Spec.Config, j.Spec.Seed, class)
+			}
+		}
 	}
 }
 
@@ -375,28 +378,5 @@ func TestDrainDeadlineCountsSnapshots(t *testing.T) {
 	r.Close()
 	if err := b.Wait(context.Background()); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestTransientMarker: the Transient wrapper drives the default
-// classification and survives error wrapping.
-func TestTransientMarker(t *testing.T) {
-	base := errors.New("flaky backend")
-	if IsTransient(base) {
-		t.Error("unmarked error classified transient")
-	}
-	marked := Transient(base)
-	if !IsTransient(marked) {
-		t.Error("marked error not classified transient")
-	}
-	wrapped := errors.Join(errors.New("outer"), marked)
-	if !IsTransient(wrapped) {
-		t.Error("wrapped marked error not classified transient")
-	}
-	if !errors.Is(marked, base) {
-		t.Error("Transient broke the error chain")
-	}
-	if Transient(nil) != nil {
-		t.Error("Transient(nil) != nil")
 	}
 }

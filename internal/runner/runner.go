@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"runtime"
 	"strconv"
 	"sync"
@@ -28,8 +27,8 @@ type Options struct {
 	// Zero means runtime.NumCPU().
 	Workers int
 
-	// JobTimeout bounds each job attempt's simulation time.  Zero
-	// means no per-job timeout.
+	// JobTimeout bounds each job's simulation time.  Zero means no
+	// per-job timeout.
 	JobTimeout time.Duration
 
 	// MaxQueue bounds the number of jobs waiting for a worker
@@ -49,17 +48,6 @@ type Options struct {
 	// Zero means DefaultMaxRetained; negative means unbounded
 	// retention (the pre-bound behaviour).
 	MaxRetained int
-
-	// Retry governs re-execution of failed attempts.  Only transient
-	// failures (see IsTransient) retry.  Zero fields select
-	// DefaultRetryPolicy's: up to 3 attempts with capped exponential
-	// backoff + jitter; set MaxAttempts to 1 to disable.
-	Retry RetryPolicy
-
-	// RetrySeed seeds the backoff-jitter stream; zero means 1.  The
-	// same seed gives the same jitter schedule, keeping test runs
-	// reproducible.
-	RetrySeed uint64
 
 	// Metrics is the telemetry registry the runner registers its
 	// instruments in (see metrics.go for the name catalogue).  Nil
@@ -137,11 +125,10 @@ type Job struct {
 	// disabled.  Set once at Submit, before drive starts.
 	span *telemetry.Span
 
-	mu       sync.Mutex
-	state    JobState
-	result   *Result
-	err      error
-	attempts int
+	mu     sync.Mutex
+	state  JobState
+	result *Result
+	err    error
 }
 
 // State returns the job's current lifecycle state.
@@ -174,14 +161,6 @@ func (j *Job) Err() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.err
-}
-
-// Attempts returns how many execution attempts the job has started
-// (1 for a job that never retried).
-func (j *Job) Attempts() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.attempts
 }
 
 // Wait blocks until the job completes, the context is cancelled, or
@@ -217,7 +196,10 @@ func (j *Job) record(res *Result, err error) {
 // content-addressed result cache.  Each distinct job (by JobSpec.Key)
 // simulates exactly once, even under concurrent submission: the first
 // submitter creates the job, later submitters attach to it
-// (singleflight) or read its cached result.  Runner is safe for
+// (singleflight) or read its cached result.  A job is a pure function
+// of its spec, so that one execution is final: a failed job stays
+// failed, and resubmitting its spec reads the cached failure.  Jobs
+// start in the order they were admitted.  Runner is safe for
 // concurrent use.
 type Runner struct {
 	opts Options
@@ -226,8 +208,9 @@ type Runner struct {
 	rootCtx context.Context
 	cancel  context.CancelFunc
 
-	// sem bounds concurrent simulation; waiting submissions count as
-	// queued.
+	// sem bounds concurrent simulation.  Each admitted job adds one
+	// goroutine waiting on it, which then runs the job at the front of
+	// the queue.
 	sem chan struct{}
 
 	// m holds every operational counter on a telemetry registry — the
@@ -243,11 +226,14 @@ type Runner struct {
 	// store is the disk-backed result tier; nil disables persistence.
 	store *store.Store
 
-	mu       sync.Mutex
-	byKey    map[string]*Job
-	byID     map[string]*Job
-	closed   bool
-	retryRNG *rand.Rand // jitter stream, guarded by mu
+	mu     sync.Mutex
+	byKey  map[string]*Job
+	byID   map[string]*Job
+	closed bool
+
+	// queue holds the admitted jobs no worker has taken yet, in
+	// admission order (guarded by mu).
+	queue []queuedJob
 
 	// Completed-job retention (guarded by mu): lru orders completed
 	// jobs from least (front) to most (back) recently used; lruElem
@@ -298,11 +284,6 @@ func New(opts Options) *Runner {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.NumCPU()
 	}
-	opts.Retry = opts.Retry.Normalized(DefaultRetryPolicy())
-	seed := opts.RetrySeed
-	if seed == 0 {
-		seed = 1
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	tracer := opts.Tracer
 	if tracer == nil && opts.TraceCapacity >= 0 {
@@ -325,7 +306,6 @@ func New(opts Options) *Runner {
 		tracer:      tracer,
 		byKey:       make(map[string]*Job),
 		byID:        make(map[string]*Job),
-		retryRNG:    rand.New(rand.NewPCG(seed, seed^0xda3e39cb94b95bdb)),
 		maxRetained: maxRetained,
 		lru:         list.New(),
 		lruElem:     make(map[string]*list.Element),
@@ -398,11 +378,11 @@ func (r *Runner) Close() {
 }
 
 // Drain stops admission and waits, up to ctx's deadline, for every
-// queued and running job (including pending retries) to finish and
-// for every registered batch's final snapshot to reach the store.  It
-// returns the number of jobs and batch snapshots still unfinished — 0
-// on a clean drain.  Drain does not cancel the abandoned jobs; call
-// Close afterwards to reclaim their workers.
+// queued and running job to finish and for every registered batch's
+// final snapshot to reach the store.  It returns the number of jobs
+// and batch snapshots still unfinished — 0 on a clean drain.  Drain
+// does not cancel the abandoned jobs; call Close afterwards to reclaim
+// their workers.
 func (r *Runner) Drain(ctx context.Context) int {
 	r.mu.Lock()
 	r.closed = true
@@ -482,12 +462,21 @@ func (r *Runner) Submit(spec JobSpec) (job *Job, reused bool, err error) {
 	// IDs are content-derived, so a resubmitted spec reuses the ID of
 	// a job evicted earlier; it is no longer "gone".
 	delete(r.evicted, j.ID)
+	r.queue = append(r.queue, queuedJob{j: j, span: j.span.Child("queued"), since: time.Now()})
 	r.m.cacheMisses.Inc()
 	r.m.queued.Inc()
 	r.mu.Unlock()
 
-	go r.drive(j)
+	go r.drive()
 	return j, false, nil
+}
+
+// queuedJob is an admitted job waiting for a worker, with the span and
+// the clock its wait is measured by; both start at admission.
+type queuedJob struct {
+	j     *Job
+	span  *telemetry.Span
+	since time.Time
 }
 
 // Run submits the spec and waits for its result.
@@ -620,81 +609,59 @@ func (r *Runner) noteEvicted(id string) {
 	r.evicted[id] = struct{}{}
 }
 
-// drive acquires a worker slot per attempt, executes the job with
-// panic isolation, and retries transient failures per the retry
-// policy, recording metrics and trace phases throughout.
-func (r *Runner) drive(j *Job) {
-	policy := r.opts.Retry
-	ready := time.Now() // when the job (re-)entered the queue
-	for attempt := 1; ; attempt++ {
-		qs := j.span.Child("queued")
-		select {
-		case r.sem <- struct{}{}:
-		case <-r.rootCtx.Done():
-			qs.End()
-			r.finish(j, nil, fmt.Errorf("shut down while queued: %w", ErrRunnerClosed))
-			return
-		}
-		qs.End()
-		r.m.queueWaitMS.Observe(float64(time.Since(ready)) / 1e6)
-		// Inc before Dec so queued+running never transiently reads 0
-		// for an in-flight job (Drain and /metrics read the gauges
-		// without r.mu).
-		r.m.running.Inc()
-		r.m.queued.Dec()
-		j.mu.Lock()
-		j.state = StateRunning
-		j.attempts = attempt
-		j.mu.Unlock()
+// drive waits for a worker slot, then takes the job at the front of
+// the queue and runs it once, with panic isolation, recording metrics
+// and trace phases.  Submit starts one drive per admitted job, so each
+// queued job is taken exactly once, and jobs start in admission order
+// whichever goroutine wins the slot.  A job is a pure function of its
+// spec, so its one execution is final: a failure is recorded, and
+// cached, like a result.  Shutdown before a slot frees fails the front
+// job instead.
+func (r *Runner) drive() {
+	closed := false
+	select {
+	case r.sem <- struct{}{}:
+	case <-r.rootCtx.Done():
+		closed = true
+	}
+	r.mu.Lock()
+	q := r.queue[0]
+	r.queue[0] = queuedJob{} // the backing array must not pin the job
+	r.queue = r.queue[1:]
+	r.mu.Unlock()
+	q.span.End()
+	j := q.j
+	if closed {
+		r.finish(j, nil, fmt.Errorf("shut down while queued: %w", ErrRunnerClosed))
+		return
+	}
+	r.m.queueWaitMS.Observe(float64(time.Since(q.since)) / 1e6)
+	// Inc before Dec so queued+running never transiently reads 0 for
+	// an in-flight job (Drain and /metrics read the gauges without
+	// r.mu).
+	r.m.running.Inc()
+	r.m.queued.Dec()
+	j.mu.Lock()
+	j.state = StateRunning
+	j.mu.Unlock()
 
-		as := j.span.Child("attempt")
-		as.SetAttr("n", strconv.Itoa(attempt))
-		execStart := time.Now()
-		res, err := r.attempt(j, as)
-		r.m.execMS.Observe(float64(time.Since(execStart)) / 1e6)
-		if err != nil {
-			as.SetAttr("error", err.Error())
-		}
-		as.End()
-		<-r.sem // release the worker before any backoff sleep
-		if err == nil {
-			r.finish(j, res, nil)
-			return
-		}
+	as := j.span.Child("attempt")
+	execStart := time.Now()
+	res, err := r.attempt(j, as)
+	r.m.execMS.Observe(float64(time.Since(execStart)) / 1e6)
+	if err != nil {
+		as.SetAttr("error", err.Error())
 		var pe *PanicError
 		if errors.As(err, &pe) {
 			r.m.panics.Inc()
 		}
-		if attempt >= policy.MaxAttempts || !IsTransient(err) || r.rootCtx.Err() != nil {
-			r.finish(j, nil, err)
-			return
-		}
-
-		// Requeue the job and back off before the next attempt.
-		r.m.queued.Inc()
-		r.m.running.Dec()
-		r.m.retries.Inc()
-		r.mu.Lock()
-		delay := policy.Backoff(attempt, r.retryRNG.Float64())
-		r.mu.Unlock()
-		j.mu.Lock()
-		j.state = StateQueued
-		j.mu.Unlock()
-		bs := j.span.Child("backoff")
-		r.m.backoffMS.Observe(float64(delay) / 1e6)
-		select {
-		case <-time.After(delay):
-			bs.End()
-		case <-r.rootCtx.Done():
-			bs.End()
-			r.finish(j, nil, fmt.Errorf("shut down during retry backoff: %w", ErrRunnerClosed))
-			return
-		}
-		ready = time.Now()
 	}
+	as.End()
+	<-r.sem
+	r.finish(j, res, err)
 }
 
-// attempt runs one execution attempt on the calling worker goroutine,
+// attempt runs the job's execution on the calling worker goroutine,
 // converting panics into *PanicError failures (with the stack
 // captured at recovery) and mapping context errors onto the
 // ErrJobTimeout / ErrRunnerClosed sentinels.  sp is the attempt's
@@ -717,11 +684,6 @@ func (r *Runner) attempt(j *Job, sp *telemetry.Span) (res *Result, err error) {
 		err = fmt.Errorf("runner: %s/%s: %w", j.Spec.Workload, j.Spec.Config, ferr)
 	} else {
 		res, err = r.execute(ctx, j.Spec, sp)
-	}
-	if err == nil {
-		if ferr := faultinject.FireCtx(ctx, "runner.result"); ferr != nil {
-			res, err = nil, fmt.Errorf("runner: %s/%s: %w", j.Spec.Workload, j.Spec.Config, ferr)
-		}
 	}
 	if err != nil {
 		switch {
@@ -894,12 +856,10 @@ type Stats struct {
 	Completed uint64 `json:"completed"`
 	Failed    uint64 `json:"failed"`
 
-	// Retries counts re-executed attempts after transient failures;
 	// Panics counts worker panics recovered into job failures; Shed
 	// counts submissions rejected by admission control (MaxQueue).
-	Retries uint64 `json:"retries"`
-	Panics  uint64 `json:"panics"`
-	Shed    uint64 `json:"shed"`
+	Panics uint64 `json:"panics"`
+	Shed   uint64 `json:"shed"`
 
 	// Retained is the number of completed jobs currently held in the
 	// result cache; Evictions counts completed jobs dropped by the
@@ -934,7 +894,6 @@ func (r *Runner) Stats() Stats {
 		Running:     int(m.running.Value()),
 		Completed:   m.completed.Value(),
 		Failed:      m.failed.Value(),
-		Retries:     m.retries.Value(),
 		Panics:      m.panics.Value(),
 		Shed:        m.shed.Value(),
 		Retained:    int(m.retained.Value()),

@@ -340,7 +340,4 @@ func TestJobLookupByID(t *testing.T) {
 	if j.Err() != nil {
 		t.Errorf("Err() = %v on a done job", j.Err())
 	}
-	if j.Attempts() != 1 {
-		t.Errorf("Attempts() = %d, want 1", j.Attempts())
-	}
 }

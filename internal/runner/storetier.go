@@ -81,13 +81,12 @@ func (r *Runner) restoreJobLocked(id, wantKey string) (*Job, bool) {
 		})
 	}
 	j := &Job{
-		ID:       id,
-		Key:      res.Key,
-		Spec:     res.Spec,
-		done:     closedChan,
-		state:    StateDone,
-		result:   res,
-		attempts: 1,
+		ID:     id,
+		Key:    res.Key,
+		Spec:   res.Spec,
+		done:   closedChan,
+		state:  StateDone,
+		result: res,
 	}
 	r.byKey[j.Key] = j
 	r.byID[id] = j

@@ -4,9 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/telemetry"
 )
 
@@ -59,30 +57,6 @@ func TestJobTracePhases(t *testing.T) {
 		if attempt.Children[i].Name != name {
 			t.Errorf("attempt child %d = %s, want %s", i, attempt.Children[i].Name, name)
 		}
-	}
-}
-
-// TestRetryTraceShowsBackoff: a transiently failing job's trace shows
-// the retry anatomy — attempt, backoff, queued, attempt.
-func TestRetryTraceShowsBackoff(t *testing.T) {
-	faultinject.Enable("runner.execute", faultinject.PointConfig{Mode: faultinject.Error, Prob: 1, Count: 1})
-	t.Cleanup(faultinject.Reset)
-	r := New(Options{
-		Workers: 1,
-		Retry:   RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
-	})
-	defer r.Close()
-	j, _, err := r.Submit(fastSpec(302))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := j.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	tr, _ := r.Tracer().Get(j.ID)
-	got := strings.Join(tr.Phases(), " ")
-	if got != "queued attempt backoff queued attempt" {
-		t.Errorf("phases = %q, want retry anatomy", got)
 	}
 }
 

@@ -7,8 +7,8 @@
 // The paper's whole argument is counter-driven — events per library
 // call, ABTB hit and flush rates — and the service layer needs the
 // same discipline: every hot-path subsystem (runner pool, result
-// cache, retry/shed admission control, fault injection, the simulated
-// ABTB/Bloom hardware itself) registers its counters here, and
+// cache, panic isolation and admission control, fault injection, the
+// simulated ABTB/Bloom hardware itself) registers its counters here, and
 // cmd/dlsimd exposes the registry in Prometheus text exposition
 // format at GET /metrics (see expose.go) and recent job traces at
 // GET /v1/traces/{id}.

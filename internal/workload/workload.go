@@ -107,19 +107,6 @@ type Driver struct {
 	rng *rand.Rand
 	cum []float64 // cumulative class weights
 
-	// PerturbEvery, when positive, injects a measurement perturbation
-	// every that-many requests: the process is context-switched away
-	// and back (flushing TLBs, predictor state and an untagged ABTB),
-	// so the next request runs cold and becomes a latency outlier.
-	// This models the paper's observation of 5-6 outliers per 10,000
-	// requests from "perturbations in the system (e.g., the
-	// performance counter interrupts)", which their plots — and our
-	// CDF pipeline via stats.TrimOutliers — filter out.  Zero
-	// disables perturbation.
-	PerturbEvery int
-
-	served int
-
 	// Churn state: requests since driver creation (all phases), slot
 	// rotation cursor, and each slot's currently loaded generation.
 	churnOps  int
@@ -223,12 +210,6 @@ func (d *Driver) RunContext(ctx context.Context, n int) (map[string]*stats.Sampl
 		default:
 		}
 		c := d.pick()
-		d.served++
-		if d.PerturbEvery > 0 && d.served%d.PerturbEvery == 0 {
-			// The OS takes the core away and gives it back cold.
-			d.sys.CPU().ContextSwitch(0xdead)
-			d.sys.CPU().ContextSwitch(1)
-		}
 		res, err := d.sys.RunOnce(c.Entry)
 		if err != nil {
 			return nil, fmt.Errorf("workload %s: request %d (%s): %w", d.w.Name, i, c.Name, err)
@@ -272,9 +253,9 @@ func (d *Driver) RunSampled(total, windows, warmup int) (*SampledRun, error) {
 // data stores happen, caches/TLBs/predictors are not touched), then
 // warmup detailed requests rebuild microarchitectural state and are
 // discarded, and the remaining ~10% of the window is measured in full
-// detail.  The request stream — class picks, served count, perturbation
-// schedule — is identical to RunContext's, so the measured windows are
-// genuine excerpts of the exact run.
+// detail.  The request stream — class picks and library churn — is
+// identical to RunContext's, so the measured windows are genuine
+// excerpts of the exact run.
 func (d *Driver) RunSampledContext(ctx context.Context, total, windows, warmup int) (*SampledRun, error) {
 	if windows < 1 {
 		return nil, fmt.Errorf("workload %s: sampled run needs >= 1 window, got %d", d.w.Name, windows)
@@ -307,8 +288,8 @@ func (d *Driver) RunSampledContext(ctx context.Context, total, windows, warmup i
 	}
 
 	// serve advances the request stream by one request.  Bookkeeping
-	// (class pick, served count, perturbation) is shared by all three
-	// phases so the stream never depends on the window split.
+	// (class pick, churn tick) is shared by all three phases so the
+	// stream never depends on the window split.
 	serve := func(i int, detailed, record bool) error {
 		select {
 		case <-ctx.Done():
@@ -316,11 +297,6 @@ func (d *Driver) RunSampledContext(ctx context.Context, total, windows, warmup i
 		default:
 		}
 		c := d.pick()
-		d.served++
-		if d.PerturbEvery > 0 && d.served%d.PerturbEvery == 0 {
-			d.sys.CPU().ContextSwitch(0xdead)
-			d.sys.CPU().ContextSwitch(1)
-		}
 		if !detailed {
 			if err := d.sys.CPU().FastForwardSymbol(c.Entry); err != nil {
 				return fmt.Errorf("workload %s: sampled request %d (%s): %w", d.w.Name, i, c.Name, err)

@@ -300,35 +300,6 @@ func TestDriverWarmupPreBinds(t *testing.T) {
 	}
 }
 
-func TestDriverPerturbationProducesOutliers(t *testing.T) {
-	w := Memcached(1)
-	sys, err := w.NewSystem(core.Enhanced(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := NewDriver(w, sys, 4)
-	d.PerturbEvery = 40
-	if err := d.Warmup(30); err != nil {
-		t.Fatal(err)
-	}
-	samp, err := d.Run(200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	get := samp["GET"]
-	// Perturbed requests run cold: the max should stand clearly above
-	// the median, and trimming the top 2.5% should pull the max down
-	// substantially more than it moves the median.
-	p50, max := get.Percentile(50), get.Percentile(100)
-	if max < p50*1.3 {
-		t.Errorf("no visible outliers: p50=%.2f max=%.2f", p50, max)
-	}
-	trimmed := get.TrimOutliers(97.5)
-	if trimmed.Percentile(100) >= max {
-		t.Errorf("trimming did not remove the outlier tail")
-	}
-}
-
 // TestDriverSeedPinned pins the driver-seed offset: runner.execute and
 // every experiments harness construct drivers via DriverSeed, and a
 // silent change here would alter every request stream and published
