@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt race faults smoke chaos fuzz all
+.PHONY: check fmt race faults smoke fuzz all
 
 all: check
 
@@ -34,7 +34,7 @@ fmt:
 # and ~10x slower under race, so only these targeted tests run here;
 # `make check` covers the rest.)
 race:
-	$(GO) test -race -timeout 20m ./internal/linker/... ./internal/pool/... ./internal/runner/... ./internal/store/... ./internal/telemetry/... ./internal/cluster/... ./cmd/dlsimd/...
+	$(GO) test -race -timeout 20m ./internal/linker/... ./internal/pool/... ./internal/runner/... ./internal/store/... ./internal/telemetry/... ./cmd/dlsimd/...
 	$(GO) test -race -count=5 -run '^TestEvictionUnderConcurrency$$' ./internal/pool/
 	$(GO) test -race -timeout 20m -run 'TestSuiteParallelMatchesSequential|TestSuiteConcurrentUse|TestGoldenCounters' ./internal/experiments/
 
@@ -49,7 +49,7 @@ race:
 # sequential one under the same delays.
 faults:
 	DLSIM_FAULTS='runner.execute=delay:0.02:2ms,dlsimd.submit=delay:0.2:2ms' DLSIM_FAULT_SEED=42 \
-		$(GO) test -race -timeout 20m ./internal/faultinject/... ./internal/runner/... ./internal/cluster/... ./cmd/dlsimd/...
+		$(GO) test -race -timeout 20m ./internal/faultinject/... ./internal/runner/... ./cmd/dlsimd/...
 	DLSIM_FAULTS='runner.execute=delay:0.02:2ms,dlsimd.submit=delay:0.2:2ms' DLSIM_FAULT_SEED=42 \
 		$(GO) test -race -timeout 20m -run 'TestSuiteParallelMatchesSequential|TestSuiteConcurrentUse' ./internal/experiments/
 
@@ -71,11 +71,3 @@ fuzz:
 			$(GO) test -run '^$$' -fuzz "^$$fn$$" -fuzztime 15s $$dir || exit 1; \
 		done; \
 	done
-
-# Chaos suite under the race detector: a 3-node loopback cluster
-# takes injected forwarding faults (error/delay/hang via
-# internal/faultinject) and a hard owner kill mid-batch, and must
-# converge to per-config aggregates bit-identical to a single node
-# with failovers recorded and never a 5xx that skipped failover.
-chaos:
-	$(GO) test -race -timeout 20m -count=1 -run 'TestChaos' -v ./cmd/dlsimd/

@@ -43,6 +43,25 @@ func getBatch(t *testing.T, ts *httptest.Server, id string) (runner.BatchStatus,
 	return out, resp.StatusCode
 }
 
+// waitBatchDone polls GET /v1/batches/{id} until the batch completes.
+func waitBatchDone(t *testing.T, ts *httptest.Server, id string) runner.BatchStatus {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Minute)
+	for {
+		st, code := getBatch(t, ts, id)
+		if code != http.StatusOK {
+			t.Fatalf("batch %s status = %d, want 200", id, code)
+		}
+		if st.Completed {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("batch %s still incomplete: %+v", id, st)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestEndToEndBatch drives a sweep through the HTTP API: submit, poll
 // the batch to completion, read per-config aggregates, resubmit and
 // observe idempotency, and check the jobs stay individually
@@ -59,22 +78,7 @@ func TestEndToEndBatch(t *testing.T) {
 		t.Fatalf("submit = %+v, want fresh batch of 4", sub)
 	}
 
-	var st runner.BatchStatus
-	deadline := time.Now().Add(2 * time.Minute)
-	for {
-		var code int
-		st, code = getBatch(t, ts, sub.ID)
-		if code != http.StatusOK {
-			t.Fatalf("batch status = %d, want 200", code)
-		}
-		if st.Completed {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("batch still incomplete: %+v", st)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	st := waitBatchDone(t, ts, sub.ID)
 	if st.Done != 4 || st.Failed != 0 {
 		t.Fatalf("completed batch = %+v, want 4 done", st)
 	}

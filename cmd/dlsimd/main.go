@@ -30,15 +30,6 @@
 //	       [-drain-timeout 30s] [-trace-buffer N] [-debug-addr :8345]
 //	       [-store-dir DIR] [-store-max-bytes N]
 //	       [-metrics-history 5s] [-metrics-history-points N]
-//	       [-cluster-self NAME -cluster-peers "a=URL,b=URL,..."]
-//
-// With -cluster-self set, the node joins a static sharded cluster
-// (see internal/cluster and DESIGN.md §12): job and batch IDs are
-// consistent-hash-routed to their owning replica, dead or flaky peers
-// are routed around via health probes, per-peer circuit breakers and
-// deterministic ring failover, and /readyz reports per-peer status.
-// The member list comes from -cluster-peers or $DLSIM_CLUSTER_PEERS;
-// every node must be configured with the same names.
 //
 // With -store-dir set, every completed result (and every completed
 // batch's aggregate snapshot) is written through to a disk-backed
@@ -49,7 +40,10 @@
 // job IDs are served from disk with bit-identical counters.  The
 // graceful-drain path flushes the store before exit, and 410 Gone is
 // reserved for entries truly dropped (store disabled, failed jobs, or
-// size-bound compaction victims).
+// size-bound compaction victims).  A node recovers its work by
+// restarting over the same store directory: a sweep the drain
+// deadline cut short is resubmitted, and its finished jobs are
+// restored rather than recomputed (see DESIGN.md §12).
 //
 // API:
 //
@@ -78,13 +72,12 @@
 //	                     timeline: per-interval deltas of every
 //	                     microarchitectural counter sampled during the
 //	                     measure window (JSON, or CSV via ?format=csv /
-//	                     Accept: text/csv); cluster-aware like any
-//	                     result read
+//	                     Accept: text/csv)
 //	GET  /v1/traces/{id} the job's span tree: queued and attempt
 //	                     phases with generate/link/warmup/measure steps
 //	GET  /v1/stats       pool depth, cache hits/misses, failed/panics/
-//	                     shed counters, job latency, and (in cluster
-//	                     mode) per-peer forward and failover counts
+//	                     shed counters, job latency, and the artifact-
+//	                     pool and store tiers' gauges
 //	GET  /v1/metrics/history  short-horizon time series of every scalar
 //	                     instrument, snapshotted every -metrics-history
 //	                     period into a bounded ring
@@ -106,37 +99,13 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/runner"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 )
-
-// parsePeers parses a "name=url,name=url,..." member list.  The entry
-// for self may omit "=url" ("a,b=http://...,c=http://..." is invalid
-// for remote members but fine for self, whose URL is never dialed).
-func parsePeers(list string) ([]cluster.Peer, error) {
-	var peers []cluster.Peer
-	for _, ent := range strings.Split(list, ",") {
-		ent = strings.TrimSpace(ent)
-		if ent == "" {
-			continue
-		}
-		name, url, _ := strings.Cut(ent, "=")
-		if name == "" {
-			return nil, fmt.Errorf("cluster peer %q: empty name", ent)
-		}
-		peers = append(peers, cluster.Peer{Name: name, URL: url})
-	}
-	if len(peers) == 0 {
-		return nil, fmt.Errorf("cluster peer list %q: no members", list)
-	}
-	return peers, nil
-}
 
 func main() {
 	addr := flag.String("addr", ":8344", "listen address")
@@ -151,14 +120,6 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "optional net/http/pprof listen address (e.g. :8345); empty disables")
 	storeDir := flag.String("store-dir", "", "directory for the disk-backed result store; completed results persist there and warm-start the next process (empty disables persistence)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "on-disk size bound of the result store; exceeding it compacts and drops the oldest entries (0 = default 256 MiB, negative = unbounded)")
-	clusterSelf := flag.String("cluster-self", "", "this node's name in the cluster member list; empty disables cluster mode")
-	clusterPeers := flag.String("cluster-peers", "", `static member list "name=url,name=url,..." (self may omit =url); falls back to $DLSIM_CLUSTER_PEERS`)
-	clusterProbe := flag.Duration("cluster-probe-interval", time.Second, "health-probe period for peers")
-	clusterFailThreshold := flag.Int("cluster-fail-threshold", 3, "consecutive probe failures that mark a peer down")
-	clusterBreakerThreshold := flag.Int("cluster-breaker-threshold", 5, "consecutive forward failures that open a peer's circuit breaker")
-	clusterBreakerCooldown := flag.Duration("cluster-breaker-cooldown", 2*time.Second, "open-breaker cooldown before a half-open trial")
-	clusterForwardTimeout := flag.Duration("cluster-forward-timeout", 5*time.Second, "per-hop timeout for forwarded requests")
-	clusterRetries := flag.Int("cluster-retries", 0, "max forward attempts per peer before failing over (0 = default 2)")
 	historyInterval := flag.Duration("metrics-history", telemetry.DefaultHistoryInterval, "metrics-history snapshot period behind GET /v1/metrics/history (0 disables the ring)")
 	historyPoints := flag.Int("metrics-history-points", 0, "metrics-history ring capacity in snapshots (0 = default 720: one hour at the default period)")
 	flag.Parse()
@@ -207,35 +168,6 @@ func main() {
 	})
 	defer pool.Close()
 
-	var cl *cluster.Cluster
-	if *clusterSelf != "" {
-		list := *clusterPeers
-		if list == "" {
-			list = os.Getenv("DLSIM_CLUSTER_PEERS")
-		}
-		peers, err := parsePeers(list)
-		if err == nil {
-			cl, err = cluster.New(cluster.Options{
-				Self:             *clusterSelf,
-				Peers:            peers,
-				ProbeInterval:    *clusterProbe,
-				FailThreshold:    *clusterFailThreshold,
-				BreakerThreshold: *clusterBreakerThreshold,
-				BreakerCooldown:  *clusterBreakerCooldown,
-				ForwardTimeout:   *clusterForwardTimeout,
-				Retry:            cluster.RetryPolicy{MaxAttempts: *clusterRetries},
-				Metrics:          reg,
-				Tracer:           tracer,
-			})
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dlsimd:", err)
-			os.Exit(1)
-		}
-		defer cl.Close()
-		fmt.Printf("dlsimd: cluster mode, self=%s, %d members\n", *clusterSelf, len(peers))
-	}
-
 	var hist *telemetry.History
 	if *historyInterval > 0 {
 		hist = telemetry.NewHistory(reg, *historyPoints, *historyInterval)
@@ -246,8 +178,6 @@ func main() {
 	api := newServer(pool, serverConfig{
 		logger:         logger,
 		requestTimeout: *requestTimeout,
-		retryAfter:     time.Second,
-		cluster:        cl,
 		history:        hist,
 	})
 	srv := &http.Server{
@@ -283,27 +213,12 @@ func main() {
 	go func() {
 		<-ctx.Done()
 		api.logJSON("shutdown", map[string]any{"drain_timeout": drainTimeout.String()})
-		api.startDrain()
 		deadline, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 		defer cancel()
-		// Drain in-flight simulations first (admission is already
-		// off), then flush the result store — every drained job's
-		// result was written through before its gauges dropped, and
-		// Drain returns after its batches' snapshots, so a clean
-		// drain plus this flush makes the whole run durable — and
-		// finally stop the HTTP listener within the same budget.
-		if abandoned := pool.Drain(deadline); abandoned > 0 {
-			api.logJSON("drain deadline hit", map[string]any{"abandoned": abandoned})
-		} else {
-			api.logJSON("drained", nil)
-		}
-		if st != nil {
-			if err := st.Close(); err != nil {
-				api.logJSON("store flush failed", map[string]any{"error": err.Error()})
-			} else {
-				api.logJSON("store flushed", map[string]any{"entries": st.Stats().Entries})
-			}
-		}
+		// Drain and flush, then stop the HTTP listener within the
+		// same budget.  The deferred pool.Close cancels whatever the
+		// deadline abandoned once the store is already closed.
+		api.drain(deadline)
 		_ = srv.Shutdown(deadline)
 	}()
 

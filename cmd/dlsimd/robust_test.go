@@ -75,9 +75,7 @@ const specC = `{"workload":"memcached","config":"base","seed":103,"warm":5,"meas
 func TestShed429(t *testing.T) {
 	leakcheck.Check(t)
 	armed(t, "runner.execute", faultinject.PointConfig{Mode: faultinject.Hang, Prob: 1})
-	ts, pool := newTestServerOpts(t,
-		runner.Options{Workers: 1, MaxQueue: 1},
-		serverConfig{retryAfter: 2 * time.Second})
+	ts, pool := newTestServerOpts(t, runner.Options{Workers: 1, MaxQueue: 1}, serverConfig{})
 
 	subA, code := postJob(t, ts, specA)
 	if code != http.StatusAccepted {
@@ -92,8 +90,8 @@ func TestShed429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-capacity submit = %d, want 429", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "2" {
-		t.Errorf("Retry-After = %q, want \"2\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", ra)
 	}
 	e := decodeError(t, resp)
 	if e.Code != http.StatusTooManyRequests || !strings.Contains(e.Error, "queue full") {
@@ -213,10 +211,9 @@ func TestGracefulDrainEndToEnd(t *testing.T) {
 	}
 
 	// The shutdown sequence main() runs on SIGTERM.
-	srv.startDrain()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	if abandoned := pool.Drain(ctx); abandoned != 0 {
+	if abandoned := srv.drain(ctx); abandoned != 0 {
 		t.Fatalf("drain abandoned %d job(s), want 0", abandoned)
 	}
 

@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/faultinject"
 	"repro/internal/pool"
 	"repro/internal/runner"
@@ -39,18 +38,6 @@ type serverConfig struct {
 	// requestTimeout bounds each request's handling via its context.
 	// Zero means no per-request timeout.
 	requestTimeout time.Duration
-
-	// retryAfter is the Retry-After hint attached to 429 responses
-	// when admission control sheds a submission and to 503s answered
-	// when an ID's owner peer is unreachable.  Zero means 1s.
-	retryAfter time.Duration
-
-	// cluster, when non-nil, enables sharded multi-node mode: job and
-	// batch requests are consistent-hash-routed by their
-	// content-derived IDs, with health-checked failover and per-peer
-	// circuit breakers (see internal/cluster).  Nil serves everything
-	// locally.
-	cluster *cluster.Cluster
 
 	// history, when non-nil, is the metrics-history ring behind GET
 	// /v1/metrics/history (see telemetry.History).  Nil disables the
@@ -85,9 +72,6 @@ type server struct {
 func newServer(pool *runner.Runner, cfg serverConfig) *server {
 	if cfg.logger == nil {
 		cfg.logger = log.New(io.Discard, "", 0)
-	}
-	if cfg.retryAfter <= 0 {
-		cfg.retryAfter = time.Second
 	}
 	reg := pool.Metrics()
 	s := &server{
@@ -136,8 +120,6 @@ func newServer(pool *runner.Runner, cfg serverConfig) *server {
 // heap after the last GC, GC CPU time).  The memory and GC values come
 // from runtime/metrics, which does not stop the world the way
 // runtime.ReadMemStats does on every scrape and history tick.
-// Registration is idempotent, so multiple servers over one registry
-// (the loopback cluster harness) are fine.
 func registerRuntimeGauges(reg *telemetry.Registry) {
 	version := "devel"
 	if bi, ok := debug.ReadBuildInfo(); ok && bi.Main.Version != "" && bi.Main.Version != "(devel)" {
@@ -175,6 +157,34 @@ func runtimeMetric(name string) func() float64 {
 // route away) and new job submissions are refused while in-flight
 // jobs keep running.
 func (s *server) startDrain() { s.draining.Store(true) }
+
+// drain is the shutdown sequence main runs on SIGINT/SIGTERM, short
+// of stopping the listener: stop admission, let queued and running
+// jobs finish until deadline, then flush the result store.  Every
+// drained job's result was written through before its gauges dropped,
+// and Drain returns after its batches' snapshots, so a clean drain
+// plus the flush makes the whole run durable.  The caller's
+// pool.Close comes last: it cancels the jobs the deadline abandoned
+// once the store is closed, so none of them, and no partial snapshot
+// of their batch, is stored.  drain returns the number of jobs and
+// snapshots abandoned.
+func (s *server) drain(deadline context.Context) int {
+	s.startDrain()
+	abandoned := s.pool.Drain(deadline)
+	if abandoned > 0 {
+		s.logJSON("drain deadline hit", map[string]any{"abandoned": abandoned})
+	} else {
+		s.logJSON("drained", nil)
+	}
+	if st := s.pool.Store(); st != nil {
+		if err := st.Close(); err != nil {
+			s.logJSON("store flush failed", map[string]any{"error": err.Error()})
+		} else {
+			s.logJSON("store flushed", map[string]any{"entries": st.Stats().Entries})
+		}
+	}
+	return abandoned
+}
 
 // requestIDKey carries the request's correlation ID in its context.
 type requestIDKey struct{}
@@ -269,12 +279,6 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	ctx = context.WithValue(ctx, requestIDKey{}, reqID)
 	r = r.WithContext(ctx)
 	w.Header().Set("X-Request-ID", reqID)
-	if s.cfg.cluster != nil {
-		// Name the serving node so clients (and the chaos suite) can
-		// see where a routed request landed; a relayed response keeps
-		// the remote peer's value instead.
-		w.Header().Set(cluster.NodeHeader, s.cfg.cluster.Self())
-	}
 
 	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 	start := time.Now()
@@ -326,63 +330,25 @@ func writeError(w http.ResponseWriter, r *http.Request, status int, format strin
 	})
 }
 
-// setRetryAfter stamps the Retry-After hint (whole seconds, rounded
-// up) on a response the client should repeat later: 429s from
-// admission shedding and 503s answered while an ID's owner peer is
-// unreachable or circuit-broken.
-func (s *server) setRetryAfter(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.retryAfter+time.Second-1)/time.Second)))
-}
+// retryAfterSeconds is the Retry-After hint, in whole seconds, on a
+// 429 from admission shedding: the one response a client should
+// repeat later.
+const retryAfterSeconds = "1"
 
-// routeCluster consistent-hash-routes one request by its
-// content-derived ID.  It returns the forwarding outcome;
-// Outcome.Handled means a peer's response was already relayed.  A
-// request that arrived forwarded is always served locally (one-hop
-// rule: the forwarder already walked the ring, so serving here — even
-// as a non-owner — is the failover, and content-derived IDs make that
-// idempotent).  A forwarded request stamped with the failover marker
-// reached a non-owner because the ID's owner was bypassed, so it
-// reports FailedOver: a local GET miss must then answer retryable
-// (notHeld's 503), never 404 — the owner may still hold the result.
-func (s *server) routeCluster(w http.ResponseWriter, r *http.Request, req cluster.Request) cluster.Outcome {
-	cl := s.cfg.cluster
-	if cl == nil {
-		return cluster.Outcome{}
-	}
-	if r.Header.Get(cluster.ForwardedByHeader) != "" {
-		return cluster.Outcome{FailedOver: r.Header.Get(cluster.FailoverHeader) == "1"}
-	}
-	return cl.Route(w, r, req)
-}
-
-// notHeld answers a GET for an ID this node holds nothing for.
-// After a failover (failedOver) the ID's owner was bypassed and may
-// still hold the result, so a 404 would overclaim: 503 + Retry-After
-// tells the client to come back once the owner returns (or a
-// resubmission has recomputed the ID elsewhere — either way the ID
-// itself stays valid), and the miss marker tells a forwarding peer
-// this is "replica doesn't hold it", not a node fault, so it keeps
-// walking the ring instead of relaying or tripping the breaker.
-// Otherwise an ID the retention bounds dropped recently answers 410
-// Gone (resubmitting recomputes it) and any other ID 404.  kind names
-// what was looked up ("job", "batch" or "timeline"); a timeline's
-// 410 and 404 speak of its job.
-func (s *server) notHeld(w http.ResponseWriter, r *http.Request, failedOver bool, kind, id string) {
-	noun, dropped := "job", "the result cache; resubmit its spec"
+// notHeld answers a GET for an ID this node holds nothing for: an ID
+// the retention bounds dropped recently answers 410 Gone
+// (resubmitting recomputes it) and any other ID 404.  kind is "job"
+// or "batch"; a timeline lookup answers for its job.
+func (s *server) notHeld(w http.ResponseWriter, r *http.Request, kind, id string) {
+	dropped := "the result cache; resubmit its spec"
 	if kind == "batch" {
-		noun, dropped = "batch", "batch retention; resubmit its sweep"
+		dropped = "batch retention; resubmit its sweep"
 	}
-	switch {
-	case failedOver:
-		s.setRetryAfter(w)
-		w.Header().Set(cluster.MissHeader, "1")
-		writeError(w, r, http.StatusServiceUnavailable,
-			"%s %q: owner peer unreachable and no local copy; retry, or resubmit to recompute", kind, id)
-	case s.pool.Evicted(id):
-		writeError(w, r, http.StatusGone, "%s %q evicted from %s to recompute", noun, id, dropped)
-	default:
-		writeError(w, r, http.StatusNotFound, "no %s %q", noun, id)
+	if s.pool.Evicted(id) {
+		writeError(w, r, http.StatusGone, "%s %q evicted from %s to recompute", kind, id, dropped)
+		return
 	}
+	writeError(w, r, http.StatusNotFound, "no %s %q", kind, id)
 }
 
 // admit runs the steps every submission shares before its spec is
@@ -407,18 +373,6 @@ func (s *server) admit(w http.ResponseWriter, r *http.Request, kind string, spec
 	return true
 }
 
-// forwardSubmit routes a submission by its content-derived ID,
-// forwarding spec as the body, and reports whether the client has been
-// answered (a peer's response relayed, or a marshalling failure).
-func (s *server) forwardSubmit(w http.ResponseWriter, r *http.Request, id, path string, spec any) bool {
-	body, err := json.Marshal(spec)
-	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, "%v", err)
-		return true
-	}
-	return s.routeCluster(w, r, cluster.Request{ID: id, Method: http.MethodPost, Path: path, Body: body}).Handled
-}
-
 // answerSubmit answers a local submission: the runner's refusal mapped
 // to its status (429 + Retry-After when admission control sheds, 503
 // after shutdown, 400 for anything else, such as a bad spec), or the
@@ -427,7 +381,7 @@ func (s *server) forwardSubmit(w http.ResponseWriter, r *http.Request, id, path 
 func (s *server) answerSubmit(w http.ResponseWriter, r *http.Request, err error, reused bool, resp func() any) {
 	switch {
 	case errors.Is(err, runner.ErrQueueFull):
-		s.setRetryAfter(w)
+		w.Header().Set("Retry-After", retryAfterSeconds)
 		writeError(w, r, http.StatusTooManyRequests, "%v", err)
 	case errors.Is(err, runner.ErrRunnerClosed):
 		writeError(w, r, http.StatusServiceUnavailable, "%v", err)
@@ -459,21 +413,6 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w, r, "job", &spec) {
 		return
 	}
-	if s.cfg.cluster != nil {
-		// Route by the job's content-derived ID.  The normalized spec
-		// is forwarded (not the raw body), so the owner computes the
-		// same ID; validation errors stay local and cheap.
-		norm, err := spec.Normalize()
-		if err != nil {
-			writeError(w, r, http.StatusBadRequest, "%v", err)
-			return
-		}
-		key, _ := norm.Key()
-		if s.forwardSubmit(w, r, runner.IDFromKey(key), "/v1/jobs", norm) {
-			return
-		}
-		spec = norm
-	}
 	job, reused, err := s.pool.Submit(spec)
 	s.answerSubmit(w, r, err, reused, func() any {
 		return submitResponse{ID: job.ID, Key: job.Key, State: job.State(), Cached: reused, Spec: job.Spec}
@@ -498,18 +437,6 @@ func (s *server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w, r, "sweep", &sweep) {
 		return
 	}
-	if s.cfg.cluster != nil {
-		// Route by the sweep's content-derived batch ID so an identical
-		// sweep always lands on (and dedups at) the same owner.
-		id, err := sweep.ID()
-		if err != nil {
-			writeError(w, r, http.StatusBadRequest, "%v", err)
-			return
-		}
-		if s.forwardSubmit(w, r, id, "/v1/batches", sweep) {
-			return
-		}
-	}
 	batch, reused, err := s.pool.SubmitBatch(sweep)
 	s.answerSubmit(w, r, err, reused, func() any {
 		return batchSubmitResponse{ID: batch.ID, Total: len(batch.Specs), Cached: reused, Specs: batch.Specs}
@@ -525,13 +452,9 @@ func (s *server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 // underlying jobs remain individually addressable via /v1/jobs/{id}.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	out := s.routeCluster(w, r, cluster.Request{ID: id, Method: http.MethodGet, Path: "/v1/batches/" + id})
-	if out.Handled {
-		return
-	}
 	batch, ok := s.pool.Batch(id)
 	if !ok {
-		s.notHeld(w, r, out.FailedOver, "batch", id)
+		s.notHeld(w, r, "batch", id)
 		return
 	}
 	writeJSON(w, http.StatusOK, batch.Status())
@@ -598,15 +521,10 @@ type jobResponse struct {
 // memory forgot them — answer 404.
 func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	out := s.routeCluster(w, r, cluster.Request{ID: id, Method: http.MethodGet, Path: "/v1/jobs/" + id})
-	if out.Handled {
-		return
-	}
-	// pool.Job reads through the local store, so a miss here is final
-	// for this node.
+	// pool.Job reads through the store, so a miss here is final.
 	job, ok := s.pool.Job(id)
 	if !ok {
-		s.notHeld(w, r, out.FailedOver, "job", id)
+		s.notHeld(w, r, "job", id)
 		return
 	}
 	resp := jobResponse{
@@ -624,8 +542,6 @@ func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // timelineResponse answers GET /v1/jobs/{id}/timeline in JSON form.
-// The series is marshalled identically on every node, which is what
-// makes an owner fetch and a forwarded fetch byte-identical.
 type timelineResponse struct {
 	ID     string           `json:"id"`
 	Series *timeline.Series `json:"series"`
@@ -641,35 +557,19 @@ func wantCSV(r *http.Request) bool {
 }
 
 // handleJobTimeline serves a completed job's phase-resolved counter
-// series (JSON by default, CSV via Accept/?format=csv).  Fetches are
-// cluster-routed exactly like the job itself — consistent-hash owner,
-// ring failover — and the requested format travels in the forwarded
-// path, since peers never see the client's Accept header.  Jobs that
+// series (JSON by default, CSV via Accept/?format=csv).  Jobs that
 // ran with timelines disabled, jobs still in flight, and series
 // records lost to crash recovery answer 404 while the result itself
 // stays servable.
 func (s *server) handleJobTimeline(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	csvOut := wantCSV(r)
-	path := "/v1/jobs/" + id + "/timeline"
-	if csvOut {
-		path += "?format=csv"
-	}
-	out := s.routeCluster(w, r, cluster.Request{ID: id, Method: http.MethodGet, Path: path})
-	if out.Handled {
-		return
-	}
 	series, ok := s.pool.Timeline(id)
 	if !ok {
-		// After a failover the owner may still hold the series; otherwise
-		// a job known here says why it has none.
-		var job *runner.Job
-		if !out.FailedOver {
-			job, _ = s.pool.Job(id)
-		}
+		// A job known here says why it has none.
+		job, _ := s.pool.Job(id)
 		switch {
 		case job == nil:
-			s.notHeld(w, r, out.FailedOver, "timeline", id)
+			s.notHeld(w, r, "job", id)
 		case job.State() == runner.StateQueued || job.State() == runner.StateRunning:
 			writeError(w, r, http.StatusNotFound,
 				"job %q has no timeline yet (state %s); poll /v1/jobs/%s until done", id, job.State(), id)
@@ -682,7 +582,7 @@ func (s *server) handleJobTimeline(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	if csvOut {
+	if wantCSV(r) {
 		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
 		_ = timeline.WriteCSV(w, series)
 		return
@@ -845,12 +745,10 @@ type statsResponse struct {
 
 	// ArtifactPool is the artifact pool's gauge set (workload/image
 	// hits, resident bytes); Store the disk tier's (entries,
-	// segments, bytes, hit rate); Cluster the routing tier's (per-peer
-	// health, breaker state and forward outcomes, plus the failover
-	// total).  Each is omitted when its tier is disabled.
+	// segments, bytes, hit rate).  Each is omitted when its tier is
+	// disabled.
 	ArtifactPool *pool.Stats     `json:"pool,omitempty"`
 	Store        *storeStatsJSON `json:"store,omitempty"`
-	Cluster      *cluster.Stats  `json:"cluster,omitempty"`
 }
 
 // handleStats reports pool depth, cache effectiveness, failure, panic
@@ -877,10 +775,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Store = &ss
 	}
-	if cl := s.cfg.cluster; cl != nil {
-		cs := cl.Stats()
-		resp.Cluster = &cs
-	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -890,33 +784,13 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// readyzResponse answers GET /readyz.  Cluster is nil in single-node
-// mode; in cluster mode Status reports "degraded" (still 200 — the
-// node itself accepts work) when any peer is down or a breaker is
-// non-closed, with per-peer detail for operators.
-type readyzResponse struct {
-	Status  string          `json:"status"`
-	Cluster *cluster.Status `json:"cluster,omitempty"`
-}
-
 // handleReadyz is readiness: 200 while accepting new jobs, 503 once
 // draining — load balancers should stop routing here, but in-flight
-// jobs are still being finished and polled.  In cluster mode the body
-// also reports per-peer health and breaker state; a degraded cluster
-// keeps answering 200 because this node can still serve (requests for
-// down owners fail over), but the status string flips to "degraded".
+// jobs are still being finished and polled.
 func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeError(w, r, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	resp := readyzResponse{Status: "ready"}
-	if cl := s.cfg.cluster; cl != nil {
-		st := cl.Status()
-		resp.Cluster = &st
-		if st.Degraded {
-			resp.Status = "degraded"
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -38,6 +39,35 @@ func postJob(t *testing.T, ts *httptest.Server, body string) (submitResponse, in
 		}
 	}
 	return out, resp.StatusCode
+}
+
+// httpDo issues one request and decodes the JSON body into out (when
+// non-nil and the status is < 300), returning status and headers.
+func httpDo(t testing.TB, method, url string, body []byte, out any) (int, http.Header) {
+	t.Helper()
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequest(method, url, rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != nil && resp.StatusCode < 300 {
+		if err := json.Unmarshal(b, out); err != nil {
+			t.Fatalf("decode %s %s: %v (body %q)", method, url, err, b)
+		}
+	}
+	return resp.StatusCode, resp.Header
 }
 
 func getJob(t *testing.T, ts *httptest.Server, id string) (jobResponse, int) {

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/runner"
 	"repro/internal/telemetry"
 	"repro/internal/timeline"
@@ -95,108 +94,6 @@ func TestTimelineEndpoint(t *testing.T) {
 	}
 	if code, _ := httpDo(t, http.MethodGet, ts.URL+"/v1/jobs/"+res.ID+"/timeline", nil, nil); code != http.StatusNotFound {
 		t.Errorf("timeline-off timeline = %d, want 404", code)
-	}
-}
-
-// TestTimelineClusterFetch is the acceptance harness: in a 3-node
-// loopback cluster, the series fetched from the owner and the series
-// fetched through a non-owner (forwarded hop) must be byte-identical,
-// in both formats.
-func TestTimelineClusterFetch(t *testing.T) {
-	h := startCluster(t, 3, nil)
-	node := h.nodes[0]
-
-	spec := []byte(`{"workload":"memcached","config":"enhanced","seed":21,"warm":5,"measure":25,"timeline_interval":4096}`)
-	var sub submitResponse
-	if code, _ := httpDo(t, http.MethodPost, node.url+"/v1/jobs", spec, &sub); code >= 300 {
-		t.Fatalf("submit = %d", code)
-	}
-	pollJob(t, node, sub.ID)
-
-	owner, other := h.ownerOf(sub.ID), h.nonOwnerOf(sub.ID)
-	if owner == nil || other == nil {
-		t.Fatal("could not locate owner / non-owner nodes")
-	}
-	fetch := func(n *testNode, suffix string) (string, http.Header) {
-		t.Helper()
-		req, _ := http.NewRequest(http.MethodGet, n.url+"/v1/jobs/"+sub.ID+"/timeline"+suffix, nil)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET timeline via %s = %d (body %s)", n.name, resp.StatusCode, b)
-		}
-		return string(b), resp.Header
-	}
-
-	direct, _ := fetch(owner, "")
-	forwarded, hdr := fetch(other, "")
-	if direct != forwarded {
-		t.Errorf("forwarded JSON differs from owner JSON:\n  owner %s\n  fwd   %s", direct, forwarded)
-	}
-	if got := hdr.Get(cluster.NodeHeader); got != owner.name {
-		t.Errorf("forwarded response X-Dlsim-Node = %q, want owner %q", got, owner.name)
-	}
-	if !strings.Contains(direct, `"series"`) || !strings.Contains(direct, `"points"`) {
-		t.Errorf("timeline body missing series: %s", direct)
-	}
-
-	directCSV, _ := fetch(owner, "?format=csv")
-	forwardedCSV, csvHdr := fetch(other, "?format=csv")
-	if directCSV != forwardedCSV {
-		t.Error("forwarded CSV differs from owner CSV")
-	}
-	if ct := csvHdr.Get("Content-Type"); !strings.HasPrefix(ct, "text/csv") {
-		t.Errorf("forwarded CSV Content-Type = %q (relay dropped it?)", ct)
-	}
-}
-
-// TestStatsClusterTier checks the /v1/stats cluster block: present in
-// cluster mode with per-peer forward counts, absent standalone.
-func TestStatsClusterTier(t *testing.T) {
-	h := startCluster(t, 3, nil)
-	node := h.nodes[0]
-
-	// Generate at least one forwarded read: fetch a (nonexistent) ID
-	// owned by another node through this one.
-	id := "0000000000000000"
-	for i := 0; node.cl.Owner(id) == node.name && i < 1000; i++ {
-		id = runner.IDFromKey(strings.Repeat("x", i+1))
-	}
-	httpDo(t, http.MethodGet, node.url+"/v1/jobs/"+id, nil, nil)
-
-	var st statsResponse
-	if code, _ := httpDo(t, http.MethodGet, node.url+"/v1/stats", nil, &st); code != http.StatusOK {
-		t.Fatalf("stats = %d", code)
-	}
-	if st.Cluster == nil {
-		t.Fatal("stats has no cluster tier in cluster mode")
-	}
-	if st.Cluster.Self != node.name || len(st.Cluster.Peers) != 3 {
-		t.Errorf("cluster stats = %+v, want self=%s with 3 peers", st.Cluster, node.name)
-	}
-	if len(st.Cluster.Forwards) != 2 {
-		t.Fatalf("per-peer forward rows = %d, want 2 (remote peers only)", len(st.Cluster.Forwards))
-	}
-	var ok uint64
-	for _, f := range st.Cluster.Forwards {
-		ok += f.OK + f.Miss + f.Error
-	}
-	if ok == 0 {
-		t.Error("no forwards counted after a forwarded read")
-	}
-
-	// Standalone: no cluster block.
-	ts, _ := newTestServer(t)
-	var solo statsResponse
-	if code, _ := httpDo(t, http.MethodGet, ts.URL+"/v1/stats", nil, &solo); code != http.StatusOK {
-		t.Fatalf("standalone stats = %d", code)
-	}
-	if solo.Cluster != nil {
-		t.Errorf("standalone stats grew a cluster tier: %+v", solo.Cluster)
 	}
 }
 

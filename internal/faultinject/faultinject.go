@@ -10,8 +10,8 @@
 // configured fault:
 //
 //	Error — return an *InjectedError, which the caller handles like
-//	        any failure of that path (a job fails; a cluster forward
-//	        retries and fails over)
+//	        any failure of that path (a job fails; a submission
+//	        answers 500)
 //	Panic — panic with a recognisable message (exercises worker
 //	        panic isolation)
 //	Delay — sleep for the configured duration, then proceed
@@ -145,7 +145,7 @@ func armFromEnv() {
 
 // ParseSpec parses the DLSIM_FAULTS grammar:
 // "point=mode:prob[:delay]" entries separated by commas, e.g.
-// "runner.execute=delay:0.02:2ms,cluster.forward=error:0.05".
+// "runner.execute=delay:0.02:2ms,dlsimd.submit=error:0.05".
 func ParseSpec(spec string) (map[string]PointConfig, error) {
 	out := make(map[string]PointConfig)
 	for _, entry := range strings.Split(spec, ",") {

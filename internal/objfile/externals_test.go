@@ -1,7 +1,9 @@
 package objfile_test
 
 import (
+	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/objfile"
@@ -10,9 +12,30 @@ import (
 
 // TestExternalsMemoMatchesFreshWalk: for every object every registered
 // app generates — executable, libraries and each churn generation —
-// the memoised import list equals a fresh walk of the object, and
-// later calls hand back that same list rather than walking again.
+// and for every object of the Validate table, the memoised import list
+// and Validate verdict equal a fresh walk of the object, and later
+// calls hand back that same list and verdict rather than walking
+// again, also when the first calls race.
 func TestExternalsMemoMatchesFreshWalk(t *testing.T) {
+	check := func(what string, o *objfile.Object) {
+		t.Helper()
+		got := o.Externals()
+		if want := objfile.ScanExternals(o); !slices.Equal(got, want) {
+			t.Errorf("%s: Externals = %v, fresh walk %v", what, got, want)
+		}
+		if again := o.Externals(); len(got) > 0 && &again[0] != &got[0] {
+			t.Errorf("%s: second Externals call walked the object again", what)
+		}
+		verdict := o.Validate()
+		if fresh := objfile.ValidateFresh(o); fmt.Sprint(verdict) != fmt.Sprint(fresh) {
+			t.Errorf("%s: Validate = %v, fresh walk %v", what, verdict, fresh)
+		}
+		// A walk builds a new error value, so an invalid object's
+		// second call returning another value walked again.
+		if again := o.Validate(); again != verdict {
+			t.Errorf("%s: second Validate call walked the object again", what)
+		}
+	}
 	for _, ws := range runner.Workloads {
 		for seed := uint64(1); seed <= 2; seed++ {
 			w := ws.Gen(seed)
@@ -23,14 +46,33 @@ func TestExternalsMemoMatchesFreshWalk(t *testing.T) {
 				}
 			}
 			for _, o := range objs {
-				got := o.Externals()
-				if want := objfile.ScanExternals(o); !slices.Equal(got, want) {
-					t.Errorf("%s seed %d %s: Externals = %v, fresh walk %v", ws.Name, seed, o.Name(), got, want)
-				}
-				if again := o.Externals(); len(got) > 0 && &again[0] != &got[0] {
-					t.Errorf("%s seed %d %s: second Externals call walked the object again", ws.Name, seed, o.Name())
+				check(fmt.Sprintf("%s seed %d %s", ws.Name, seed, o.Name()), o)
+				if err := o.Validate(); err != nil {
+					t.Errorf("%s seed %d %s: generated object invalid: %v", ws.Name, seed, o.Name(), err)
 				}
 			}
 		}
 	}
+	for i, o := range objfile.InvalidObjects() {
+		check(fmt.Sprintf("invalid object %d", i), o)
+	}
+
+	// First calls from several goroutines at once, as two jobs linking
+	// one pooled bundle make them, share one walk (run with -race).
+	w := runner.Workloads[0].Gen(3)
+	objs := append([]*objfile.Object{w.App}, w.Libs...)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, o := range objs {
+				if err := o.Validate(); err != nil {
+					t.Errorf("%s: %v", o.Name(), err)
+				}
+				_ = o.Externals()
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -95,6 +95,11 @@ type Object struct {
 	// of the finished object, and every link of it asks again.
 	externalsOnce sync.Once
 	externals     []string
+
+	// validErr memoises Validate the same way: every link and every
+	// churn load of the object asks again.
+	validOnce sync.Once
+	validErr  error
 }
 
 // New returns an empty object named name.
@@ -280,7 +285,19 @@ func (o *Object) Bytes() uint64 {
 }
 
 // Validate checks structural well-formedness of the whole object.
+//
+// The check runs once, on the first call, and every later call
+// returns its verdict.  As with Externals, the object must therefore
+// be complete before it is first validated or linked: building it
+// further afterwards leaves the verdict stale.
 func (o *Object) Validate() error {
+	o.validOnce.Do(func() { o.validErr = o.validate() })
+	return o.validErr
+}
+
+// validate walks every function, instruction, pointer initialisation
+// and indirect function for the verdict Validate returns.
+func (o *Object) validate() error {
 	if len(o.funcs) == 0 {
 		return fmt.Errorf("objfile: object %q has no functions", o.name)
 	}

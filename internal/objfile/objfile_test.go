@@ -64,65 +64,68 @@ func TestExternalsExcludesLocalDefs(t *testing.T) {
 	}
 }
 
+// invalidObjects is one object per structural fault Validate
+// catches, with a fragment its error must mention.
+var invalidObjects = []struct {
+	name  string
+	build func() *Object
+	frag  string
+}{
+	{"no functions", func() *Object { return New("x") }, "no functions"},
+	{"empty function", func() *Object {
+		o := New("x")
+		o.NewFunc("f")
+		return o
+	}, "empty"},
+	{"no terminator", func() *Object {
+		o := New("x")
+		f := o.NewFunc("f")
+		f.ALU(2)
+		return o
+	}, "ret/halt"},
+	{"unknown region", func() *Object {
+		o := New("x")
+		o.NewFunc("f").Load("nope", 0, 1).Ret()
+		return o
+	}, "unknown region"},
+	{"region overflow", func() *Object {
+		o := New("x")
+		o.AddData("small", 16)
+		o.NewFunc("f").Load("small", 8, 4).Ret() // needs 8+32 > 16
+		return o
+	}, "overflows"},
+	{"branch escapes", func() *Object {
+		o := New("x")
+		f := o.NewFunc("f")
+		f.Body = append(f.Body, TInstr{Op: isa.JmpCond, Bias: 50, Rel: 9})
+		f.Ret()
+		return o
+	}, "escapes"},
+	{"zero displacement", func() *Object {
+		o := New("x")
+		f := o.NewFunc("f")
+		f.Body = append(f.Body, TInstr{Op: isa.JmpCond, Bias: 50, Rel: 0})
+		f.Ret()
+		return o
+	}, "zero-displacement"},
+	{"reserved op", func() *Object {
+		o := New("x")
+		f := o.NewFunc("f")
+		f.Body = append(f.Body, TInstr{Op: isa.JmpMem})
+		f.Ret()
+		return o
+	}, "linker-reserved"},
+	{"call without symbol", func() *Object {
+		o := New("x")
+		f := o.NewFunc("f")
+		f.Body = append(f.Body, TInstr{Op: isa.Call})
+		f.Ret()
+		return o
+	}, "without symbol"},
+}
+
 func TestValidateCatches(t *testing.T) {
-	tests := []struct {
-		name  string
-		build func() *Object
-		frag  string
-	}{
-		{"no functions", func() *Object { return New("x") }, "no functions"},
-		{"empty function", func() *Object {
-			o := New("x")
-			o.NewFunc("f")
-			return o
-		}, "empty"},
-		{"no terminator", func() *Object {
-			o := New("x")
-			f := o.NewFunc("f")
-			f.ALU(2)
-			return o
-		}, "ret/halt"},
-		{"unknown region", func() *Object {
-			o := New("x")
-			o.NewFunc("f").Load("nope", 0, 1).Ret()
-			return o
-		}, "unknown region"},
-		{"region overflow", func() *Object {
-			o := New("x")
-			o.AddData("small", 16)
-			o.NewFunc("f").Load("small", 8, 4).Ret() // needs 8+32 > 16
-			return o
-		}, "overflows"},
-		{"branch escapes", func() *Object {
-			o := New("x")
-			f := o.NewFunc("f")
-			f.Body = append(f.Body, TInstr{Op: isa.JmpCond, Bias: 50, Rel: 9})
-			f.Ret()
-			return o
-		}, "escapes"},
-		{"zero displacement", func() *Object {
-			o := New("x")
-			f := o.NewFunc("f")
-			f.Body = append(f.Body, TInstr{Op: isa.JmpCond, Bias: 50, Rel: 0})
-			f.Ret()
-			return o
-		}, "zero-displacement"},
-		{"reserved op", func() *Object {
-			o := New("x")
-			f := o.NewFunc("f")
-			f.Body = append(f.Body, TInstr{Op: isa.JmpMem})
-			f.Ret()
-			return o
-		}, "linker-reserved"},
-		{"call without symbol", func() *Object {
-			o := New("x")
-			f := o.NewFunc("f")
-			f.Body = append(f.Body, TInstr{Op: isa.Call})
-			f.Ret()
-			return o
-		}, "without symbol"},
-	}
-	for _, tt := range tests {
+	for _, tt := range invalidObjects {
 		t.Run(tt.name, func(t *testing.T) {
 			err := tt.build().Validate()
 			if err == nil {

@@ -94,19 +94,6 @@ func (s SweepSpec) Expand() ([]JobSpec, error) {
 	return specs, nil
 }
 
-// ID returns the sweep's content-derived batch ID — the same ID
-// SubmitBatch would register it under — without submitting anything.
-// The HTTP layer uses it to route batch submissions across cluster
-// replicas by consistent hash before any work is enqueued.  The error
-// is the expansion's (invalid spec, empty axes, oversized sweep).
-func (s SweepSpec) ID() (string, error) {
-	specs, err := s.Expand()
-	if err != nil {
-		return "", err
-	}
-	return batchID(specs), nil
-}
-
 // Batch is a handle on one submitted sweep.  Its ID is derived from
 // the canonical keys of its jobs, so resubmitting the same sweep
 // (even with axes reordered or duplicated) addresses the same batch.
@@ -313,9 +300,10 @@ func (b *Batch) Status() BatchStatus {
 		}
 		st.Aggregate = append(st.Aggregate, out)
 		// Merged per-config timeline, kept beside (not inside) the
-		// aggregate row: the chaos suite asserts aggregates are
-		// bit-identical across failover scenarios, and that property
-		// must not depend on which jobs' series are in memory.
+		// aggregate row: a batch restored from the store, or resumed
+		// after a restart, aggregates bit-identically to the live one,
+		// and that property must not depend on which jobs' series are
+		// in memory.
 		// All of a batch's series share one base interval and compact
 		// by doubling, so incompatible grids can only come from
 		// corrupted input; skip the timeline rather than fail Status.

@@ -24,10 +24,12 @@ func fastSweep() SweepSpec {
 }
 
 // TestPinnedBatchIDs pins three content-derived batch IDs, computed
-// from the sweeps as dlsimd decodes them.  A batch ID hashes its jobs'
-// canonical keys in sorted order, so it moves if a key, the sort or
-// the hash does — a cache-invalidation event for every stored batch,
-// like a moved job ID (TestPinnedJobIDs in cmd/dlsimd).
+// as SubmitBatch does from the sweeps as dlsimd decodes them.  A batch
+// ID hashes its jobs' canonical keys in sorted order, so it moves if a
+// key, the sort or the hash does — a cache-invalidation event for
+// every stored batch, like a moved job ID (TestPinnedJobIDs in
+// cmd/dlsimd).  The fourth sweep is the second with both axes
+// reordered: it names the same cells, so it is the same batch.
 func TestPinnedBatchIDs(t *testing.T) {
 	seeds := make([]string, 32)
 	for i := range seeds {
@@ -40,6 +42,7 @@ func TestPinnedBatchIDs(t *testing.T) {
 		{`{"workload":"jit","configs":["base","enhanced"],"seeds":[4],"scale":0.25}`, "b6315f35fdbab0c0b"},
 		{`{"workload":"apache","configs":["enhanced","base"],"seeds":[9,3,1,7],"scale":0.5,"sample_windows":4}`, "b6c3b5f5e2ae063ac"},
 		{`{"workload":"memcached","configs":["base"],"seeds":[` + strings.Join(seeds, ",") + `],"timeline_off":true}`, "b707037ff36e101fa"},
+		{`{"workload":"apache","configs":["base","enhanced"],"seeds":[1,7,9,3],"scale":0.5,"sample_windows":4}`, "b6c3b5f5e2ae063ac"},
 	}
 	for _, c := range cases {
 		var sweep SweepSpec
@@ -48,43 +51,13 @@ func TestPinnedBatchIDs(t *testing.T) {
 		if err := dec.Decode(&sweep); err != nil {
 			t.Fatalf("decode %s: %v", c.body, err)
 		}
-		id, err := sweep.ID()
+		specs, err := sweep.Expand()
 		if err != nil {
 			t.Fatalf("sweep %s: %v", c.body, err)
 		}
-		if id != c.id {
+		if id := batchID(specs); id != c.id {
 			t.Errorf("sweep %s: id = %s, want pinned %s", c.body, id, c.id)
 		}
-	}
-}
-
-// TestSweepIDMatchesSubmit pins that SweepSpec.ID — the routing key
-// the cluster layer hashes before forwarding a sweep — is exactly the
-// ID SubmitBatch registers, and that it is insensitive to axis order.
-func TestSweepIDMatchesSubmit(t *testing.T) {
-	defer leakcheck.Check(t)
-	id, err := fastSweep().ID()
-	if err != nil {
-		t.Fatal(err)
-	}
-	shuffled := fastSweep()
-	shuffled.Configs = []ConfigKind{Enhanced, Base}
-	shuffled.Seeds = []uint64{2, 1}
-	if id2, _ := shuffled.ID(); id2 != id {
-		t.Errorf("axis order changed the sweep ID: %s vs %s", id2, id)
-	}
-
-	r := New(Options{Workers: 1, TraceCapacity: -1})
-	defer r.Close()
-	b, _, err := r.SubmitBatch(fastSweep())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.ID != id {
-		t.Errorf("SubmitBatch ID %s != SweepSpec.ID %s", b.ID, id)
-	}
-	if _, err := (SweepSpec{Workload: "memcached"}).ID(); err == nil {
-		t.Error("empty-axis sweep produced an ID, want error")
 	}
 }
 

@@ -433,7 +433,7 @@ func (r *Runner) Submit(spec JobSpec) (job *Job, reused bool, err error) {
 	// serves the submission without recomputing (warm start).  A
 	// store hit is a cache hit — it is admitted even when the queue
 	// is full, like any other cached answer.
-	if j, ok := r.restoreJobLocked(IDFromKey(key), key); ok {
+	if j, ok := r.restoreJobLocked(idFromKey(key), key); ok {
 		r.m.cacheHits.Inc()
 		r.mu.Unlock()
 		return j, true, nil
@@ -444,7 +444,7 @@ func (r *Runner) Submit(spec JobSpec) (job *Job, reused bool, err error) {
 		return nil, false, fmt.Errorf("%w (%d jobs queued)", ErrQueueFull, r.opts.MaxQueue)
 	}
 	j := &Job{
-		ID:    IDFromKey(key),
+		ID:    idFromKey(key),
 		Key:   key,
 		Spec:  norm,
 		done:  make(chan struct{}),
@@ -793,7 +793,7 @@ func (r *Runner) execute(ctx context.Context, spec JobSpec, sp *telemetry.Span) 
 	}
 	setupWall := time.Since(setupStart)
 	key, _ := spec.Key()
-	res := &Result{Spec: spec, Key: key, ID: IDFromKey(key)}
+	res := &Result{Spec: spec, Key: key, ID: idFromKey(key)}
 	measureStart := time.Now()
 	if spec.SampleWindows > 0 {
 		// Sampled simulation: fast-forward / warm / measure per window.

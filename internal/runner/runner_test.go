@@ -48,7 +48,7 @@ func TestSpecNormalizeAndKey(t *testing.T) {
 	if k1 == k3 || k1 == k4 || k3 == k4 {
 		t.Errorf("distinct specs share a key: %q %q %q", k1, k3, k4)
 	}
-	if IDFromKey(k1) == IDFromKey(k3) {
+	if idFromKey(k1) == idFromKey(k3) {
 		t.Error("distinct keys share an ID")
 	}
 }

@@ -318,9 +318,9 @@ func (j JobSpec) Key() (string, error) {
 	return key, nil
 }
 
-// IDFromKey derives the short hex job ID used by the dlsimd HTTP API
+// idFromKey derives the short hex job ID used by the dlsimd HTTP API
 // from a canonical key.
-func IDFromKey(key string) string {
+func idFromKey(key string) string {
 	sum := sha256.Sum256([]byte(key))
 	return hex.EncodeToString(sum[:8])
 }

@@ -40,7 +40,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			case *Gauge:
 				_, err = fmt.Fprintf(w, "%s%s %d\n", f.name, lbls, v.Value())
 			case *Histogram:
-				err = writeHistogram(w, f.name, f.labels, key, v)
+				err = writeHistogram(w, f.name, v)
 			}
 			if err != nil {
 				return err
@@ -51,7 +51,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 }
 
 // writeHistogram emits the cumulative bucket series plus sum/count.
-func writeHistogram(w io.Writer, name string, labels []string, key string, h *Histogram) error {
+// Histograms are unlabelled, so `le` is each bucket's only label.
+func writeHistogram(w io.Writer, name string, h *Histogram) error {
 	counts := h.BucketCounts()
 	var cum uint64
 	for i, c := range counts {
@@ -60,25 +61,15 @@ func writeHistogram(w io.Writer, name string, labels []string, key string, h *Hi
 		if i < len(h.bounds) {
 			le = formatFloat(h.bounds[i])
 		}
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-			name, labelString(append(append([]string(nil), labels...), "le"), joinKey(key, le)), cum); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, le, cum); err != nil {
 			return err
 		}
 	}
-	lbls := labelString(labels, key)
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, lbls, formatFloat(h.Sum())); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_sum %s\n", name, formatFloat(h.Sum())); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, lbls, h.Count())
+	_, err := fmt.Fprintf(w, "%s_count %d\n", name, h.Count())
 	return err
-}
-
-// joinKey appends one more label value to an encoded key.
-func joinKey(key, value string) string {
-	if key == "" {
-		return value
-	}
-	return key + labelSep + value
 }
 
 // labelString renders {k="v",...} for the given label names and

@@ -53,44 +53,6 @@ dlsim_up 1
 	}
 }
 
-// TestHistogramVecExposition locks the labelled-histogram format: each
-// child emits its own cumulative bucket series with `le` appended
-// after the family's labels, plus per-child sum/count, children in
-// sorted label order.
-func TestHistogramVecExposition(t *testing.T) {
-	r := NewRegistry()
-	v := r.HistogramVec("dlsim_cluster_peer_latency_ms", "Per-peer forward latency.", []float64{1, 10}, "peer")
-	v.With("b").Observe(0.5)
-	v.With("b").Observe(5)
-	v.With("a").Observe(50)
-
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	want := `# HELP dlsim_cluster_peer_latency_ms Per-peer forward latency.
-# TYPE dlsim_cluster_peer_latency_ms histogram
-dlsim_cluster_peer_latency_ms_bucket{peer="a",le="1"} 0
-dlsim_cluster_peer_latency_ms_bucket{peer="a",le="10"} 0
-dlsim_cluster_peer_latency_ms_bucket{peer="a",le="+Inf"} 1
-dlsim_cluster_peer_latency_ms_sum{peer="a"} 50
-dlsim_cluster_peer_latency_ms_count{peer="a"} 1
-dlsim_cluster_peer_latency_ms_bucket{peer="b",le="1"} 1
-dlsim_cluster_peer_latency_ms_bucket{peer="b",le="10"} 2
-dlsim_cluster_peer_latency_ms_bucket{peer="b",le="+Inf"} 2
-dlsim_cluster_peer_latency_ms_sum{peer="b"} 5.5
-dlsim_cluster_peer_latency_ms_count{peer="b"} 2
-`
-	if got := b.String(); got != want {
-		t.Errorf("exposition mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
-	}
-	// Same name and labels re-registers onto the same family; the
-	// children are shared.
-	if got := r.HistogramVec("dlsim_cluster_peer_latency_ms", "", []float64{1, 10}, "peer").With("b").Count(); got != 2 {
-		t.Errorf("re-registered child count = %d, want 2", got)
-	}
-}
-
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
 	r.CounterVec("x_total", "x", "k").With("a\"b\\c\nd").Inc()

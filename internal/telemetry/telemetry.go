@@ -214,25 +214,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.child(labelKey(values)).(*Counter)
 }
 
-// HistogramVec is a histogram family with labels.  All children share
-// one bucket layout; exposition emits per-child cumulative bucket
-// series with the extra `le` label appended after the family's own.
-type HistogramVec struct{ f *family }
-
-// HistogramVec returns the named labelled histogram family over the
-// given ascending bucket upper bounds, registering it on first use.
-func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
-	return &HistogramVec{r.register(name, help, kindHistogram, labels, bounds, nil)}
-}
-
-// With returns the histogram for one label-value combination.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	if len(values) != len(v.f.labels) {
-		panic(fmt.Sprintf("telemetry: %s wants %d label values, got %d", v.f.name, len(v.f.labels), len(values)))
-	}
-	return v.f.child(labelKey(values)).(*Histogram)
-}
-
 // GaugeVec is a gauge family with labels.
 type GaugeVec struct{ f *family }
 

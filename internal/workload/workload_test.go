@@ -205,12 +205,15 @@ func TestEmitBodyRespectsRegion(t *testing.T) {
 	if err := o.Validate(); err != nil {
 		t.Fatalf("emitBody produced invalid code: %v", err)
 	}
-	// Span larger than the region is clamped rather than invalid.
-	f2 := o.NewFunc("g2")
+	// Span larger than the region is clamped rather than invalid.  A
+	// fresh object: Validate's verdict is fixed at its first call.
+	o2 := objfile.New("x2")
+	o2.AddData("r", 1024)
+	f2 := o2.NewFunc("g2")
 	emitBody(f2, rng, bodySpec{region: "r", regionLen: 1024, alu: 4, loads: 2,
 		span: 100000, stores: 1})
 	f2.Ret()
-	if err := o.Validate(); err != nil {
+	if err := o2.Validate(); err != nil {
 		t.Fatalf("oversized span not clamped: %v", err)
 	}
 }
