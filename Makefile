@@ -4,14 +4,18 @@ GO ?= go
 
 all: check
 
-# Tier-1 verification: formatting, vet, build, full test suite.  The
-# bench/ module is separate, so root ./... never builds it: vet it and
-# run its unit tests too (-short skips the daemon-launching smoke
-# tests, which `make smoke` runs).
+# Tier-1 verification: formatting, vet, build, full test suite, and
+# every internal benchmark run once (vet compiles benchmark code but
+# nothing else runs it, so a benchmark that fails at run time would
+# otherwise go unseen until someone measures with it).  The bench/
+# module is separate, so root ./... never builds it: vet it and run
+# its unit tests too (-short skips the daemon-launching smoke tests,
+# which `make smoke` runs).
 check: fmt
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test -short ./...
 

@@ -615,7 +615,7 @@ func (c *CPU) execBlock(b *block) {
 			mi := &p.code[s.memIdx]
 			switch mi.in.Op {
 			case isa.Load:
-				c.dataRead(mi.in.EffAddr(mi.pc, c.bump(mi.cnt)))
+				c.dataLoad(mi.in.EffAddr(mi.pc, c.bump(mi.cnt)))
 			case isa.Store:
 				c.dataWrite(mi.in.EffAddr(mi.pc, c.bump(mi.cnt)), mi.in.Val)
 			case isa.Push:
@@ -691,7 +691,7 @@ func (c *CPU) stepIdx(ci *cinstr) (nextIdx int32, nextPC uint64, halted bool, er
 		return ci.next, pc + size, false, nil
 
 	case isa.Load:
-		c.dataRead(in.EffAddr(pc, c.bump(ci.cnt)))
+		c.dataLoad(in.EffAddr(pc, c.bump(ci.cnt)))
 		c.retireBreak()
 		return ci.next, pc + size, false, nil
 

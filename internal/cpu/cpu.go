@@ -646,11 +646,18 @@ func (c *CPU) execResolve(pc, predicted uint64, predValid bool) (uint64, error) 
 	return funcAddr, nil
 }
 
-// dataRead performs a data-memory read through the D-TLB and D-cache.
-func (c *CPU) dataRead(addr uint64) uint64 {
+// dataLoad charges a data-memory read through the D-TLB and D-cache
+// without performing it: an isa.Load's value is never used, so only
+// its timing is simulated.
+func (c *CPU) dataLoad(addr uint64) {
 	c.c.Loads++
 	c.c.Cycles += uint64(c.dtlb.Access(addr))
 	c.c.Cycles += uint64(c.l1d.Access(addr))
+}
+
+// dataRead performs a data-memory read through the D-TLB and D-cache.
+func (c *CPU) dataRead(addr uint64) uint64 {
+	c.dataLoad(addr)
 	return c.mem.Read64(addr)
 }
 

@@ -35,25 +35,44 @@ type goldenEntry struct {
 	Counters cpu.Counters `json:"counters"`
 }
 
-func goldenSpecs() []runner.JobSpec {
+// goldenSpecs lists the golden job of every workload under each of
+// configs that can run it, workload-major.
+func goldenSpecs(configs ...runner.ConfigKind) []runner.JobSpec {
 	var specs []runner.JobSpec
 	for _, w := range runner.WorkloadNames() {
-		for _, cfg := range []runner.ConfigKind{runner.Base, runner.Enhanced} {
-			specs = append(specs, runner.JobSpec{
-				Workload: w, Config: cfg, Seed: goldenSeed, Scale: goldenScale,
-			})
+		for _, cfg := range configs {
+			if runs(w, cfg) {
+				specs = append(specs, runner.JobSpec{
+					Workload: w, Config: cfg, Seed: goldenSeed, Scale: goldenScale,
+				})
+			}
 		}
 	}
 	return specs
 }
 
-// runGoldenMatrix executes the golden workload × config matrix under
-// the given runner options and returns the counter snapshot rows.
-func runGoldenMatrix(t *testing.T, opts runner.Options) []goldenEntry {
+// runs reports whether the service can run workload w under cfg.  The
+// churn workloads unload libraries and rebind GOT entries at run time:
+// a static image has no GOT, and plugin-server's unloads cannot
+// tombstone a patched image's direct calls, so those jobs fail by
+// design.
+func runs(w string, cfg runner.ConfigKind) bool {
+	switch cfg {
+	case runner.Static:
+		return w != "plugin-server" && w != "jit"
+	case runner.Patched:
+		return w != "plugin-server"
+	}
+	return true
+}
+
+// runGoldenMatrix executes specs under the given runner options and
+// returns the counter snapshot rows.
+func runGoldenMatrix(t *testing.T, opts runner.Options, specs []runner.JobSpec) []goldenEntry {
 	t.Helper()
 	pool := runner.New(opts)
 	defer pool.Close()
-	results, err := pool.RunAll(t.Context(), goldenSpecs())
+	results, err := pool.RunAll(t.Context(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,12 +102,35 @@ func runGoldenMatrix(t *testing.T, opts runner.Options) []goldenEntry {
 //
 //	go test ./internal/experiments/ -run TestGoldenCounters -update
 func TestGoldenCounters(t *testing.T) {
+	checkGoldenFile(t, "golden_counters.json", goldenSpecs(runner.Base, runner.Enhanced))
+}
+
+// TestGoldenEveryConfig extends TestGoldenCounters to every other
+// configuration the service runs: eager, static, patched, base-arm
+// and enhanced-arm on each workload that can run them (27 cells,
+// testdata/golden_configs.json).  These cells exercise paths the
+// base/enhanced pair does not (direct calls, eager binding, ARM
+// trampolines), so a change to any shared structure must keep them
+// too.  It is a separate test so that `make race`, which runs
+// TestGoldenCounters under the race detector, stays CI-sized.
+//
+// Regenerate deliberately with:
+//
+//	go test ./internal/experiments/ -run TestGoldenEveryConfig -update
+func TestGoldenEveryConfig(t *testing.T) {
+	checkGoldenFile(t, "golden_configs.json", goldenSpecs(
+		runner.Eager, runner.Static, runner.Patched, runner.BaseARM, runner.EnhancedARM))
+}
+
+// checkGoldenFile runs specs and compares their counters with
+// testdata/name field for field, or rewrites the file under -update.
+func checkGoldenFile(t *testing.T, name string, specs []runner.JobSpec) {
 	if testing.Short() {
 		t.Skip("golden matrix is full simulations; skipped in -short")
 	}
-	path := filepath.Join("testdata", "golden_counters.json")
+	path := filepath.Join("testdata", name)
 
-	got := runGoldenMatrix(t, runner.Options{Workers: 2})
+	got := runGoldenMatrix(t, runner.Options{Workers: 2}, specs)
 
 	if *updateGolden {
 		b, err := json.MarshalIndent(got, "", "  ")

@@ -128,46 +128,40 @@ func (r *refTable) len() int {
 }
 
 // resident is one valid way.  Sets are compared as lists of valid
-// ways ordered by LRU stamp; stamps are unique, so the order is
-// canonical.
-type resident struct{ key, val, lru uint64 }
+// ways in recency order, most recently used first: the reference's
+// LRU stamps are unique, so that order is canonical, and it fixes
+// every future victim just as the stamps do.
+type resident struct{ key, val uint64 }
 
 func (r *refTable) resident(s int) []resident {
+	set := slices.Clone(r.e[s*r.ways : (s+1)*r.ways])
+	set = slices.DeleteFunc(set, func(e refEntry) bool { return !e.valid })
+	slices.SortFunc(set, func(a, b refEntry) int { return cmp.Compare(b.lru, a.lru) })
 	var out []resident
-	for _, e := range r.e[s*r.ways : (s+1)*r.ways] {
-		if e.valid {
-			out = append(out, resident{e.key, e.val, e.lru})
-		}
+	for _, e := range set {
+		out = append(out, resident{e.key, e.val})
 	}
-	slices.SortFunc(out, func(a, b resident) int { return cmp.Compare(a.lru, b.lru) })
 	return out
 }
 
-// tableResident lists set s's valid ways like refTable.resident, or nil
-// and false if the set is not packed: its first occ[s] ways must be
-// the valid ones.
-func tableResident(t *Table[uint64], s int) ([]resident, bool) {
+// tableResident lists set s's valid ways, its first occ[s], in the
+// table's recency order.
+func tableResident(t *Table[uint64], s int) []resident {
 	var out []resident
 	base := s * t.ways
-	for i := base; i < base+t.ways; i++ {
-		if valid := t.lru[i] != 0; valid != (i < base+int(t.occ[s])) {
-			return nil, false
-		}
-		if t.lru[i] != 0 {
-			out = append(out, resident{t.keys[i], t.vals[i], t.lru[i]})
-		}
+	for i := base; i < base+int(t.occ[s]); i++ {
+		out = append(out, resident{t.keys[i], t.vals[i]})
 	}
-	slices.SortFunc(out, func(a, b resident) int { return cmp.Compare(a.lru, b.lru) })
-	return out, true
+	return out
 }
 
 // TestTableMatchesReference drives the table and the reference model
 // with the same seeded random stream of Lookup, AccessRun, Insert,
 // Peek, Invalidate and Clear.  After every operation it compares the
-// results, the counters and Len, and the resident keys, values and
-// LRU stamps of the set the operation addressed (the only set it may
-// change); after a Clear, and every 256 operations, it compares every
-// set.
+// results, the counters and Len, and the resident keys and values,
+// in recency order, of the set the operation addressed (the only set
+// it may change); after a Clear, and every 256 operations, it compares
+// every set.
 func TestTableMatchesReference(t *testing.T) {
 	geometries := []struct{ sets, ways int }{
 		{1, 1},
@@ -205,11 +199,7 @@ func checkAgainstReference(t *testing.T, sets, ways int, seed uint64) {
 		return k
 	}
 	compareSet := func(op int, desc string, s int) {
-		g, packed := tableResident(tb, s)
-		if !packed {
-			t.Fatalf("after op %d %s: set %d is not packed", op, desc, s)
-		}
-		if w := ref.resident(s); !slices.Equal(g, w) {
+		if g, w := tableResident(tb, s), ref.resident(s); !slices.Equal(g, w) {
 			t.Fatalf("after op %d %s: set %d holds %x; reference %x", op, desc, s, g, w)
 		}
 	}

@@ -11,23 +11,19 @@
 // Lookup is the hottest function in the simulator — every I-cache,
 // D-cache, TLB, BTB and ABTB access lands here, and the ABTB is a
 // 256-way fully-associative CAM probed once per retired call.  The
-// ways are stored as parallel arrays (structure of arrays), so a probe
-// reads only contiguous keys: a 24-way set's tags span three host
-// cache lines instead of nine.  The modelled semantics (lookup, hit
-// and eviction counters, LRU order, which key is evicted) are those of
-// the textbook table: a fill takes an invalid way if the set has one
-// and otherwise evicts the least-recently-used way.  Which invalid way
-// a fill takes is not observable, and three accelerations exploit
-// that or otherwise avoid the naive O(ways) scan:
+// modelled semantics (lookup, hit and eviction counters, which key is
+// evicted) are those of the textbook table: a fill takes an invalid
+// way if the set has one and otherwise evicts the least-recently-used
+// way.  Which invalid way a fill takes is not observable, so each set
+// is kept as an LRU stack (Mattson et al., 1970) instead of ways with
+// timestamps:
 //
-//   - packed sets: a set's valid ways are always its first occ[s]
-//     ways (Invalidate moves the set's last valid way into the hole),
-//     so a probe scans exactly the resident keys and never reads the
-//     LRU stamps;
-//   - a last-hit memo: sequential code re-probes the same line/page/
-//     target back to back, so the way of the previous hit or fill is
-//     checked first (revalidated against its key and a non-zero LRU
-//     stamp, which marks a valid way, so staleness is harmless);
+//   - recency order: a set's valid ways are packed at its front, most
+//     recently used first.  A hit moves its way to the front, a fill
+//     shifts the set down one way and writes the front, and a full
+//     set's LRU victim is simply its last way.  Probes read keys
+//     only, most recent first, and the front way, which sequential
+//     code re-probes back to back, is the first compare;
 //   - a per-set 64-bit key signature (a superset of the resident keys'
 //     hash bits), so most misses are rejected without scanning at all.
 //     Replacement leaves stale bits behind — the signature is only
@@ -47,20 +43,14 @@ type Table[V any] struct {
 	ways int
 	mask uint64
 
-	// Way w of set s is element s*ways+w of keys, lru and vals.  An
-	// LRU stamp of zero marks an invalid way; valid stamps are unique
-	// ticks, so the LRU way of a full set is its minimum stamp.
+	// Way w of set s is element s*ways+w of keys and vals.  Set s's
+	// occ[s] valid ways are its first ones, in recency order: way 0 is
+	// the most recently used, way occ[s]-1 the least.  sig[s] is a
+	// superset signature of the keys resident in set s.
 	keys []uint64
-	lru  []uint64
 	vals []V
-	tick uint64
-
-	// occ[s] counts the valid ways of set s, which are packed at the
-	// set's start; sig[s] is a superset signature of the keys resident
-	// in set s.  last is the way of the most recent hit or fill.
 	occ  []uint16
 	sig  []uint64
-	last int
 
 	lookups   uint64
 	hits      uint64
@@ -90,7 +80,6 @@ func New[V any](sets, ways int) *Table[V] {
 		ways: ways,
 		mask: uint64(sets - 1),
 		keys: make([]uint64, sets*ways),
-		lru:  make([]uint64, sets*ways),
 		vals: make([]V, sets*ways),
 		occ:  make([]uint16, sets),
 		sig:  make([]uint64, sets),
@@ -106,22 +95,25 @@ func (t *Table[V]) Ways() int { return t.ways }
 // Entries returns the total capacity in entries.
 func (t *Table[V]) Entries() int { return t.sets * t.ways }
 
-// hitLast reports whether way last, the previous hit or fill, holds
-// key.
-func (t *Table[V]) hitLast(key uint64) bool {
-	return t.keys[t.last] == key && t.lru[t.last] != 0
+// set returns key's set and the index of the set's first way.
+func (t *Table[V]) set(key uint64) (s, base int) {
+	s = int(key & t.mask)
+	return s, s * t.ways
 }
 
-// scan searches key's set for it.
-func (t *Table[V]) scan(key uint64) (int, bool) {
-	s := int(key & t.mask)
+// find searches set s, whose first way is base, for key and returns
+// its way.  The front way is checked first, the signature next.  find
+// must stay within the compiler's inlining budget (see -gcflags=-m),
+// so that a probe makes no call: as a call it slowed the small
+// workloads' kernels by about 10%.
+func (t *Table[V]) find(s, base int, key uint64) (int, bool) {
+	if t.keys[base] == key && t.occ[s] != 0 {
+		return base, true
+	}
 	if t.sig[s]&sigBit(key) == 0 {
 		return 0, false
 	}
-	base := s * t.ways
-	// Fills append at the end of the packed ways, so scan downward:
-	// the most recently filled keys come first.
-	for i := base + int(t.occ[s]) - 1; i >= base; i-- {
+	for i := base + 1; i < base+int(t.occ[s]); i++ {
 		if t.keys[i] == key {
 			return i, true
 		}
@@ -129,22 +121,47 @@ func (t *Table[V]) scan(key uint64) (int, bool) {
 	return 0, false
 }
 
+// promote makes way i, valid in the set starting at base, the set's
+// most recently used: the ways in front of it shift down one.
+func (t *Table[V]) promote(base, i int) {
+	if i == base {
+		return
+	}
+	k, v := t.keys[i], t.vals[i]
+	copy(t.keys[base+1:i+1], t.keys[base:i])
+	copy(t.vals[base+1:i+1], t.vals[base:i])
+	t.keys[base], t.vals[base] = k, v
+}
+
+// fill places key, absent from set s, at the set's front, evicting its
+// LRU way when the set is full.
+func (t *Table[V]) fill(s, base int, key uint64, val V) {
+	n := int(t.occ[s])
+	if n == t.ways {
+		n--
+		t.evictions++
+	} else {
+		t.occ[s]++
+	}
+	copy(t.keys[base+1:base+n+1], t.keys[base:base+n])
+	copy(t.vals[base+1:base+n+1], t.vals[base:base+n])
+	t.keys[base], t.vals[base] = key, val
+	t.sig[s] |= sigBit(key)
+}
+
 // Lookup returns the value stored for key and whether it was present,
 // updating LRU state and hit/miss counters on the way.
 func (t *Table[V]) Lookup(key uint64) (V, bool) {
 	t.lookups++
-	if !t.hitLast(key) {
-		i, ok := t.scan(key)
-		if !ok {
-			var zero V
-			return zero, false
-		}
-		t.last = i
+	s, base := t.set(key)
+	i, ok := t.find(s, base, key)
+	if !ok {
+		var zero V
+		return zero, false
 	}
-	t.tick++
-	t.lru[t.last] = t.tick
+	t.promote(base, i)
 	t.hits++
-	return t.vals[t.last], true
+	return t.vals[base], true
 }
 
 // AccessRun performs n consecutive cache-style accesses to key (n >= 1)
@@ -156,18 +173,15 @@ func (t *Table[V]) Lookup(key uint64) (V, bool) {
 // kernel's runs of same-line and same-page fetches.
 func (t *Table[V]) AccessRun(key uint64, n int, val V) (hit bool) {
 	t.lookups += uint64(n)
-	t.tick += uint64(n)
 	t.hits += uint64(n)
-	hit = t.hitLast(key)
-	if !hit {
-		var i int
-		if i, hit = t.scan(key); !hit {
-			t.hits-- // the first access missed
-			i = t.fill(int(key&t.mask), key, val)
-		}
-		t.last = i
+	s, base := t.set(key)
+	i, hit := t.find(s, base, key)
+	if hit {
+		t.promote(base, i)
+	} else {
+		t.hits-- // the first access missed
+		t.fill(s, base, key, val)
 	}
-	t.lru[t.last] = t.tick
 	return hit
 }
 
@@ -175,10 +189,8 @@ func (t *Table[V]) AccessRun(key uint64, n int, val V) (hit bool) {
 // counters.  Used by retire-time checks that must not perturb the
 // structure.
 func (t *Table[V]) Peek(key uint64) (V, bool) {
-	if t.hitLast(key) {
-		return t.vals[t.last], true
-	}
-	if i, ok := t.scan(key); ok {
+	s, base := t.set(key)
+	if i, ok := t.find(s, base, key); ok {
 		return t.vals[i], true
 	}
 	var zero V
@@ -189,72 +201,40 @@ func (t *Table[V]) Peek(key uint64) (V, bool) {
 // key is not already present.  It reports whether a valid, different
 // entry was evicted.
 func (t *Table[V]) Insert(key uint64, val V) (evicted bool) {
-	t.tick++
-	if i, ok := t.scan(key); ok {
+	s, base := t.set(key)
+	if i, ok := t.find(s, base, key); ok {
 		t.vals[i] = val
-		t.lru[i] = t.tick
+		t.promote(base, i)
 		return false
 	}
-	s := int(key & t.mask)
 	evicted = t.occ[s] == uint16(t.ways)
-	t.lru[t.fill(s, key, val)] = t.tick
+	t.fill(s, base, key, val)
 	return evicted
-}
-
-// fill places key, absent from set s, in the set's first invalid way,
-// or over its LRU way when the set is full, and returns the way.  The
-// caller stamps the way's LRU tick.
-func (t *Table[V]) fill(s int, key uint64, val V) int {
-	base := s * t.ways
-	i := base + int(t.occ[s])
-	if i == base+t.ways {
-		i = base
-		for j := base + 1; j < base+t.ways; j++ {
-			if t.lru[j] < t.lru[i] {
-				i = j
-			}
-		}
-		t.evictions++
-	} else {
-		t.occ[s]++
-	}
-	t.keys[i], t.vals[i] = key, val
-	t.sig[s] |= sigBit(key)
-	return i
 }
 
 // Invalidate removes key if present, reporting whether it was.
 func (t *Table[V]) Invalidate(key uint64) bool {
-	i, ok := t.scan(key)
+	s, base := t.set(key)
+	i, ok := t.find(s, base, key)
 	if !ok {
 		return false
 	}
-	// Keep the set packed: its last valid way moves into the hole.
-	s := int(key & t.mask)
-	j := s*t.ways + int(t.occ[s]) - 1
-	t.keys[i], t.lru[i], t.vals[i] = t.keys[j], t.lru[j], t.vals[j]
-	var zero V
-	t.lru[j], t.vals[j] = 0, zero
+	// Close the gap, keeping the rest of the set in recency order.
+	end := base + int(t.occ[s])
+	copy(t.keys[i:end-1], t.keys[i+1:end])
+	copy(t.vals[i:end-1], t.vals[i+1:end])
 	t.occ[s]--
-	t.rebuildSig(s)
-	return true
-}
-
-// rebuildSig recomputes set s's signature exactly from its resident
-// keys.  Only Invalidate needs it; replacement tolerates stale bits.
-func (t *Table[V]) rebuildSig(s int) {
+	// Rebuild the signature exactly from the keys that remain.
 	var sig uint64
-	base := s * t.ways
-	for _, k := range t.keys[base : base+int(t.occ[s])] {
+	for _, k := range t.keys[base : end-1] {
 		sig |= sigBit(k)
 	}
 	t.sig[s] = sig
+	return true
 }
 
 // Clear invalidates every entry (flush).  Statistics are preserved.
 func (t *Table[V]) Clear() {
-	clear(t.lru)
-	clear(t.vals)
 	clear(t.occ)
 	clear(t.sig)
 }
