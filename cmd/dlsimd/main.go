@@ -29,7 +29,6 @@
 //	       [-max-retained N] [-max-batches N] [-request-timeout 30s]
 //	       [-drain-timeout 30s] [-trace-buffer N] [-debug-addr :8345]
 //	       [-store-dir DIR] [-store-max-bytes N]
-//	       [-metrics-history 5s] [-metrics-history-points N]
 //
 // With -store-dir set, every completed result (and every completed
 // batch's aggregate snapshot) is written through to a disk-backed
@@ -38,11 +37,9 @@
 // fall back to the store before recomputing, and a restarted process
 // pointed at the same directory warm-starts — previously completed
 // job IDs are served from disk with bit-identical counters.  The
-// graceful-drain path flushes the store before exit, and 410 Gone is
-// reserved for entries truly dropped (store disabled, failed jobs, or
-// size-bound compaction victims).  A node recovers its work by
-// restarting over the same store directory: a sweep the drain
-// deadline cut short is resubmitted, and its finished jobs are
+// graceful-drain path flushes the store before exit.  A node recovers
+// its work by restarting over the same store directory: a sweep the
+// drain deadline cut short is resubmitted, and its finished jobs are
 // restored rather than recomputed (see DESIGN.md §12).
 //
 // API:
@@ -52,9 +49,11 @@
 //	                     returns the job id (202, or 200 when coalesced;
 //	                     429 + Retry-After when the queue is full)
 //	GET  /v1/jobs/{id}   job state, and the result once done (or the
-//	                     error once failed)
-//	                     (410 once the id is evicted by -max-retained;
-//	                     404 for ids never seen or long forgotten)
+//	                     error once failed); 404 for an id this node
+//	                     does not hold (never seen, or evicted by
+//	                     -max-retained and absent from the store):
+//	                     resubmitting its spec recomputes it under the
+//	                     same id
 //	POST /v1/batches     submit a sweep; body {"workload":"apache",
 //	                     "configs":["base","enhanced"],"seeds":[1,2,3],
 //	                     "scale":0.5}; expands to one deduplicated job
@@ -78,9 +77,6 @@
 //	GET  /v1/stats       pool depth, cache hits/misses, failed/panics/
 //	                     shed counters, job latency, and the artifact-
 //	                     pool and store tiers' gauges
-//	GET  /v1/metrics/history  short-horizon time series of every scalar
-//	                     instrument, snapshotted every -metrics-history
-//	                     period into a bounded ring
 //	GET  /metrics        Prometheus text exposition of all instruments
 //	GET  /healthz        liveness (200 while the process serves)
 //	GET  /readyz         readiness (503 once draining)
@@ -112,7 +108,7 @@ func main() {
 	workers := flag.Int("workers", 0, "worker pool size (0 = NumCPU)")
 	jobTimeout := flag.Duration("job-timeout", 5*time.Minute, "per-job simulation timeout (0 = none)")
 	maxQueue := flag.Int("max-queue", 256, "admission-queue bound; full queue sheds with 429 (0 = unbounded)")
-	maxRetained := flag.Int("max-retained", 0, "completed jobs retained in the result cache; LRU-evicted beyond this, evicted IDs answer 410 (0 = default 4096, negative = unbounded)")
+	maxRetained := flag.Int("max-retained", 0, "completed jobs retained in the result cache; LRU-evicted beyond this, evicted IDs not in the store answer 404 (0 = default 4096, negative = unbounded)")
 	maxBatches := flag.Int("max-batches", 0, "batch handles retained for lookup by ID; LRU-evicted beyond this, jobs stay addressable (0 = default 256, negative = unbounded)")
 	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "per-HTTP-request timeout (0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight jobs")
@@ -120,8 +116,6 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "optional net/http/pprof listen address (e.g. :8345); empty disables")
 	storeDir := flag.String("store-dir", "", "directory for the disk-backed result store; completed results persist there and warm-start the next process (empty disables persistence)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "on-disk size bound of the result store; exceeding it compacts and drops the oldest entries (0 = default 256 MiB, negative = unbounded)")
-	historyInterval := flag.Duration("metrics-history", telemetry.DefaultHistoryInterval, "metrics-history snapshot period behind GET /v1/metrics/history (0 disables the ring)")
-	historyPoints := flag.Int("metrics-history-points", 0, "metrics-history ring capacity in snapshots (0 = default 720: one hour at the default period)")
 	flag.Parse()
 
 	// Zero flags: every line the server emits is a self-contained JSON
@@ -156,29 +150,20 @@ func main() {
 	}
 
 	pool := runner.New(runner.Options{
-		Workers:       *workers,
-		JobTimeout:    *jobTimeout,
-		MaxQueue:      *maxQueue,
-		MaxRetained:   *maxRetained,
-		MaxBatches:    *maxBatches,
-		TraceCapacity: *traceBuffer,
-		Metrics:       reg,
-		Tracer:        tracer,
-		Store:         st,
+		Workers:     *workers,
+		JobTimeout:  *jobTimeout,
+		MaxQueue:    *maxQueue,
+		MaxRetained: *maxRetained,
+		MaxBatches:  *maxBatches,
+		Metrics:     reg,
+		Tracer:      tracer,
+		Store:       st,
 	})
 	defer pool.Close()
-
-	var hist *telemetry.History
-	if *historyInterval > 0 {
-		hist = telemetry.NewHistory(reg, *historyPoints, *historyInterval)
-		hist.Start()
-		defer hist.Close()
-	}
 
 	api := newServer(pool, serverConfig{
 		logger:         logger,
 		requestTimeout: *requestTimeout,
-		history:        hist,
 	})
 	srv := &http.Server{
 		Addr:              *addr,

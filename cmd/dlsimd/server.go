@@ -38,11 +38,6 @@ type serverConfig struct {
 	// requestTimeout bounds each request's handling via its context.
 	// Zero means no per-request timeout.
 	requestTimeout time.Duration
-
-	// history, when non-nil, is the metrics-history ring behind GET
-	// /v1/metrics/history (see telemetry.History).  Nil disables the
-	// endpoint (404).
-	history *telemetry.History
 }
 
 // server is the dlsimd HTTP front end over a runner pool.
@@ -58,9 +53,6 @@ type server struct {
 	reg          *telemetry.Registry
 	httpRequests *telemetry.CounterVec
 	httpLatency  *telemetry.Histogram
-	faultHits    *telemetry.GaugeVec
-	faultInject  *telemetry.GaugeVec
-	faultArmed   *telemetry.Gauge
 
 	// draining flips once shutdown starts: /readyz goes 503 and new
 	// submissions are refused while in-flight jobs finish.
@@ -87,12 +79,6 @@ func newServer(pool *runner.Runner, cfg serverConfig) *server {
 		httpLatency: reg.Histogram("dlsim_http_request_ms",
 			"HTTP request handling latency.",
 			telemetry.ExponentialBuckets(0.25, 2, 16)),
-		faultHits: reg.GaugeVec("dlsim_fault_point_hits",
-			"Fire evaluations per armed fault-injection point.", "point"),
-		faultInject: reg.GaugeVec("dlsim_fault_point_injections",
-			"Faults delivered per armed fault-injection point.", "point"),
-		faultArmed: reg.Gauge("dlsim_fault_points_armed",
-			"Number of armed fault-injection points."),
 	}
 	started := s.started
 	reg.GaugeFunc("dlsim_uptime_seconds", "Seconds since process start.",
@@ -107,7 +93,6 @@ func newServer(pool *runner.Runner, cfg serverConfig) *server {
 	s.mux.HandleFunc("GET /v1/batches/{id}", s.handleBatch)
 	s.mux.HandleFunc("GET /v1/traces/{id}", s.handleTrace)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("GET /v1/metrics/history", s.handleMetricsHistory)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -119,7 +104,7 @@ func newServer(pool *runner.Runner, cfg serverConfig) *server {
 // the Prometheus idiom) and Go runtime health (goroutines, heap, live
 // heap after the last GC, GC CPU time).  The memory and GC values come
 // from runtime/metrics, which does not stop the world the way
-// runtime.ReadMemStats does on every scrape and history tick.
+// runtime.ReadMemStats does on every scrape.
 func registerRuntimeGauges(reg *telemetry.Registry) {
 	version := "devel"
 	if bi, ok := debug.ReadBuildInfo(); ok && bi.Main.Version != "" && bi.Main.Version != "(devel)" {
@@ -216,8 +201,6 @@ func route(r *http.Request) string {
 	switch {
 	case strings.HasPrefix(p, "/v1/jobs/") && strings.HasSuffix(p, "/timeline"):
 		return "/v1/jobs/{id}/timeline"
-	case p == "/v1/metrics/history":
-		return p
 	case strings.HasPrefix(p, "/v1/jobs/"):
 		return "/v1/jobs/{id}"
 	case strings.HasPrefix(p, "/v1/batches/"):
@@ -335,20 +318,18 @@ func writeError(w http.ResponseWriter, r *http.Request, status int, format strin
 // repeat later.
 const retryAfterSeconds = "1"
 
-// notHeld answers a GET for an ID this node holds nothing for: an ID
-// the retention bounds dropped recently answers 410 Gone
-// (resubmitting recomputes it) and any other ID 404.  kind is "job"
-// or "batch"; a timeline lookup answers for its job.
+// notHeld answers 404 for an ID that neither memory nor the store
+// holds: never seen, or dropped by a retention bound or by store
+// compaction.  IDs are content-derived, so resubmitting the spec
+// recomputes it under the same ID.  kind is "job" or "batch"; a
+// timeline lookup answers for its job.
 func (s *server) notHeld(w http.ResponseWriter, r *http.Request, kind, id string) {
-	dropped := "the result cache; resubmit its spec"
+	spec := "spec"
 	if kind == "batch" {
-		dropped = "batch retention; resubmit its sweep"
+		spec = "sweep"
 	}
-	if s.pool.Evicted(id) {
-		writeError(w, r, http.StatusGone, "%s %q evicted from %s to recompute", kind, id, dropped)
-		return
-	}
-	writeError(w, r, http.StatusNotFound, "no %s %q", kind, id)
+	writeError(w, r, http.StatusNotFound,
+		"this node does not hold %s %q; resubmitting its %s recomputes it under the same id", kind, id, spec)
 }
 
 // admit runs the steps every submission shares before its spec is
@@ -445,11 +426,10 @@ func (s *server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 
 // handleBatch reports a batch's progress, per-job states (with each
 // failure's error) and per-config aggregates.  Completed batches
-// survive retention eviction and restarts via the disk store; a
-// batch ID recently dropped from retention (and absent from the
-// store) answers 410 Gone like an evicted job, and IDs never seen —
-// or forgotten by the bounded evicted-ID memory — answer 404.  The
-// underlying jobs remain individually addressable via /v1/jobs/{id}.
+// survive retention eviction and restarts via the disk store; a batch
+// ID held neither in memory nor in the store answers 404 (see
+// notHeld).  The underlying jobs remain individually addressable via
+// /v1/jobs/{id}.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	batch, ok := s.pool.Batch(id)
@@ -514,11 +494,8 @@ type jobResponse struct {
 	Result *resultJSON     `json:"result,omitempty"`
 }
 
-// handleJob reports a job's state and, once done, its result.  IDs
-// recently dropped by the result cache's retention bound answer 410
-// Gone (resubmitting the spec recomputes them); IDs the runner has
-// never seen — or evicted so long ago that the bounded evicted-ID
-// memory forgot them — answer 404.
+// handleJob reports a job's state and, once done, its result.  An ID
+// held neither in memory nor in the store answers 404 (see notHeld).
 func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	// pool.Job reads through the store, so a miss here is final.
@@ -590,65 +567,11 @@ func (s *server) handleJobTimeline(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, timelineResponse{ID: id, Series: series})
 }
 
-// historyIndexResponse answers GET /v1/metrics/history without a
-// name: the queryable series names plus ring geometry.
-type historyIndexResponse struct {
-	IntervalS float64  `json:"interval_s"`
-	Samples   int      `json:"samples"`
-	Names     []string `json:"names"`
-}
-
-// historySeriesResponse answers GET /v1/metrics/history?name=...
-type historySeriesResponse struct {
-	Name      string                   `json:"name"`
-	IntervalS float64                  `json:"interval_s"`
-	Points    []telemetry.HistoryPoint `json:"points"`
-}
-
-// handleMetricsHistory serves the metrics-history ring: without
-// ?name= it lists the queryable series, with it it returns that
-// series' (time, value) points — optionally bounded to the last
-// ?minutes=N.  Series names are exactly the exposition names GET
-// /metrics prints (histograms appear as name_count / name_sum), so a
-// dashboard can go from a scrape to a short-horizon chart with no
-// external time-series store.
-func (s *server) handleMetricsHistory(w http.ResponseWriter, r *http.Request) {
-	h := s.cfg.history
-	if h == nil {
-		writeError(w, r, http.StatusNotFound, "metrics history disabled (-metrics-history 0)")
-		return
-	}
-	q := r.URL.Query()
-	var since time.Time
-	if m := q.Get("minutes"); m != "" {
-		f, err := strconv.ParseFloat(m, 64)
-		if err != nil || f <= 0 {
-			writeError(w, r, http.StatusBadRequest, "invalid minutes %q (want a positive number)", m)
-			return
-		}
-		since = time.Now().Add(-time.Duration(f * float64(time.Minute)))
-	}
-	name := q.Get("name")
-	if name == "" {
-		writeJSON(w, http.StatusOK, historyIndexResponse{
-			IntervalS: h.Interval().Seconds(),
-			Samples:   h.Len(),
-			Names:     h.Names(),
-		})
-		return
-	}
-	writeJSON(w, http.StatusOK, historySeriesResponse{
-		Name:      name,
-		IntervalS: h.Interval().Seconds(),
-		Points:    h.Query(name, since),
-	})
-}
-
 // handleTrace serves a job's phase breakdown as a JSON span tree.
 // The trace shares the job's ID, so clients poll /v1/jobs/{id} and
 // fetch /v1/traces/{id} with the same handle.  Traces live in a
-// bounded ring, so very old jobs may have been evicted (410 would
-// overpromise: we just 404).
+// bounded ring, so a trace the ring evicted answers 404 like an
+// unknown ID.
 func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	tracer := s.pool.Tracer()
@@ -665,24 +588,11 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics serves the whole registry — runner pool, per-workload
-// simulation counters, HTTP front end, fault-injection points — in
-// Prometheus text exposition format.
+// simulation counters, HTTP front end — in Prometheus text exposition
+// format.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.syncFaultGauges()
 	w.Header().Set("Content-Type", telemetry.TextContentType)
 	_ = s.reg.WritePrometheus(w)
-}
-
-// syncFaultGauges copies faultinject's per-point counters into the
-// registry at scrape time (pull model: faultinject stays free of any
-// telemetry dependency).
-func (s *server) syncFaultGauges() {
-	snap := faultinject.Snapshot()
-	s.faultArmed.Set(int64(len(snap)))
-	for name, ps := range snap {
-		s.faultHits.With(name).Set(int64(ps.Hits))
-		s.faultInject.With(name).Set(int64(ps.Injected))
-	}
 }
 
 // marshalResult flattens a Result into its wire form.  The cached

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/runner"
+	"repro/internal/telemetry"
 )
 
 func newTestServer(t *testing.T) (*httptest.Server, *runner.Runner) {
@@ -17,8 +18,14 @@ func newTestServer(t *testing.T) (*httptest.Server, *runner.Runner) {
 	return newTestServerOpts(t, runner.Options{Workers: 2}, serverConfig{})
 }
 
+// newTestServerOpts serves a runner built from opts.  Like main, it
+// gives the runner a tracer (the default 512-trace ring) unless opts
+// carries one.
 func newTestServerOpts(t *testing.T, opts runner.Options, cfg serverConfig) (*httptest.Server, *runner.Runner) {
 	t.Helper()
+	if opts.Tracer == nil {
+		opts.Tracer = telemetry.NewTracer(0)
+	}
 	pool := runner.New(opts)
 	ts := httptest.NewServer(newServer(pool, cfg))
 	t.Cleanup(func() { ts.Close(); pool.Close() })
@@ -197,11 +204,11 @@ func TestUnknownJob(t *testing.T) {
 	}
 }
 
-// TestEvictedJobAnswers410 pins the HTTP contract of -max-retained:
-// an ID evicted from the result cache answers 410 Gone (distinct from
-// the 404 of a never-seen ID), and resubmitting the evicted spec
+// TestEvictedJobAnswers404 pins the HTTP contract of -max-retained
+// without a store: an ID evicted from the result cache answers 404,
+// as a never-seen ID does, and resubmitting the evicted spec
 // recomputes under the same content-derived ID.
-func TestEvictedJobAnswers410(t *testing.T) {
+func TestEvictedJobAnswers404(t *testing.T) {
 	ts, _ := newTestServerOpts(t, runner.Options{Workers: 1, MaxRetained: 1}, serverConfig{})
 	specA := `{"workload":"memcached","config":"base","seed":1,"warm":5,"measure":25}`
 	specB := `{"workload":"memcached","config":"base","seed":2,"warm":5,"measure":25}`
@@ -230,10 +237,9 @@ func TestEvictedJobAnswers410(t *testing.T) {
 	waitDone(b.ID)
 
 	// B's completion evicted A (capacity 1).
-	if _, code := getJob(t, ts, a.ID); code != http.StatusGone {
-		t.Fatalf("GET evicted job = %d, want 410", code)
+	if _, code := getJob(t, ts, a.ID); code != http.StatusNotFound {
+		t.Fatalf("GET evicted job = %d, want 404", code)
 	}
-	// An ID the server has never seen stays a plain 404.
 	if _, code := getJob(t, ts, "feedfacecafebeef"); code != http.StatusNotFound {
 		t.Fatalf("GET unknown job = %d, want 404", code)
 	}

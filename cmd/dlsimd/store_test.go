@@ -237,10 +237,9 @@ func TestInterruptedSweepResumesAfterRestart(t *testing.T) {
 	aggregatesEqual(t, waitBatchDone(t, ts, sub.ID).Aggregate, resumed.Aggregate)
 }
 
-// TestBatchEvicted410 pins the batch retention parity satellite: a
-// batch handle dropped by -max-batches answers 410 Gone (like an
-// evicted job), while a never-seen batch ID stays 404.
-func TestBatchEvicted410(t *testing.T) {
+// TestBatchEvicted404: without a store, a batch handle dropped by
+// -max-batches answers 404, as a never-seen batch ID does.
+func TestBatchEvicted404(t *testing.T) {
 	ts, _ := newTestServerOpts(t, runner.Options{Workers: 2, MaxBatches: 1}, serverConfig{})
 
 	subA, code := postBatch(t, ts, `{"workload":"memcached","configs":["base"],"seeds":[61],"warm":5,"measure":25}`)
@@ -255,8 +254,8 @@ func TestBatchEvicted410(t *testing.T) {
 	if _, code := getBatch(t, ts, subB.ID); code != http.StatusOK {
 		t.Fatalf("batch B lookup = %d, want 200", code)
 	}
-	if _, code := getBatch(t, ts, subA.ID); code != http.StatusGone {
-		t.Fatalf("evicted batch A lookup = %d, want 410", code)
+	if _, code := getBatch(t, ts, subA.ID); code != http.StatusNotFound {
+		t.Fatalf("evicted batch A lookup = %d, want 404", code)
 	}
 	if _, code := getBatch(t, ts, "b0123456789abcdef"); code != http.StatusNotFound {
 		t.Fatalf("unknown batch lookup = %d, want 404", code)
@@ -265,7 +264,7 @@ func TestBatchEvicted410(t *testing.T) {
 
 // TestBatchRestoredFromStore: with a store attached, an evicted
 // batch's final snapshot remains readable — the store tier turns the
-// 410 into a 200 serving the persisted aggregate.
+// 404 into a 200 serving the persisted aggregate.
 func TestBatchRestoredFromStore(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir, store.Options{})

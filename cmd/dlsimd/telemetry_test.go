@@ -36,11 +36,9 @@ func scrape(t *testing.T, ts *httptest.Server) string {
 
 // TestMetricsEndpoint is the acceptance criterion: one scrape covers
 // the runner pool, the cache, panic/shed counters, per-workload
-// simulation counters, fault-injection points, and the HTTP front end
-// — all under stable names.
+// simulation counters and the HTTP front end — all under stable
+// names.
 func TestMetricsEndpoint(t *testing.T) {
-	faultinject.Enable("dlsimd.submit", faultinject.PointConfig{Mode: faultinject.Delay, Prob: 0})
-	t.Cleanup(faultinject.Reset)
 	ts, _ := newTestServer(t)
 
 	sub, code := postJob(t, ts, specA)
@@ -68,11 +66,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		// Per-workload simulation counters.
 		`dlsim_sim_instructions_total{workload="memcached",config="base"}`,
 		`dlsim_sim_abtb_redirects_total{workload="memcached",config="base"}`,
-		// Fault-injection points (armed above, synced at scrape; under
-		// `make faults` the environment arms extra points, so assert
-		// presence rather than an exact armed count).
-		`dlsim_fault_point_hits{point="dlsimd.submit"}`,
-		"# TYPE dlsim_fault_points_armed gauge",
 		// HTTP front end and process.
 		`dlsim_http_requests_total{route="/v1/jobs",method="POST",code="202"} 1`,
 		`dlsim_http_requests_total{route="/v1/jobs",method="POST",code="200"} 1`,
@@ -87,11 +80,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, gone := range []string{"dlsim_runner_retries_total", "dlsim_runner_backoff_ms"} {
 		if strings.Contains(out, gone) {
 			t.Errorf("exposition still carries %s", gone)
-		}
-	}
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "dlsim_fault_points_armed ") && strings.HasSuffix(line, " 0") {
-			t.Errorf("armed-points gauge reads 0 with a point armed: %q", line)
 		}
 	}
 }

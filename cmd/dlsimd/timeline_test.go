@@ -7,10 +7,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/runner"
-	"repro/internal/telemetry"
 	"repro/internal/timeline"
 )
 
@@ -94,51 +92,6 @@ func TestTimelineEndpoint(t *testing.T) {
 	}
 	if code, _ := httpDo(t, http.MethodGet, ts.URL+"/v1/jobs/"+res.ID+"/timeline", nil, nil); code != http.StatusNotFound {
 		t.Errorf("timeline-off timeline = %d, want 404", code)
-	}
-}
-
-// TestMetricsHistoryEndpoint covers /v1/metrics/history: 404 when
-// disabled, index and named-series queries when enabled.
-func TestMetricsHistoryEndpoint(t *testing.T) {
-	tsOff, _ := newTestServer(t)
-	if code, _ := httpDo(t, http.MethodGet, tsOff.URL+"/v1/metrics/history", nil, nil); code != http.StatusNotFound {
-		t.Errorf("disabled history = %d, want 404", code)
-	}
-
-	pool := runner.New(runner.Options{Workers: 2})
-	hist := telemetry.NewHistory(pool.Metrics(), 16, time.Second)
-	ts, _ := newTestServerOpts(t, runner.Options{Workers: 2}, serverConfig{history: hist})
-	_ = pool // hist snapshots pool's registry; the server only reads hist
-	t.Cleanup(pool.Close)
-
-	hist.Record(time.Now().Add(-time.Minute))
-	hist.Record(time.Now())
-
-	var idx historyIndexResponse
-	if code, _ := httpDo(t, http.MethodGet, ts.URL+"/v1/metrics/history", nil, &idx); code != http.StatusOK {
-		t.Fatalf("history index = %d", code)
-	}
-	if idx.Samples != 2 || len(idx.Names) == 0 || idx.IntervalS != 1 {
-		t.Errorf("index = %+v, want 2 samples, names, interval 1s", idx)
-	}
-
-	name := idx.Names[0]
-	var series historySeriesResponse
-	if code, _ := httpDo(t, http.MethodGet, ts.URL+"/v1/metrics/history?name="+name, nil, &series); code != http.StatusOK {
-		t.Fatalf("history series = %d", code)
-	}
-	if series.Name != name || len(series.Points) != 2 {
-		t.Errorf("series = %+v, want 2 points of %q", series, name)
-	}
-	var recent historySeriesResponse
-	if code, _ := httpDo(t, http.MethodGet, ts.URL+"/v1/metrics/history?name="+name+"&minutes=0.5", nil, &recent); code != http.StatusOK {
-		t.Fatalf("bounded history = %d", code)
-	}
-	if len(recent.Points) != 1 {
-		t.Errorf("minutes=0.5 returned %d points, want 1", len(recent.Points))
-	}
-	if code, _ := httpDo(t, http.MethodGet, ts.URL+"/v1/metrics/history?minutes=-3", nil, nil); code != http.StatusBadRequest {
-		t.Errorf("negative minutes = %d, want 400", code)
 	}
 }
 

@@ -30,6 +30,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/runner"
+	"repro/internal/telemetry"
 )
 
 // dumpTraces writes each retained job trace as <dir>/<jobID>.json and
@@ -64,15 +65,15 @@ func main() {
 	traceOut := flag.String("trace-out", "", "directory to dump per-simulation span trees as JSON (empty = off)")
 	flag.Parse()
 
-	traceCap := 0
+	var tracer *telemetry.Tracer
 	if *traceOut != "" {
 		// Retain every simulation of the run, not just the default
 		// ring's worth (ablation sweeps can exceed it).
-		traceCap = 4096
+		tracer = telemetry.NewTracer(4096)
 	}
 	pool := runner.New(runner.Options{
-		Workers:       *workers,
-		TraceCapacity: traceCap,
+		Workers: *workers,
+		Tracer:  tracer,
 	})
 	defer pool.Close()
 	s := experiments.NewSuiteWithRunner(*seed, *scale, pool)

@@ -19,14 +19,21 @@ const (
 	kernelScale = 0.25
 )
 
+// kernelOpInstrs is the least work one BenchmarkKernel op retires.
+const kernelOpInstrs = 1_500_000
+
 // BenchmarkKernel measures the compiled kernel on real code footprints:
 // the golden-seed, golden-scale job of every app under Base and
 // Enhanced.  Set-up (generate, link, compile, the job's warmup) runs
-// outside the timer; one op is the job's measured request window,
-// replayed from the compiled Program.  The images hold tens of
-// thousands of instructions, more than fits in the host's L1, so the
-// host-side layout of the kernel's data shows in Minstr/s.  instrs/op
-// is exact and does not vary between runs.
+// outside the timer; one op replays the job's measured request window
+// from the compiled Program, repeated until the op has retired at
+// least kernelOpInstrs instructions.  Most apps' windows run 2-9 M
+// instructions, so an op is one window; jit's and plugin-server's run
+// 0.1-0.25 M, which alone is a few milliseconds that host noise
+// swamps at -benchtime 3x.  The images hold tens of thousands of
+// instructions, more than fits in the host's L1, so the host-side
+// layout of the kernel's data shows in Minstr/s.  instrs/op is exact
+// and does not vary between runs at a fixed -benchtime Nx.
 //
 //	go test -run '^$' -bench Kernel ./internal/cpu/
 func BenchmarkKernel(b *testing.B) {
@@ -38,8 +45,10 @@ func BenchmarkKernel(b *testing.B) {
 				start := c.Counters().Instructions
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := d.Run(measure); err != nil {
-						b.Fatal(err)
+					for op := c.Counters().Instructions; c.Counters().Instructions-op < kernelOpInstrs; {
+						if _, err := d.Run(measure); err != nil {
+							b.Fatal(err)
+						}
 					}
 				}
 				b.StopTimer()

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/stats"
@@ -44,6 +46,21 @@ func TestMerged(t *testing.T) {
 	}
 	if m.Percentile(100) != 20 || m.Percentile(0) != 1 {
 		t.Errorf("range = [%v, %v]", m.Percentile(0), m.Percentile(100))
+	}
+
+	// Eight classes whose floating-point sum depends on the order they
+	// fold in: every call must return the same mean, bit for bit.
+	classes := make(map[string]*stats.Sample)
+	for i := 0; i < 8; i++ {
+		s := &stats.Sample{}
+		s.AddAll([]float64{1e15 / float64(i+1), 0.1 * float64(i+1), 1.0 / 3})
+		classes[fmt.Sprintf("class-%d", i)] = s
+	}
+	first := merged(classes).Mean()
+	for call := 1; call < 200; call++ {
+		if got := merged(classes).Mean(); math.Float64bits(got) != math.Float64bits(first) {
+			t.Fatalf("call %d: merged mean %v, first call %v (map iteration order reached the sum)", call, got, first)
+		}
 	}
 }
 

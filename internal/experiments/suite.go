@@ -20,6 +20,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 
 	"repro/internal/cpu"
@@ -159,11 +160,18 @@ func (s *Suite) all() ([]*runData, error) {
 	return out, nil
 }
 
-// merged returns one sample merging every request class.
+// merged returns one sample merging every request class.  Classes
+// fold in name order: Sample.Mean sums in stored order, so map
+// iteration order would reach the mean's last bits.
 func merged(samp map[string]*stats.Sample) *stats.Sample {
+	names := make([]string, 0, len(samp))
+	for name := range samp {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	out := &stats.Sample{}
-	for _, s := range samp {
-		out.AddAll(s.Values())
+	for _, name := range names {
+		out.AddAll(samp[name].Values())
 	}
 	return out
 }

@@ -246,37 +246,6 @@ func Injections(name string) uint64 {
 // Enabled reports whether any point is armed.
 func Enabled() bool { return reg.enabled.Load() }
 
-// PointStats is one armed point's configuration summary and counters,
-// as reported by Snapshot.
-type PointStats struct {
-	// Mode is the armed fault mode; Prob its injection probability.
-	Mode Mode
-	Prob float64
-
-	// Hits counts Fire evaluations while armed; Injected counts
-	// faults actually delivered.
-	Hits, Injected uint64
-}
-
-// Snapshot returns every armed point's counters, keyed by point name.
-// Telemetry exporters poll this at scrape time to surface per-point
-// fire counts as gauges without coupling this package to the metrics
-// registry.
-func Snapshot() map[string]PointStats {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	out := make(map[string]PointStats, len(reg.points))
-	for name, p := range reg.points {
-		out[name] = PointStats{
-			Mode:     p.cfg.Mode,
-			Prob:     p.cfg.Prob,
-			Hits:     p.hits,
-			Injected: p.injected,
-		}
-	}
-	return out
-}
-
 // Fire evaluates the named injection point with no cancellation
 // context; Hang-mode points block until Reset.  Use FireCtx on paths
 // that hold a context.

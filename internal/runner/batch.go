@@ -393,14 +393,6 @@ func (r *Runner) SubmitBatch(sweep SweepSpec) (batch *Batch, reused bool, err er
 			old := r.batchLRU.Remove(r.batchLRU.Front()).(string)
 			delete(r.batches, old)
 			delete(r.batchElem, old)
-			// Parity with job eviction: a batch demoted to the disk
-			// store stays addressable; one truly dropped enters the
-			// evicted ring so lookups answer 410 Gone, not 404.
-			// (Batch and job IDs share the ring — the "b" prefix
-			// keeps the namespaces disjoint.)
-			if r.store == nil || !r.store.Has(old) {
-				r.noteEvicted(old)
-			}
 		}
 	}
 	if r.store != nil {

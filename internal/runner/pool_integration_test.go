@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/pool"
+	"repro/internal/telemetry"
 )
 
 // TestPooledBitIdenticalToUnpooled is the tentpole invariant at the
@@ -147,7 +148,7 @@ func TestSweepReusesBundlesWithinBound(t *testing.T) {
 		sweep.Seeds = append(sweep.Seeds, s)
 	}
 	for round := 0; round < rounds; round++ {
-		r := New(Options{Workers: workers})
+		r := New(Options{Workers: workers, Tracer: telemetry.NewTracer(0)})
 		b, _, err := r.SubmitBatch(sweep)
 		if err != nil {
 			r.Close()

@@ -45,12 +45,6 @@ func TestRetentionEvictsLRU(t *testing.T) {
 	if _, ok := r.Job(b.ID); ok {
 		t.Error("B still present; LRU should have evicted it")
 	}
-	if !r.Evicted(b.ID) {
-		t.Error("Evicted(B) = false, want true")
-	}
-	if r.Evicted(a.ID) {
-		t.Error("Evicted(A) = true for a retained job")
-	}
 	st := r.Stats()
 	if st.Retained != 2 {
 		t.Errorf("Retained = %d, want 2", st.Retained)
@@ -60,13 +54,10 @@ func TestRetentionEvictsLRU(t *testing.T) {
 	}
 
 	// A resubmission of the evicted spec recomputes under the same
-	// content-derived ID, which is then no longer "gone".
+	// content-derived ID.
 	nb := runOne(2)
 	if nb.ID != b.ID {
 		t.Fatalf("recomputed job ID %s != original %s", nb.ID, b.ID)
-	}
-	if r.Evicted(b.ID) {
-		t.Error("Evicted(B) still true after B was recomputed")
 	}
 }
 
@@ -99,9 +90,6 @@ func TestRetentionPinsInFlight(t *testing.T) {
 		}
 		if _, ok := r.Job(held.ID); !ok {
 			t.Fatalf("in-flight job evicted after %d fast jobs (state %s)", seed, held.State())
-		}
-		if r.Evicted(held.ID) {
-			t.Fatal("in-flight job ID marked evicted")
 		}
 	}
 
@@ -163,13 +151,10 @@ func TestRetentionSoak(t *testing.T) {
 	}
 
 	r.mu.Lock()
-	nKey, nID, nLRU, nEvicted := len(r.byKey), len(r.byID), r.lru.Len(), len(r.evicted)
+	nKey, nID, nLRU := len(r.byKey), len(r.byID), r.lru.Len()
 	r.mu.Unlock()
 	if nKey > maxRetained || nID > maxRetained || nLRU > maxRetained {
 		t.Errorf("maps after soak: byKey=%d byID=%d lru=%d, want <= %d", nKey, nID, nLRU, maxRetained)
-	}
-	if cap := evictedMemory(maxRetained); nEvicted > cap {
-		t.Errorf("evicted-ID memory %d exceeds bound %d", nEvicted, cap)
 	}
 	st := r.Stats()
 	if st.Retained != maxRetained {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/leakcheck"
+	"repro/internal/telemetry"
 )
 
 // armed arms one injection point for the duration of the test and
@@ -71,7 +72,7 @@ func TestFailedJobRunsOnce(t *testing.T) {
 	armed(t, "runner.execute", faultinject.PointConfig{Mode: faultinject.Error, Prob: 1, Count: 1})
 	ctx := context.Background()
 
-	r := New(Options{Workers: 2})
+	r := New(Options{Workers: 2, Tracer: telemetry.NewTracer(0)})
 	defer r.Close()
 	b, _, err := r.SubmitBatch(fastSweep())
 	if err != nil {

@@ -56,15 +56,9 @@ type Options struct {
 	// single source of truth.
 	Metrics *telemetry.Registry
 
-	// TraceCapacity sizes the ring buffer of retained per-job traces.
-	// Zero means telemetry.DefaultTraceCapacity; negative disables
-	// tracing entirely (spans become nil no-ops).
-	TraceCapacity int
-
-	// Tracer, when set, is used instead of building a private ring
-	// from TraceCapacity — pass one to share a trace ring with other
-	// components (dlsimd shares it with the store's open/replay
-	// trace).
+	// Tracer is the ring of retained per-job span trees.  Nil
+	// disables tracing: nil tracers and spans are no-ops.  dlsimd
+	// shares its tracer with the store's open/replay trace.
 	Tracer *telemetry.Tracer
 
 	// Store is the disk-backed second tier below the in-memory result
@@ -73,9 +67,9 @@ type Options struct {
 	// deletes (the entry stays servable from disk), and Submit /
 	// Job / Batch lookups fall back to it before recomputing — which
 	// is what lets a restarted process warm-start from a prior run's
-	// results.  Nil disables persistence.  The runner registers
-	// itself as the store's drop observer so entries dropped by store
-	// compaction keep answering 410 Gone.
+	// results.  An ID that neither memory nor the store holds is
+	// unknown, whether it was never seen or was dropped.  Nil
+	// disables persistence.
 	Store *store.Store
 
 	// Pool is the shared artifact pool jobs draw generated workloads
@@ -238,15 +232,10 @@ type Runner struct {
 	// Completed-job retention (guarded by mu): lru orders completed
 	// jobs from least (front) to most (back) recently used; lruElem
 	// maps job ID to its list element.  In-flight jobs appear in
-	// neither, which is what pins them.  evicted remembers recently
-	// evicted job IDs (a bounded FIFO ring) so the HTTP layer can
-	// answer "gone" rather than "never existed".
+	// neither, which is what pins them.
 	maxRetained int
 	lru         *list.List
 	lruElem     map[string]*list.Element
-	evicted     map[string]struct{}
-	evictRing   []string
-	evictHead   int
 
 	// Batch retention (guarded by mu): batches indexes retained batch
 	// handles by content-derived ID, LRU-bounded by maxBatches.
@@ -265,30 +254,12 @@ type Runner struct {
 // Options.MaxRetained is zero.
 const DefaultMaxRetained = 4096
 
-// evictedMemory returns the capacity of the evicted-ID ring: enough to
-// answer "gone" for several cache generations without itself becoming
-// an unbounded map.
-func evictedMemory(maxRetained int) int {
-	n := 4 * maxRetained
-	if n < 256 {
-		n = 256
-	}
-	if n > 16384 {
-		n = 16384
-	}
-	return n
-}
-
 // New returns a Runner with the given options.
 func New(opts Options) *Runner {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.NumCPU()
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	tracer := opts.Tracer
-	if tracer == nil && opts.TraceCapacity >= 0 {
-		tracer = telemetry.NewTracer(opts.TraceCapacity)
-	}
 	maxRetained := opts.MaxRetained
 	if maxRetained == 0 {
 		maxRetained = DefaultMaxRetained
@@ -303,13 +274,13 @@ func New(opts Options) *Runner {
 		cancel:      cancel,
 		sem:         make(chan struct{}, opts.Workers),
 		m:           newMetrics(opts.Metrics),
-		tracer:      tracer,
+		tracer:      opts.Tracer,
+		store:       opts.Store,
 		byKey:       make(map[string]*Job),
 		byID:        make(map[string]*Job),
 		maxRetained: maxRetained,
 		lru:         list.New(),
 		lruElem:     make(map[string]*list.Element),
-		evicted:     make(map[string]struct{}),
 		maxBatches:  maxBatches,
 		batches:     make(map[string]*Batch),
 		batchLRU:    list.New(),
@@ -325,21 +296,6 @@ func New(opts Options) *Runner {
 				Metrics:      r.m.reg,
 			})
 		}
-	}
-	if opts.Store != nil {
-		r.store = opts.Store
-		// Entries dropped by store compaction are truly gone (unless
-		// still held in memory): remember them so lookups answer 410
-		// Gone rather than 404.  The store invokes this outside its
-		// own lock, so taking r.mu here cannot deadlock against
-		// runner→store calls.
-		r.store.OnDrop(func(id string) {
-			r.mu.Lock()
-			if _, inMemory := r.byID[id]; !inMemory {
-				r.noteEvicted(id)
-			}
-			r.mu.Unlock()
-		})
 	}
 	return r
 }
@@ -366,7 +322,7 @@ func (r *Runner) Workers() int { return r.opts.Workers }
 func (r *Runner) Metrics() *telemetry.Registry { return r.m.reg }
 
 // Tracer returns the per-job trace ring, nil when tracing is disabled
-// (Options.TraceCapacity < 0).
+// (Options.Tracer is nil).
 func (r *Runner) Tracer() *telemetry.Tracer { return r.tracer }
 
 // Close cancels every in-flight job and rejects further submissions.
@@ -459,9 +415,6 @@ func (r *Runner) Submit(spec JobSpec) (job *Job, reused bool, err error) {
 	}
 	r.byKey[key] = j
 	r.byID[j.ID] = j
-	// IDs are content-derived, so a resubmitted spec reuses the ID of
-	// a job evicted earlier; it is no longer "gone".
-	delete(r.evicted, j.ID)
 	r.queue = append(r.queue, queuedJob{j: j, span: j.span.Child("queued"), since: time.Now()})
 	r.m.cacheMisses.Inc()
 	r.m.queued.Inc()
@@ -531,18 +484,6 @@ func (r *Runner) Job(id string) (*Job, bool) {
 	return r.restoreJobLocked(id, "")
 }
 
-// Evicted reports whether a job with this ID was recently evicted from
-// the result cache.  The memory behind it is a bounded ring (see
-// evictedMemory), so very old evictions eventually read false again —
-// callers should treat true as "gone, resubmit to recompute" and false
-// as "unknown".
-func (r *Runner) Evicted(id string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, ok := r.evicted[id]
-	return ok
-}
-
 // retain enters a just-completed job into the retention order and
 // evicts the least recently used completed jobs beyond the bound.
 // In-flight jobs are never in the order, so they cannot be evicted.
@@ -573,10 +514,8 @@ func (r *Runner) retainLocked(j *Job) {
 
 // evictOldest drops the least recently used completed job from the
 // lookup maps and the retention order.  With a store attached a
-// successful job's eviction is a demotion — the result stays servable
-// from disk and the ID is not remembered as gone; only entries absent
-// from the store (failed jobs, or write-through failures) enter the
-// evicted ring and answer 410.  Caller holds r.mu.
+// successful job's eviction is a demotion: the result stays servable
+// from disk.  Caller holds r.mu.
 func (r *Runner) evictOldest() {
 	e := r.lru.Front()
 	if e == nil {
@@ -586,27 +525,7 @@ func (r *Runner) evictOldest() {
 	delete(r.lruElem, j.ID)
 	delete(r.byKey, j.Key)
 	delete(r.byID, j.ID)
-	if r.store == nil || !r.store.Has(j.ID) {
-		r.noteEvicted(j.ID)
-	}
 	r.m.evictions.Inc()
-}
-
-// noteEvicted records an evicted job ID in the bounded FIFO ring.
-// Caller holds r.mu.
-func (r *Runner) noteEvicted(id string) {
-	if _, dup := r.evicted[id]; dup {
-		return
-	}
-	capacity := evictedMemory(r.maxRetained)
-	if len(r.evictRing) < capacity {
-		r.evictRing = append(r.evictRing, id)
-	} else {
-		delete(r.evicted, r.evictRing[r.evictHead])
-		r.evictRing[r.evictHead] = id
-		r.evictHead = (r.evictHead + 1) % capacity
-	}
-	r.evicted[id] = struct{}{}
 }
 
 // drive waits for a worker slot, then takes the job at the front of

@@ -93,7 +93,7 @@ func TestStoreWarmStart(t *testing.T) {
 
 // TestStoreDemotion pins the eviction semantics change: with a store
 // attached, LRU eviction demotes results to disk instead of dropping
-// them — the job stays addressable and is never reported 410-gone.
+// them — the job stays addressable.
 func TestStoreDemotion(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -109,9 +109,6 @@ func TestStoreDemotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Capacity 1: job A has been evicted from memory by now.
-	if r.Evicted(a.ID) {
-		t.Fatal("Evicted(A) = true despite the store holding A (demotion should not mark gone)")
-	}
 	j, ok := r.Job(a.ID)
 	if !ok {
 		t.Fatal("demoted job not addressable via Job()")
@@ -176,16 +173,16 @@ func TestStoreBatchPersistRestore(t *testing.T) {
 	}
 }
 
-// TestStoreDropMarksEvicted: when size-bounded compaction drops an
-// entry that is no longer in memory, the runner is told and the ID
-// answers "evicted" (410 at the HTTP layer) instead of pretending it
-// was never seen.
-func TestStoreDropMarksEvicted(t *testing.T) {
+// TestStoreDroppedJobRecomputes: a job that size-bounded compaction
+// dropped after the memory tier evicted it cannot be looked up, and
+// resubmitting its spec recomputes it under the same ID with the same
+// counters.
+func TestStoreDroppedJobRecomputes(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 	// A store this small cannot hold even one persisted result, so
 	// every demotion is eventually dropped by compaction.
-	st, err := store.Open(dir, store.Options{MaxBytes: 1 << 10, SegmentBytes: 512})
+	st, err := store.Open(dir, store.Options{MaxBytes: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +202,22 @@ func TestStoreDropMarksEvicted(t *testing.T) {
 	if st.Has(a.ID) {
 		t.Skip("store retained A despite the 1KB bound; cannot exercise drop")
 	}
-	if !r.Evicted(a.ID) {
-		t.Error("store-dropped job not marked evicted")
-	}
 	if _, ok := r.Job(a.ID); ok {
-		t.Error("store-dropped job still addressable")
+		t.Fatal("store-dropped job still addressable")
+	}
+	re, reused, err := r.Submit(fastSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reused || re.ID != a.ID {
+		t.Fatalf("resubmitted dropped job: reused=%v id=%s, want a fresh run under %s", reused, re.ID, a.ID)
+	}
+	res, err := re.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a.Counters, res.Counters) {
+		t.Errorf("recomputed counters drifted:\nfirst:      %+v\nrecomputed: %+v", a.Counters, res.Counters)
 	}
 }
 

@@ -43,8 +43,8 @@ func (r *Runner) Timeline(id string) (*timeline.Series, bool) {
 // nil only when that record was lost to crash recovery.  wantKey,
 // when non-empty, must match the stored result's canonical key (a
 // Submit-path paranoia check; the ID is a truncated hash of the key).
-// Caller holds r.mu; the runner→store lock order is safe because the
-// store never calls back into the runner while holding its own lock.
+// Caller holds r.mu; the store never calls into the runner, so
+// runner→store is the only lock order.
 func (r *Runner) restoreJobLocked(id, wantKey string) (*Job, bool) {
 	if r.store == nil {
 		return nil, false
@@ -90,8 +90,6 @@ func (r *Runner) restoreJobLocked(id, wantKey string) (*Job, bool) {
 	}
 	r.byKey[j.Key] = j
 	r.byID[id] = j
-	// The ID is addressable again; it is no longer "gone".
-	delete(r.evicted, id)
 	r.retainLocked(j)
 	return j, true
 }

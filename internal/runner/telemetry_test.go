@@ -12,7 +12,7 @@ import (
 // breakdown — queued, then an attempt with generate/link/warmup/
 // measure children — addressable by the job's own ID.
 func TestJobTracePhases(t *testing.T) {
-	r := New(Options{Workers: 1})
+	r := New(Options{Workers: 1, Tracer: telemetry.NewTracer(0)})
 	defer r.Close()
 	j, _, err := r.Submit(fastSpec(301))
 	if err != nil {
@@ -100,10 +100,10 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTracingDisabled: TraceCapacity < 0 turns tracing off without
+// TestTracingDisabled: a nil Tracer turns tracing off without
 // affecting execution.
 func TestTracingDisabled(t *testing.T) {
-	r := New(Options{Workers: 1, TraceCapacity: -1})
+	r := New(Options{})
 	defer r.Close()
 	if r.Tracer() != nil {
 		t.Fatal("tracer not disabled")

@@ -21,13 +21,15 @@
 // reclaimed by compaction: when the store's total size exceeds
 // MaxBytes, live records are rewritten into fresh segments in append
 // order and the old files removed; if the live set alone still
-// exceeds the bound, the oldest live entries are dropped and reported
-// to the function registered with Store.OnDrop (so the serving layer
-// can answer 410 Gone for them).  Compaction is crash-safe in the
-// lossless direction: new segments are written and fsynced before old
-// ones are removed, and replay resolves duplicates newest-segment-
-// wins, so a crash mid-compaction can resurrect dropped entries but
-// never lose live ones.
+// exceeds the bound, the oldest live entries are dropped and counted
+// (dlsim_store_dropped_total).  A dropped ID reads as absent, like
+// one never written.  Compaction is crash-safe in the lossless
+// direction: new segments are written and fsynced before old ones are
+// removed, and replay resolves duplicates newest-segment-wins, so a
+// crash mid-compaction can resurrect dropped entries but never lose
+// live ones.  The active segment rolls over at the smaller of 8 MiB
+// and a quarter of MaxBytes (at least 4 KiB), so a bounded store
+// always spans several segments.
 //
 // Crash consistency: appends are buffered by the OS until Snapshot or
 // Close fsyncs (the dlsimd drain path calls Close before exit).  A
@@ -66,9 +68,11 @@ const (
 	// Options.MaxBytes is zero.
 	DefaultMaxBytes = 256 << 20
 
-	// DefaultSegmentBytes is the target size at which the active
-	// segment is sealed and a new one started.
-	DefaultSegmentBytes = 8 << 20
+	// segTargetMax and segTargetMin clamp the size at which the
+	// active segment is sealed and a new one started: a quarter of
+	// the size bound, within these limits.
+	segTargetMax = 8 << 20
+	segTargetMin = 4 << 10
 
 	// MaxIDLen bounds record IDs (they are 16-17 byte content hashes
 	// in practice).
@@ -99,14 +103,10 @@ const (
 type Options struct {
 	// MaxBytes bounds the total on-disk size across all segments.
 	// Exceeding it triggers compaction; if the live set alone exceeds
-	// it, the oldest live entries are dropped (see Store.OnDrop).
-	// Zero means DefaultMaxBytes; negative means unbounded.
+	// it, the oldest live entries are dropped.  It also sets the
+	// segment size (see the package comment).  Zero means
+	// DefaultMaxBytes; negative means unbounded.
 	MaxBytes int64
-
-	// SegmentBytes is the size at which the active segment rolls
-	// over.  Zero picks DefaultSegmentBytes, clamped to a quarter of
-	// MaxBytes so a bounded store always spans several segments.
-	SegmentBytes int64
 
 	// Metrics is the telemetry registry the store registers its
 	// dlsim_store_* instruments in.  Nil means a private registry:
@@ -191,7 +191,6 @@ type Store struct {
 	index     map[string]recLoc
 	nextSeq   uint64
 	closed    bool
-	onDrop    func(string)
 }
 
 // Open opens (or creates) the store in dir, rebuilding the index by
@@ -204,15 +203,12 @@ func Open(dir string, opts Options) (*Store, error) {
 	if maxBytes == 0 {
 		maxBytes = DefaultMaxBytes
 	}
-	segTarget := opts.SegmentBytes
-	if segTarget <= 0 {
-		segTarget = DefaultSegmentBytes
-		if maxBytes > 0 && maxBytes/4 < segTarget {
-			segTarget = maxBytes / 4
-		}
+	segTarget := int64(segTargetMax)
+	if maxBytes > 0 && maxBytes/4 < segTarget {
+		segTarget = maxBytes / 4
 	}
-	if segTarget < 4096 {
-		segTarget = 4096
+	if segTarget < segTargetMin {
+		segTarget = segTargetMin
 	}
 	s := &Store{
 		dir:       dir,
@@ -424,15 +420,6 @@ func (s *Store) closeAll() {
 	}
 }
 
-// OnDrop registers fn to receive the ID of every live entry dropped
-// by size-bounded compaction, called outside the store's lock.  The
-// serving layer uses it to remember "gone" IDs for 410 responses.
-func (s *Store) OnDrop(fn func(id string)) {
-	s.mu.Lock()
-	s.onDrop = fn
-	s.mu.Unlock()
-}
-
 // encodeRecord builds one on-disk record (flags zero: a put).
 func encodeRecord(id string, payload []byte) []byte {
 	bodyLen := 3 + len(id) + len(payload)
@@ -458,28 +445,15 @@ func (s *Store) Put(id string, payload []byte) error {
 		return ErrPayloadTooLarge
 	}
 	s.mu.Lock()
-	dropped, err := s.putLocked(id, payload)
-	fn := s.onDrop
-	s.mu.Unlock()
-	if fn != nil {
-		for _, id := range dropped {
-			fn(id)
-		}
-	}
-	return err
-}
-
-// putLocked appends one record and runs compaction if the bound is
-// exceeded, returning the IDs compaction dropped.  Caller holds s.mu.
-func (s *Store) putLocked(id string, payload []byte) ([]string, error) {
+	defer s.mu.Unlock()
 	if s.closed {
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	rec := encodeRecord(id, payload)
 	active := s.segs[len(s.segs)-1]
 	if _, err := active.f.WriteAt(rec, active.size); err != nil {
 		s.m.writeErrors.Inc()
-		return nil, fmt.Errorf("store: %w", err)
+		return fmt.Errorf("store: %w", err)
 	}
 	if prev, ok := s.index[id]; ok {
 		prev.seg.live -= prev.size
@@ -489,18 +463,15 @@ func (s *Store) putLocked(id string, payload []byte) ([]string, error) {
 	active.live += int64(len(rec))
 	s.m.writes.Inc()
 
-	var dropped []string
 	var err error
 	if active.size >= s.segTarget {
-		if serr := s.rotateLocked(); serr != nil && err == nil {
-			err = serr
-		}
+		err = s.rotateLocked()
 	}
 	if s.maxBytes > 0 && s.totalBytesLocked() > s.maxBytes {
-		dropped, err = s.compactLocked()
+		err = s.compactLocked()
 	}
 	s.publishGauges()
-	return dropped, err
+	return err
 }
 
 // rotateLocked seals the active segment (fsync) and starts a new one.
@@ -535,12 +506,11 @@ func (s *Store) liveBytesLocked() int64 {
 
 // compactLocked rewrites live records into fresh segments in append
 // order, dropping dead bytes; if the live set alone exceeds the
-// bound, the oldest live entries are dropped first and their IDs
-// returned.  New segments are written and fsynced before the old
-// files are removed, so a crash mid-compaction loses nothing (it can
-// only resurrect dropped entries, which replay then re-drops on the
-// next overflow).
-func (s *Store) compactLocked() ([]string, error) {
+// bound, the oldest live entries are dropped first.  New segments are
+// written and fsynced before the old files are removed, so a crash
+// mid-compaction loses nothing (it can only resurrect dropped entries,
+// which replay then re-drops on the next overflow).
+func (s *Store) compactLocked() error {
 	type entry struct {
 		id  string
 		loc recLoc
@@ -562,24 +532,24 @@ func (s *Store) compactLocked() ([]string, error) {
 	// Budget the live set below the bound, leaving headroom for the
 	// per-segment magic of the rewritten files.
 	budget := s.maxBytes - int64(len(magic))*(liveTotal/s.segTarget+1)
-	var dropped []string
+	dropped := 0
 	for len(entries) > 0 && liveTotal > budget {
 		e := entries[0]
 		entries = entries[1:]
 		liveTotal -= e.loc.size
 		delete(s.index, e.id)
-		dropped = append(dropped, e.id)
+		dropped++
 	}
-	s.m.dropped.Add(uint64(len(dropped)))
+	s.m.dropped.Add(uint64(dropped))
 
 	// Rewrite survivors into fresh segments.
 	var newSegs []*segment
-	fail := func(err error) ([]string, error) {
+	fail := func(err error) error {
 		for _, seg := range newSegs {
 			seg.f.Close()
 			os.Remove(seg.path)
 		}
-		return dropped, err
+		return err
 	}
 	cur, err := s.newSegment()
 	if err != nil {
@@ -624,7 +594,7 @@ func (s *Store) compactLocked() ([]string, error) {
 		os.Remove(seg.path)
 	}
 	s.m.compactions.Inc()
-	return dropped, nil
+	return nil
 }
 
 // Get returns the payload stored under id.  The returned slice is

@@ -115,26 +115,33 @@ func TestPersistAcrossReopen(t *testing.T) {
 
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	s := open(t, dir, Options{MaxBytes: -1, SegmentBytes: 4096})
+	// A 16KB bound sets a 4KB segment target; 12KB of writes stay
+	// under the bound, so only rotation, never compaction, splits them.
+	opts := Options{MaxBytes: 16 << 10}
+	s := open(t, dir, opts)
 	payload := make([]byte, 512)
-	for i := 0; i < 40; i++ {
+	const n = 24
+	for i := 0; i < n; i++ {
 		mustPut(t, s, fmt.Sprintf("id-%02d", i), payload)
 	}
 	st := s.Stats()
 	if st.Segments < 3 {
-		t.Fatalf("segments = %d, want several after 20KB of writes at a 4KB target", st.Segments)
+		t.Fatalf("segments = %d, want several after 12KB of writes at a 4KB target", st.Segments)
+	}
+	if st.Compactions != 0 {
+		t.Fatalf("compactions = %d, want 0: the writes stay under the bound", st.Compactions)
 	}
 	// Every entry must remain readable across rotations and a replay.
 	s.Close()
-	s2 := open(t, dir, Options{MaxBytes: -1, SegmentBytes: 4096})
-	for i := 0; i < 40; i++ {
+	s2 := open(t, dir, opts)
+	for i := 0; i < n; i++ {
 		mustGet(t, s2, fmt.Sprintf("id-%02d", i))
 	}
 }
 
 func TestCompactionDropsDeadBytes(t *testing.T) {
 	dir := t.TempDir()
-	s := open(t, dir, Options{MaxBytes: 64 << 10, SegmentBytes: 8 << 10})
+	s := open(t, dir, Options{MaxBytes: 64 << 10})
 	payload := make([]byte, 1024)
 	// Rewriting one key over and over generates dead bytes; the live
 	// set stays tiny, so compaction must reclaim without dropping.
@@ -158,44 +165,26 @@ func TestCompactionDropsDeadBytes(t *testing.T) {
 
 func TestCompactionDropsOldestWhenLiveExceedsBound(t *testing.T) {
 	dir := t.TempDir()
-	var mu sync.Mutex
-	var dropped []string
-	s := open(t, dir, Options{MaxBytes: 16 << 10, SegmentBytes: 4 << 10})
-	s.OnDrop(func(id string) {
-		mu.Lock()
-		dropped = append(dropped, id)
-		mu.Unlock()
-	})
+	s := open(t, dir, Options{MaxBytes: 16 << 10})
 	payload := make([]byte, 1024)
 	n := 40
 	for i := 0; i < n; i++ {
 		mustPut(t, s, fmt.Sprintf("id-%02d", i), payload)
 	}
-	mu.Lock()
-	nd := len(dropped)
-	mu.Unlock()
-	if nd == 0 {
+	st := s.Stats()
+	if st.Dropped == 0 {
 		t.Fatal("no drops despite live set exceeding the bound")
 	}
-	// Oldest entries drop first; the most recent write must survive.
-	last := fmt.Sprintf("id-%02d", n-1)
-	if !s.Has(last) {
-		t.Fatalf("most recent entry %s was dropped", last)
-	}
-	mu.Lock()
-	first := dropped[0]
-	for _, id := range dropped {
-		if !s.Has(id) {
-			continue
+	// Oldest entries drop first: exactly the first Dropped IDs are
+	// gone, and every later one, the most recent write included,
+	// survives.
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("id-%02d", i)
+		if want := uint64(i) >= st.Dropped; s.Has(id) != want {
+			t.Fatalf("Has(%s) = %v with %d dropped, want %v (oldest first)", id, !want, st.Dropped, want)
 		}
-		mu.Unlock()
-		t.Fatalf("dropped id %s still present", id)
 	}
-	mu.Unlock()
-	if first != "id-00" {
-		t.Fatalf("first drop = %s, want id-00 (oldest first)", first)
-	}
-	if st := s.Stats(); st.Bytes > 16<<10 {
+	if st.Bytes > 16<<10 {
 		t.Fatalf("bytes = %d, want <= 16KB bound", st.Bytes)
 	}
 	// Old segment files must actually be gone from disk.
@@ -245,7 +234,7 @@ func TestRejectsOversizedInputs(t *testing.T) {
 }
 
 func TestConcurrentPutGet(t *testing.T) {
-	s := open(t, t.TempDir(), Options{MaxBytes: 256 << 10, SegmentBytes: 16 << 10})
+	s := open(t, t.TempDir(), Options{MaxBytes: 256 << 10})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

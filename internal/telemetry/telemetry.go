@@ -7,8 +7,8 @@
 // The paper's whole argument is counter-driven — events per library
 // call, ABTB hit and flush rates — and the service layer needs the
 // same discipline: every hot-path subsystem (runner pool, result
-// cache, panic isolation and admission control, fault injection, the
-// simulated ABTB/Bloom hardware itself) registers its counters here, and
+// cache, panic isolation and admission control, the simulated
+// ABTB/Bloom hardware itself) registers its counters here, and
 // cmd/dlsimd exposes the registry in Prometheus text exposition
 // format at GET /metrics (see expose.go) and recent job traces at
 // GET /v1/traces/{id}.
@@ -25,8 +25,8 @@
 //     coordinating init order.  Re-registering a name as a different
 //     kind panics (a programming error, like a duplicate flag).
 //   - Label cardinality is bounded by construction: label values come
-//     from closed sets (workload names, config kinds, route patterns,
-//     injection-point names) — never from request payloads or job IDs.
+//     from closed sets (workload names, config kinds, route patterns)
+//     — never from request payloads or job IDs.
 package telemetry
 
 import (

@@ -19,15 +19,15 @@ type Tracer struct {
 	ring []string // creation order, for eviction
 }
 
-// DefaultTraceCapacity is the ring size used when a capacity of 0 is
+// defaultTraceRing is the ring size used when a capacity of 0 is
 // requested.
-const DefaultTraceCapacity = 512
+const defaultTraceRing = 512
 
 // NewTracer returns a tracer retaining up to capacity recent traces
-// (0 means DefaultTraceCapacity).
+// (0 means 512).
 func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
+		capacity = defaultTraceRing
 	}
 	return &Tracer{
 		cap:  capacity,
